@@ -8,7 +8,7 @@ attraction of mixed frames, turn emission.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,28 +45,17 @@ class ClusterSet:
     """Frame-to-cluster assignments plus per-cluster statistics.
 
     assignments hold a cluster id per single-speaker frame, or UNASSIGNED.
-    rejected ids keep their centroid slot but own no frames.
     """
 
     assignments: np.ndarray
     centroids: np.ndarray  # (clusters, dim)
     sizes: np.ndarray
-    rejected: frozenset = field(default_factory=frozenset)
     ll_history: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "assignments", np.asarray(self.assignments, dtype=np.int64))
         object.__setattr__(self, "centroids", np.asarray(self.centroids, dtype=np.float64))
         object.__setattr__(self, "sizes", np.asarray(self.sizes, dtype=np.int64))
-
-    @property
-    def max_size(self) -> int:
-        surviving = [s for i, s in enumerate(self.sizes) if i not in self.rejected]
-        return int(max(surviving, default=0))
-
-    @property
-    def surviving_ids(self) -> list:
-        return [i for i in range(len(self.sizes)) if i not in self.rejected]
 
 
 def _unit(vectors: np.ndarray) -> np.ndarray:
@@ -219,7 +208,6 @@ def gmm_cluster(
         assignments=assignments,
         centroids=centroids,
         sizes=sizes,
-        rejected=frozenset(),
         ll_history=tuple(ll_history),
     )
 
@@ -234,7 +222,7 @@ def merge_reject_clusters(clusters: ClusterSet, cfg: DiarizeConfig) -> ClusterSe
     centroids = [c.copy() for c in clusters.centroids]
     sizes = list(int(s) for s in clusters.sizes)
     assignments = clusters.assignments.copy()
-    active = [i for i in range(len(sizes)) if i not in clusters.rejected]
+    active = list(range(len(sizes)))
 
     while len(active) > 1:
         units = _unit(np.array([centroids[i] for i in active]))
@@ -273,13 +261,12 @@ def merge_reject_clusters(clusters: ClusterSet, cfg: DiarizeConfig) -> ClusterSe
         if survivors
         else np.empty((0, clusters.centroids.shape[1])),
         sizes=np.array([sizes[i] for i in survivors], dtype=np.int64),
-        rejected=frozenset(),
         ll_history=clusters.ll_history,
     )
 
 
 def count_speakers(clusters: ClusterSet) -> int:
-    return len(clusters.surviving_ids)
+    return len(clusters.sizes)
 
 
 def _nearest_centroid(vector: np.ndarray, centroids: np.ndarray, sizes: np.ndarray) -> int:
@@ -305,7 +292,7 @@ def assign_mixed_frames(
     provided in that same space (see diarize_embeddings for the projection
     plumbing).
     """
-    if not len(clusters.surviving_ids):
+    if not len(clusters.sizes):
         raise DataError("no surviving clusters to attract frames to")
     centroids = clusters.centroids
     sizes = clusters.sizes

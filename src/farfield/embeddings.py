@@ -73,7 +73,10 @@ def read_embeddings(path, source_tag: str = "") -> EmbeddingSet:
         magic = fh.read(4)
         if magic != _EMB_MAGIC:
             raise DataError(f"{path}: not an embedding file (bad magic {magic!r})")
-        dim, count = struct.unpack("<II", fh.read(8))
+        header = fh.read(8)
+        if len(header) != 8:
+            raise DataError(f"{path}: truncated embedding file header")
+        dim, count = struct.unpack("<II", header)
         entries = []
         for _ in range(count):
             header = fh.read(20)

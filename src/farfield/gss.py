@@ -28,6 +28,8 @@ class GssConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise DataError("iterations must be >= 1")
+        if self.context_margin < 0:
+            raise DataError("context_margin must be >= 0")
         if self.chunk_frames is not None and self.chunk_frames < 2:
             raise DataError("chunk_frames must be >= 2")
 

@@ -1,23 +1,49 @@
-"""Hot-kernel dispatch: compiled extension if available, numpy fallback otherwise.
+"""RIR tap kernel: Hann-windowed sinc fractional delays summed into a buffer."""
 
-Set FARFIELD_PURE=1 to force the fallback (useful for the benchmark and for
-debugging the compiled path).
-"""
+import numpy as np
 
-import os
+BACKEND = "numpy"
 
-if os.environ.get("FARFIELD_PURE") == "1":
-    from farfield._ism_numpy import accumulate_sinc_taps
+_CHUNK = 4096  # images per block: 4096 x 81 float64 taps is 2.7 MB per array
 
-    BACKEND = "numpy"
-else:
-    try:
-        from farfield._ism_core import accumulate_sinc_taps
 
-        BACKEND = "compiled"
-    except ImportError:
-        from farfield._ism_numpy import accumulate_sinc_taps
+def accumulate_sinc_taps(rir, delays, amps, half_width):
+    """Add a Hann-windowed sinc at each fractional delay into the buffer.
 
-        BACKEND = "numpy"
-
-__all__ = ["accumulate_sinc_taps", "BACKEND"]
+    For a delay d with base b = floor(d) and fraction f = d - b, the tap at
+    b + j (|j| <= half_width) gets amp * sinc(j - f) * w(j - f), where
+    w(x) = 0.5 * (1 + cos(pi * x / (half_width + 1))). Two identities leave
+    three transcendental calls per image instead of two per tap:
+    sin(pi * (j - f)) = -(-1)^j * sin(pi * f), and cos(c*j - c*f) expanded
+    over a per-offset table of cos(c*j) and sin(c*j). j - f is zero only at
+    j = 0 for an integer delay, where the tap is the amplitude itself. Taps
+    outside the buffer are dropped. Adds into rir in place and returns it.
+    """
+    n = len(rir)
+    offsets = np.arange(-half_width, half_width + 1)
+    scale = np.pi / (half_width + 1)
+    sign = np.where(offsets % 2 == 0, -1.0, 1.0) / np.pi  # -(-1)^j / pi
+    half_cos = 0.5 * np.cos(scale * offsets)
+    half_sin = 0.5 * np.sin(scale * offsets)
+    for i in range(0, len(delays), _CHUNK):
+        d = delays[i : i + _CHUNK]
+        a = amps[i : i + _CHUNK]
+        base = np.floor(d)
+        frac = d - base
+        # sin(pi f) taken from the nearer integer keeps its precision as f -> 1
+        coef = a * np.sin(np.pi * np.minimum(frac, 1.0 - frac))
+        arg = offsets - frac[:, None]
+        integer = frac == 0.0
+        arg[integer, half_width] = 1.0  # avoids 0 / 0; the tap is set below
+        vals = np.outer(coef, sign)
+        vals /= arg
+        cos_f = np.cos(scale * frac)[:, None]
+        sin_f = np.sin(scale * frac)[:, None]
+        vals *= 0.5 + half_cos * cos_f + half_sin * sin_f
+        vals[integer, half_width] = a[integer]
+        pos = base.astype(np.int64)[:, None] + offsets
+        if pos[:, 0].min() < 0 or pos[:, -1].max() >= n:
+            inside = (pos >= 0) & (pos < n)
+            pos, vals = pos[inside], vals[inside]
+        rir += np.bincount(pos.ravel(), weights=vals.ravel(), minlength=n)
+    return rir

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
@@ -31,7 +32,6 @@ from farfield.segments import (
     Segmentation,
     SoftActivity,
     binarize,
-    extend_segments,
     read_activity,
     read_rttm,
     write_rttm,
@@ -79,7 +79,7 @@ def _validate(config: dict, defaults: dict, path: str = "") -> dict:
     for key, default in defaults.items():
         where = f"{path}.{key}" if path else key
         if key not in config:
-            merged[key] = default
+            merged[key] = copy.deepcopy(default)  # callers edit their config in place
         elif isinstance(default, dict):
             if not isinstance(config[key], dict):
                 raise ConfigError(f"{where}: expected a mapping")
@@ -112,12 +112,14 @@ def load_manifest(path) -> list:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
+    if isinstance(raw, dict) and "sessions" not in raw:
+        raise DataError(f"manifest {path}: missing 'sessions'")
     sessions = raw["sessions"] if isinstance(raw, dict) else raw
     base = Path(path).parent
     out = []
     for entry in sessions:
         if "session_id" not in entry or "channels" not in entry:
-            raise DataError("manifest sessions need session_id and channels")
+            raise DataError(f"manifest {path}: sessions need session_id and channels")
         entry = dict(entry)
         entry["channels"] = [str(base / p) for p in entry["channels"]]
         for item in entry.get("embeddings", []):
@@ -358,14 +360,13 @@ def run_gss(session: dict, config: dict, run_dir: Path, seg: Segmentation,
         activity = segmentation_to_activity(
             seg, frame_step, num_frames=int(np.ceil(audio.duration / frame_step))
         )
-    extended = extend_segments(seg, gc["context_margin"], audio.duration)
     outputs = []
-    for orig, turn in zip(seg.sorted_turns(), extended.sorted_turns()):
-        target = speakers.index(orig.speaker)
-        wave = extract_speaker_segment(audio, orig, target, activity, gss_cfg, params)
+    for turn in seg.sorted_turns():
+        target = speakers.index(turn.speaker)
+        wave = extract_speaker_segment(audio, turn, target, activity, gss_cfg, params)
         name = (
-            f"{session['session_id']}-{orig.speaker}-"
-            f"{int(round(orig.start * 1000))}-{int(round(orig.end * 1000))}.wav"
+            f"{session['session_id']}-{turn.speaker}-"
+            f"{int(round(turn.start * 1000))}-{int(round(turn.end * 1000))}.wav"
         )
         out_path = stage_dir / name
         write_wav(out_path, wave)

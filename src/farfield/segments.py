@@ -201,7 +201,11 @@ def read_rttm(path) -> dict:
             fields = line.split()
             if fields[0] != "SPEAKER" or len(fields) < 8:
                 raise DataError(f"{path}:{lineno}: malformed RTTM line")
-            session, onset, dur, speaker = fields[1], float(fields[3]), float(fields[4]), fields[7]
+            try:
+                onset, dur = float(fields[3]), float(fields[4])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-numeric RTTM onset or duration") from None
+            session, speaker = fields[1], fields[7]
             by_session.setdefault(session, []).append(Turn(speaker, onset, onset + dur))
     return {sid: Segmentation(sid, tuple(turns)) for sid, turns in by_session.items()}
 
@@ -224,7 +228,10 @@ def read_activity(path, session_id: str = "", source_tag: str = "") -> SoftActiv
         magic = fh.read(4)
         if magic != _ACT_MAGIC:
             raise DataError(f"{path}: not a soft-activity file (bad magic {magic!r})")
-        n_spk, n_frames, step = struct.unpack("<IId", fh.read(16))
+        header = fh.read(16)
+        if len(header) != 16:
+            raise DataError(f"{path}: truncated soft-activity header")
+        n_spk, n_frames, step = struct.unpack("<IId", header)
         payload = fh.read(4 * n_spk * n_frames)
         if len(payload) != 4 * n_spk * n_frames:
             raise DataError(f"{path}: truncated soft-activity payload")

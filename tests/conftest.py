@@ -1,6 +1,7 @@
 """Shared synthetic session fixture: audio, embeddings, activities, manifest."""
 
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -101,9 +102,8 @@ def build_demo_session(root, seed=0):
         for vad_source in ("vadA", "vadB"):
             for variant in ("orig", "wpe"):
                 name = f"emb_ch{ch}_{vad_source}_{variant}.emb"
-                emb_rng = np.random.default_rng(
-                    seed + 7 * ch + 31 * hash((vad_source, variant)) % 1000
-                )
+                tag = zlib.crc32(f"{vad_source}/{variant}".encode())
+                emb_rng = np.random.default_rng(seed + 7 * ch + 31 * tag % 1000)
                 write_embeddings(root / name, _make_embeddings(emb_rng, centers))
                 embeddings.append(
                     {"path": name, "channel": ch, "vad_source": vad_source,

@@ -246,6 +246,10 @@ class TestExtractSegment:
         assert corr_a > 0.8
         assert corr_b < 0.3
 
+    def test_negative_context_margin_rejected(self):
+        with pytest.raises(DataError, match="context_margin"):
+            GssConfig(context_margin=-0.1)
+
     def test_turn_outside_session_rejected(self):
         audio = MultichannelAudio(np.zeros((2, FS)), FS)
         act = SoftActivity("s", np.ones((1, 10)), 0.1)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,30 @@ class TestEmbeddingFormat:
                     EmbeddingEntry(0.0, 0.5, np.ones((1, 4))),
                 )
             )
+
+
+class TestMalformedHeaders:
+    @pytest.mark.parametrize(
+        "name, payload, reader, named",
+        [
+            ("short.emb", b"EMB1\x10\x00\x00", read_embeddings, "short.emb"),
+            ("short.act", b"ACT1" + b"\x00" * 10, read_activity, "short.act"),
+            ("onset.rttm", "SPEAKER s 1 zero 1.0 <NA> <NA> a <NA> <NA>\n", read_rttm,
+             "onset.rttm:1"),
+            ("duration.rttm",
+             "; header\nSPEAKER s 1 0.0 1.0 <NA> <NA> a <NA> <NA>\n"
+             "SPEAKER s 1 2.0 1.5s <NA> <NA> a <NA> <NA>\n", read_rttm, "duration.rttm:3"),
+        ],
+        ids=["emb-header", "act-header", "rttm-onset", "rttm-duration"],
+    )
+    def test_data_error_names_file(self, tmp_path, name, payload, reader, named):
+        path = tmp_path / name
+        if isinstance(payload, str):
+            path.write_text(payload)
+        else:
+            path.write_bytes(payload)
+        with pytest.raises(DataError, match=re.escape(named)):
+            reader(path)
 
 
 class TestBoundaryUtilities:

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from farfield.audio import MultichannelAudio, write_wav
 from farfield.cli import main
 from farfield.errors import ConfigError, DataError, FarfieldError, NumericalError
 from farfield.pipeline import (
@@ -52,6 +53,9 @@ class TestConfig:
     def test_overrides(self):
         config = load_config(None, overrides={"gss.iterations": 7})
         assert config["gss"]["iterations"] == 7
+        config["preprocess"]["wpe"] = False
+        assert load_config(None)["gss"]["iterations"] == 5  # defaults left untouched
+        assert load_config(None)["preprocess"]["wpe"] is True
 
     def test_exit_codes(self):
         assert ConfigError("x").exit_code == 2
@@ -166,7 +170,48 @@ class TestScoring:
         assert result["sessions"][0]["der"] is None
 
 
+def _write_malformed_inputs(root):
+    """A tiny session whose embedding, activity, manifest and RTTM files are broken."""
+    noise = 0.1 * np.random.default_rng(0).standard_normal(8000)
+    write_wav(root / "ch0.wav", MultichannelAudio(noise, 16000))
+    (root / "bad.emb").write_bytes(b"EMB1\x10\x00\x00")
+    (root / "bad.act").write_bytes(b"ACT1" + b"\x00" * 10)
+    (root / "ok.rttm").write_text("SPEAKER s 1 0.0 0.5 <NA> <NA> a <NA> <NA>\n")
+    (root / "refs").mkdir()
+    (root / "refs" / "bad.rttm").write_text("SPEAKER s 1 0.0 half <NA> <NA> a <NA> <NA>\n")
+    session = {"session_id": "s", "channels": ["ch0.wav"],
+               "embeddings": [{"path": "bad.emb", "channel": 0}]}
+    (root / "manifest.json").write_text(json.dumps({"sessions": [session]}))
+    (root / "no_sessions.json").write_text(json.dumps({"session": [session]}))
+    (root / "no_wpe.json").write_text(json.dumps({"preprocess": {"wpe": False}}))
+
+
 class TestCli:
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["preprocess", "--manifest", "no_sessions.json"], "no_sessions.json"),
+            (["diarize", "--manifest", "manifest.json", "--config", "no_wpe.json"], "bad.emb"),
+            (["gss", "--manifest", "manifest.json", "--rttm", "ok.rttm",
+              "--activity", "bad.act"], "bad.act"),
+            (["score", "--ref-dir", "refs", "--hyp-dir", "refs"], "bad.rttm:1"),
+        ],
+        ids=["manifest-sessions", "emb-header", "act-header", "rttm-onset"],
+    )
+    def test_malformed_input_exits_3(self, tmp_path, monkeypatch, capsys, argv, named):
+        _write_malformed_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 3
+        assert named in capsys.readouterr().err
+
+    def test_negative_margin_exits_3(self, tmp_path, monkeypatch, capsys):
+        _write_malformed_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code = main(["gss", "--manifest", "manifest.json", "--rttm", "ok.rttm",
+                     "--margin", "-0.5"])
+        assert code == 3
+        assert "context_margin" in capsys.readouterr().err
+
     def test_preprocess_command(self, demo_manifest, tmp_path, capsys):
         code = main([
             "preprocess", "--manifest", str(demo_manifest),

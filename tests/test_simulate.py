@@ -1,8 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
 from farfield.errors import DataError
-from farfield.kernels import BACKEND
 from farfield.simulate import (
     SINC_HALF_WIDTH,
     MixtureSpec,
@@ -115,27 +116,44 @@ class TestGenerateRir:
         assert e_live > e_dead
 
 
+def _per_tap_sinc_taps(rir, delays, amps, half_width):
+    """One tap at a time, straight from the windowed-sinc definition."""
+    for d, a in zip(delays, amps):
+        base = math.floor(d)
+        for j in range(-half_width, half_width + 1):
+            pos = base + j
+            if not 0 <= pos < len(rir):
+                continue
+            arg = j - (d - base)
+            sinc = 1.0 if arg == 0 else math.sin(math.pi * arg) / (math.pi * arg)
+            window = 0.5 * (1.0 + math.cos(math.pi * arg / (half_width + 1)))
+            rir[pos] += a * sinc * window
+    return rir
+
+
+_N_TAPS = 400
+_WHOLE = np.floor(np.random.default_rng(1).uniform(0, _N_TAPS, 10))
+
+
 class TestKernels:
-    def test_backend_selected(self):
-        assert BACKEND in ("compiled", "numpy")
+    @pytest.mark.parametrize(
+        "delays",
+        [
+            np.random.default_rng(2).uniform(-2 * SINC_HALF_WIDTH, 0, 40),
+            np.random.default_rng(3).uniform(_N_TAPS - 1, _N_TAPS + 2 * SINC_HALF_WIDTH, 40),
+            np.array([-SINC_HALF_WIDTH - 5.0, 0.0, 17.0, _N_TAPS - 1.0, _N_TAPS + 3.0]),
+            np.concatenate([_WHOLE + 1e-9, _WHOLE + 1.0 - 1e-9]),
+            np.random.default_rng(4).uniform(0, _N_TAPS, 500),
+        ],
+        ids=["below-0", "past-end", "integer", "next-to-integer", "random"],
+    )
+    def test_matches_per_tap_oracle(self, delays):
+        from farfield.kernels import accumulate_sinc_taps
 
-    def test_compiled_and_numpy_agree(self):
-        from farfield._ism_numpy import accumulate_sinc_taps as numpy_kernel
-
-        try:
-            from farfield._ism_core import accumulate_sinc_taps as compiled_kernel
-        except ImportError:
-            pytest.skip("compiled kernel unavailable")
-        rng = np.random.default_rng(0)
-        n = 4000
-        delays = rng.uniform(SINC_HALF_WIDTH + 1, n - SINC_HALF_WIDTH - 2, 500)
-        amps = rng.standard_normal(500)
-        a = np.zeros(n)
-        b = np.zeros(n)
-        compiled_kernel(a, np.ascontiguousarray(delays), np.ascontiguousarray(amps),
-                        SINC_HALF_WIDTH)
-        numpy_kernel(b, delays, amps, SINC_HALF_WIDTH)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        amps = np.random.default_rng(0).standard_normal(len(delays))
+        got = accumulate_sinc_taps(np.zeros(_N_TAPS), delays, amps, SINC_HALF_WIDTH)
+        want = _per_tap_sinc_taps(np.zeros(_N_TAPS), delays, amps, SINC_HALF_WIDTH)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_integer_delay_is_exact_impulse(self):
         from farfield.kernels import accumulate_sinc_taps
