@@ -57,9 +57,14 @@ class MaskTensor:
         return self.gammas.shape[0]
 
 
-def resample_activities(activities: SoftActivity, tensor: SpectralTensor) -> np.ndarray:
-    """Nearest-frame resampling of activity rows onto the STFT frame grid."""
-    frame_times = np.arange(tensor.num_frames) * tensor.frame_step_seconds
+def resample_activities(
+    activities: SoftActivity, tensor: SpectralTensor, start: float = 0.0
+) -> np.ndarray:
+    """Nearest-frame resampling of activity rows onto the STFT frame grid.
+
+    start is the session time, in seconds, of the tensor's first frame.
+    """
+    frame_times = start + np.arange(tensor.num_frames) * tensor.frame_step_seconds
     idx = np.clip(
         np.floor(frame_times / activities.frame_step + 0.5).astype(int),
         0,
@@ -81,10 +86,28 @@ def build_priors(speaker_probs: np.ndarray, cfg: GssConfig) -> np.ndarray:
     return priors
 
 
+def _log_det(mats):
+    """Log-determinants of Hermitian positive definite matrices, from Cholesky."""
+    try:
+        chol = np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("cACGMM shape matrix lost positive definiteness") from exc
+    return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1).real).sum(axis=-1)
+
+
 def _em_sweeps(z, valid, priors, iterations):
-    """Run cACGMM EM; z is (F, T, C), valid (F, T), priors (S, T)."""
+    """Run cACGMM EM; z is (F, T, C), valid (F, T), priors (S, T).
+
+    Both steps contract against one real table of the outer products z z^H,
+    viewed as interleaved (Re, Im) pairs, (F, T, 2C^2): the quadratic form
+    z^H B^-1 z is Re sum(B^-1 * conj(z z^H)), one matmul of the table with
+    B^-1 viewed the same way, and the M-step numerator is weights @ table.
+    """
     n_bins, n_frames, n_ch = z.shape
     n_src = priors.shape[0]
+    # C order, so that the complex products can be viewed as float pairs
+    outer = np.multiply(z[:, :, :, None], z.conj()[:, :, None, :], order="C")  # (F, T, C, C)
+    table = outer.view(np.float64).reshape(n_bins, n_frames, 2 * n_ch * n_ch)
     shape_mats = np.broadcast_to(
         np.eye(n_ch, dtype=np.complex128), (n_src, n_bins, n_ch, n_ch)
     ).copy()
@@ -95,14 +118,12 @@ def _em_sweeps(z, valid, priors, iterations):
 
     def e_step(mats):
         loaded = mats + 1e-12 * np.eye(n_ch)
-        inv = np.linalg.inv(loaded)
-        sign, logdet = np.linalg.slogdet(loaded)
-        if np.any(sign.real <= 0):
-            raise NumericalError("cACGMM shape matrix lost positive definiteness")
-        # quadratic form z^H B^-1 z, (S, F, T)
-        quad = np.maximum(
-            np.einsum("ftc,sfcd,ftd->sft", z.conj(), inv, z).real, _QUAD_FLOOR
-        )
+        logdet = _log_det(loaded)  # (S, F)
+        inv = np.ascontiguousarray(np.linalg.inv(loaded)).view(np.float64)
+        inv = inv.reshape(n_src, n_bins, -1)
+        # quadratic form z^H B^-1 z, (F, S, T) -> (S, F, T)
+        quad = (inv.transpose(1, 0, 2) @ table.transpose(0, 2, 1)).transpose(1, 0, 2)
+        quad = np.maximum(quad, _QUAD_FLOOR)
         log_density = -logdet[:, :, None] - n_ch * np.log(quad)
         log_joint = log_priors[:, None, :] + log_density  # (S, F, T)
         shift = log_joint.max(axis=0, keepdims=True)
@@ -117,7 +138,8 @@ def _em_sweeps(z, valid, priors, iterations):
         gammas, quad, ll_history[:, it] = e_step(shape_mats)
         weights = gammas * valid[None, :, :] / quad  # (S, F, T)
         mass = np.maximum((gammas * valid[None, :, :]).sum(axis=2), 1e-300)
-        numer = np.einsum("sft,ftc,ftd->sfcd", weights, z, z.conj())
+        numer = (weights.transpose(1, 0, 2) @ table).view(np.complex128)  # (F, S, C^2)
+        numer = numer.reshape(n_bins, n_src, n_ch, n_ch).transpose(1, 0, 2, 3)
         shape_mats = n_ch * numer / mass[:, :, None, None]
         shape_mats = 0.5 * (shape_mats + shape_mats.conj().transpose(0, 1, 3, 2))
         trace = np.einsum("sfcc->sf", shape_mats).real
@@ -125,6 +147,14 @@ def _em_sweeps(z, valid, priors, iterations):
         shape_mats += 1e-10 * np.eye(n_ch)
 
     gammas, _, ll_history[:, iterations] = e_step(shape_mats)
+    # each sweep is a generalized EM step, so no bin's likelihood may fall
+    steps = np.diff(ll_history, axis=1)
+    if np.any(steps < -1e-8):
+        f, it = np.unravel_index(np.argmin(steps), steps.shape)
+        raise NumericalError(
+            f"cACGMM log-likelihood of bin {f} fell by {-steps[f, it]:.3g} "
+            f"at iteration {it + 1}"
+        )
     return gammas, shape_mats, ll_history
 
 
@@ -211,12 +241,13 @@ def mvdr_beamform(
     if not 0 <= target < masks.num_sources:
         raise DataError(f"target source {target} out of range")
     x = tensor.values.transpose(2, 1, 0)  # (F, T, C)
+    xt, xh = x.transpose(0, 2, 1), x.conj()  # (F, C, T), (F, T, C)
     gamma = masks.gammas[target].T  # (F, T)
     n_ch = tensor.num_channels
 
     def psd(weights):
         mass = np.maximum(weights.sum(axis=1), 1e-300)
-        mat = np.einsum("ft,ftc,ftd->fcd", weights, x, x.conj()) / mass[:, None, None]
+        mat = (xt * weights[:, None, :]) @ xh / mass[:, None, None]
         return 0.5 * (mat + mat.conj().transpose(0, 2, 1))
 
     phi_target = psd(gamma)
@@ -273,15 +304,9 @@ def extract_speaker_segment(
             tensor, WpeConfig(taps=10, delay=2, iterations=1, block_length=1e9)
         )
     # activities for the window, on the window's own frame grid
-    frame_times = ext_start + np.arange(tensor.num_frames) * tensor.frame_step_seconds
-    idx = np.clip(
-        np.floor(frame_times / activities.frame_step + 0.5).astype(int),
-        0,
-        activities.num_frames - 1,
-    )
     window_act = SoftActivity(
         activities.session_id,
-        activities.probs[:, idx],
+        resample_activities(activities, tensor, ext_start),
         tensor.frame_step_seconds,
         activities.source_tag,
     )

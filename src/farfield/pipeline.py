@@ -115,9 +115,13 @@ def load_manifest(path) -> list:
     if isinstance(raw, dict) and "sessions" not in raw:
         raise DataError(f"manifest {path}: missing 'sessions'")
     sessions = raw["sessions"] if isinstance(raw, dict) else raw
+    if not isinstance(sessions, list):
+        raise DataError(f"manifest {path}: 'sessions' must be a list")
     base = Path(path).parent
     out = []
     for entry in sessions:
+        if not isinstance(entry, dict):
+            raise DataError(f"manifest {path}: each session must be an object")
         if "session_id" not in entry or "channels" not in entry:
             raise DataError(f"manifest {path}: sessions need session_id and channels")
         entry = dict(entry)

@@ -205,6 +205,8 @@ def read_rttm(path) -> dict:
                 onset, dur = float(fields[3]), float(fields[4])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric RTTM onset or duration") from None
+            if not dur > 0:
+                raise DataError(f"{path}:{lineno}: RTTM duration {fields[4]} must be positive")
             session, speaker = fields[1], fields[7]
             by_session.setdefault(session, []).append(Turn(speaker, onset, onset + dur))
     return {sid: Segmentation(sid, tuple(turns)) for sid, turns in by_session.items()}

@@ -95,7 +95,7 @@ def sample_room(ranges: RoomRanges, seed: int) -> RoomSpec:
     hi = dims - ranges.wall_clearance
     if np.any(hi <= lo):
         raise DataError("room too small for the requested wall clearance")
-    for _ in range(200):
+    for _ in range(2000):
         sources = rng.uniform(lo, hi, size=(ranges.num_sources, 3))
         receivers = rng.uniform(lo, hi, size=(ranges.num_receivers, 3))
         dists = np.linalg.norm(sources[:, None, :] - receivers[None, :, :], axis=2)

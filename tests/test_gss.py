@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from farfield.audio import MultichannelAudio
-from farfield.errors import DataError
+from farfield.errors import DataError, NumericalError
 from farfield.gss import (
     GssConfig,
     MaskTensor,
+    _em_sweeps,
+    _log_det,
     apply_vad_mask,
     build_priors,
     cacgmm_em,
@@ -124,6 +126,87 @@ class TestCacgmm:
         tensor = _tensor(np.zeros((1, 10, 33)))
         with pytest.raises(DataError):
             cacgmm_em(tensor, _activity(np.ones((1, 10)), tensor.frame_step_seconds))
+
+
+def _reference_em_sweeps(z, valid, priors, iterations):
+    """cACGMM EM written with einsum, inv and slogdet: the oracle for _em_sweeps."""
+    n_bins, n_frames, n_ch = z.shape
+    n_src = priors.shape[0]
+    shape_mats = np.broadcast_to(
+        np.eye(n_ch, dtype=np.complex128), (n_src, n_bins, n_ch, n_ch)
+    ).copy()
+    log_priors = np.log(np.maximum(priors, 1e-300))
+    ll_history = np.empty((n_bins, iterations + 1))
+    valid_count = np.maximum(valid.sum(axis=1), 1)
+
+    def e_step(mats):
+        loaded = mats + 1e-12 * np.eye(n_ch)
+        inv = np.linalg.inv(loaded)
+        sign, logdet = np.linalg.slogdet(loaded)
+        assert np.all(sign.real > 0)
+        quad = np.maximum(np.einsum("ftc,sfcd,ftd->sft", z.conj(), inv, z).real, 1e-10)
+        log_joint = log_priors[:, None, :] - logdet[:, :, None] - n_ch * np.log(quad)
+        shift = log_joint.max(axis=0, keepdims=True)
+        log_norm = shift[0] + np.log(np.exp(log_joint - shift).sum(axis=0))
+        post = np.exp(log_joint - log_norm[None])
+        post = np.where(valid[None, :, :], post, priors[:, None, :])
+        ll = np.where(valid, log_norm, 0.0).sum(axis=1) / valid_count
+        return post, quad, ll
+
+    for it in range(iterations):
+        gammas, quad, ll_history[:, it] = e_step(shape_mats)
+        weights = gammas * valid[None, :, :] / quad
+        mass = np.maximum((gammas * valid[None, :, :]).sum(axis=2), 1e-300)
+        numer = np.einsum("sft,ftc,ftd->sfcd", weights, z, z.conj())
+        shape_mats = n_ch * numer / mass[:, :, None, None]
+        shape_mats = 0.5 * (shape_mats + shape_mats.conj().transpose(0, 1, 3, 2))
+        trace = np.einsum("sfcc->sf", shape_mats).real
+        shape_mats *= (n_ch / np.maximum(trace, 1e-300))[:, :, None, None]
+        shape_mats += 1e-10 * np.eye(n_ch)
+
+    gammas, _, ll_history[:, iterations] = e_step(shape_mats)
+    return gammas, shape_mats, ll_history
+
+
+def _em_inputs(rng, n_bins=17, n_frames=50, n_ch=4, n_src=3):
+    """Unit-norm cells as cacgmm_em builds them, with a silent frame and a silent bin."""
+    x = rng.standard_normal((n_bins, n_frames, n_ch)) + 1j * rng.standard_normal(
+        (n_bins, n_frames, n_ch)
+    )
+    x[:, 7] = 0.0
+    x[3] = 0.0
+    norms = np.linalg.norm(x, axis=2)
+    valid = norms > 0
+    z = np.where(valid[:, :, None], x / np.maximum(norms, 1e-300)[:, :, None], n_ch**-0.5)
+    priors = rng.uniform(size=(n_src, n_frames))
+    return z, valid, priors / priors.sum(axis=0)
+
+
+class TestEmSweeps:
+    @pytest.mark.parametrize("seed,n_ch", [(0, 4), (1, 2), (2, 3)])
+    def test_matches_einsum_reference(self, seed, n_ch):
+        z, valid, priors = _em_inputs(np.random.default_rng(seed), n_ch=n_ch)
+        got = _em_sweeps(z, valid, priors, 4)
+        want = _reference_em_sweeps(z, valid, priors, 4)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, atol=1e-10, rtol=0)
+
+    def test_not_positive_definite_rejected(self):
+        # two negative eigenvalues: the determinant is positive, the matrix is not PD
+        mats = np.array([np.eye(4), np.diag([-1.0, -1.0, 1.0, 1.0])], dtype=np.complex128)
+        with pytest.raises(NumericalError, match="positive definiteness"):
+            _log_det(mats)
+
+    def test_likelihood_drop_raises(self, monkeypatch):
+        # a quadratic-form floor above 1/C clamps the density, so the sweeps
+        # stop being EM steps and the likelihood falls
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((9, 40, 3)) + 1j * rng.standard_normal((9, 40, 3))
+        z = x / np.linalg.norm(x, axis=2, keepdims=True)
+        priors = rng.uniform(size=(2, 40))
+        monkeypatch.setattr("farfield.gss._QUAD_FLOOR", 1.0)
+        with pytest.raises(NumericalError, match=r"bin \d+ .* iteration \d+"):
+            _em_sweeps(z, np.ones((9, 40), dtype=bool), priors / priors.sum(axis=0), 5)
 
 
 class TestChunked:

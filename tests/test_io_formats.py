@@ -6,6 +6,7 @@ import pytest
 from farfield.audio import MultichannelAudio, read_wav, stack_channel_files, write_wav
 from farfield.embeddings import EmbeddingEntry, EmbeddingSet, read_embeddings, write_embeddings
 from farfield.errors import DataError
+from farfield.pipeline import load_manifest
 from farfield.segments import (
     Segmentation,
     SoftActivity,
@@ -193,8 +194,16 @@ class TestMalformedHeaders:
             ("duration.rttm",
              "; header\nSPEAKER s 1 0.0 1.0 <NA> <NA> a <NA> <NA>\n"
              "SPEAKER s 1 2.0 1.5s <NA> <NA> a <NA> <NA>\n", read_rttm, "duration.rttm:3"),
+            ("negative.rttm",
+             "SPEAKER s 1 0.0 1.0 <NA> <NA> a <NA> <NA>\n"
+             "SPEAKER s 1 2.0 -1.0 <NA> <NA> a <NA> <NA>\n", read_rttm, "negative.rttm:2"),
+            ("zero.rttm", "SPEAKER s 1 2.0 0.0 <NA> <NA> a <NA> <NA>\n", read_rttm,
+             "zero.rttm:1"),
+            ("sessions.json", '{"sessions": 5}', load_manifest, "sessions.json"),
+            ("entry.json", '{"sessions": [5]}', load_manifest, "entry.json"),
         ],
-        ids=["emb-header", "act-header", "rttm-onset", "rttm-duration"],
+        ids=["emb-header", "act-header", "rttm-onset", "rttm-duration", "rttm-negative",
+             "rttm-zero", "manifest-sessions-type", "manifest-entry-type"],
     )
     def test_data_error_names_file(self, tmp_path, name, payload, reader, named):
         path = tmp_path / name

@@ -179,10 +179,14 @@ def _write_malformed_inputs(root):
     (root / "ok.rttm").write_text("SPEAKER s 1 0.0 0.5 <NA> <NA> a <NA> <NA>\n")
     (root / "refs").mkdir()
     (root / "refs" / "bad.rttm").write_text("SPEAKER s 1 0.0 half <NA> <NA> a <NA> <NA>\n")
+    (root / "negative").mkdir()
+    (root / "negative" / "neg.rttm").write_text("SPEAKER s 1 2.0 -1.0 <NA> <NA> a <NA> <NA>\n")
     session = {"session_id": "s", "channels": ["ch0.wav"],
                "embeddings": [{"path": "bad.emb", "channel": 0}]}
     (root / "manifest.json").write_text(json.dumps({"sessions": [session]}))
     (root / "no_sessions.json").write_text(json.dumps({"session": [session]}))
+    (root / "int_sessions.json").write_text(json.dumps({"sessions": 5}))
+    (root / "int_entry.json").write_text(json.dumps({"sessions": [5]}))
     (root / "no_wpe.json").write_text(json.dumps({"preprocess": {"wpe": False}}))
 
 
@@ -195,8 +199,12 @@ class TestCli:
             (["gss", "--manifest", "manifest.json", "--rttm", "ok.rttm",
               "--activity", "bad.act"], "bad.act"),
             (["score", "--ref-dir", "refs", "--hyp-dir", "refs"], "bad.rttm:1"),
+            (["preprocess", "--manifest", "int_sessions.json"], "int_sessions.json"),
+            (["preprocess", "--manifest", "int_entry.json"], "int_entry.json"),
+            (["score", "--ref-dir", "negative", "--hyp-dir", "negative"], "neg.rttm:1"),
         ],
-        ids=["manifest-sessions", "emb-header", "act-header", "rttm-onset"],
+        ids=["manifest-sessions", "emb-header", "act-header", "rttm-onset",
+             "manifest-sessions-type", "manifest-entry-type", "rttm-negative-duration"],
     )
     def test_malformed_input_exits_3(self, tmp_path, monkeypatch, capsys, argv, named):
         _write_malformed_inputs(tmp_path)

@@ -190,6 +190,16 @@ class TestSampleRoom:
         assert room.source_positions.shape == (20, 3)
         assert room.receiver_positions.shape == (10, 3)
 
+    @pytest.mark.parametrize("seed", [604, 2359])
+    def test_default_ranges_seeds_needing_many_tries(self, seed):
+        # these seeds place all 30 points only after 295 and 207 tries
+        ranges = RoomRanges()
+        room = sample_room(ranges, seed=seed)
+        dists = np.linalg.norm(
+            room.source_positions[:, None] - room.receiver_positions[None], axis=2
+        )
+        assert dists.min() >= ranges.min_spacing
+
 
 class TestSampleConversation:
     def test_deterministic(self):
