@@ -105,29 +105,35 @@ def concat_normalize(emb_a: EmbeddingSet, emb_b: EmbeddingSet) -> EmbeddingSet:
     return EmbeddingSet(tuple(entries), source_tag=f"{emb_a.source_tag}+{emb_b.source_tag}")
 
 
-def reduce_dim(vectors: np.ndarray, target_dim: int, method: str = "linear") -> np.ndarray:
-    """Project vectors to target_dim: 'linear' is PCA, 'external' passes through."""
+def reduce_dim(vectors: np.ndarray, target_dim: int, method: str = "linear"):
+    """Project vectors to target_dim: 'linear' is PCA, 'external' passes through.
+
+    Returns the projected vectors and the projection itself, which maps
+    further vectors into the same space.
+    """
     vectors = np.asarray(vectors, dtype=np.float64)
     if method == "external":
-        return vectors
+        return vectors, lambda v: v
     if method != "linear":
         raise DataError(f"unknown reduction method {method!r}")
     if target_dim > vectors.shape[1]:
         raise DataError("target_dim exceeds input dimensionality")
     if vectors.shape[0] < target_dim + 1:
         raise DataError("need at least target_dim + 1 samples for linear reduction")
-    centered = vectors - vectors.mean(axis=0)
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    center = vectors.mean(axis=0)
+    _, svals, vt = np.linalg.svd(vectors - center, full_matrices=False)
     rank = int(np.sum(svals > 1e-12 * max(svals[0], 1e-300)))
     if rank < target_dim:
         warnings.warn(
             f"input rank {rank} below target_dim {target_dim}; padding with zeros",
             stacklevel=2,
         )
-    projected = centered @ vt[:target_dim].T
-    if rank < target_dim:
-        projected[:, rank:] = 0.0
-    return projected
+        vt[rank:target_dim] = 0.0
+
+    def project(v):
+        return (v - center) @ vt[:target_dim].T
+
+    return project(vectors), project
 
 
 def _kmeans_pp_init(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -296,36 +302,19 @@ def assign_mixed_frames(
         raise DataError("no surviving clusters to attract frames to")
     centroids = clusters.centroids
     sizes = clusters.sizes
-    speaker_intervals: dict = {i: [] for i in range(len(centroids))}
-
+    frames = []
     for idx, entry in enumerate(single.entries):
         cid = clusters.assignments[idx]
         if cid == UNASSIGNED:
             vec = reduced_single[idx] if reduced_single is not None else entry.vectors[0]
             cid = _nearest_centroid(vec, centroids, sizes)
-        speaker_intervals[int(cid)].append((entry.time_start, entry.time_end))
-
+        frames.append(Turn(f"spk{cid:02d}", entry.time_start, entry.time_end))
     for entry in mixed.entries:
-        hit = {
-            _nearest_centroid(vec, centroids, sizes) for vec in entry.vectors
-        }
-        for cid in hit:
-            speaker_intervals[cid].append((entry.time_start, entry.time_end))
-
-    turns = []
-    for cid, intervals in speaker_intervals.items():
-        if not intervals:
-            continue
-        intervals.sort()
-        cur_s, cur_e = intervals[0]
-        for s, e in intervals[1:]:
-            if s <= cur_e + 0.5 * cfg.frame_step:
-                cur_e = max(cur_e, e)
-            else:
-                turns.append(Turn(f"spk{cid:02d}", cur_s, cur_e))
-                cur_s, cur_e = s, e
-        turns.append(Turn(f"spk{cid:02d}", cur_s, cur_e))
-    return Segmentation(session_id, tuple(sorted(turns, key=lambda t: (t.start, t.speaker))))
+        for cid in {_nearest_centroid(vec, centroids, sizes) for vec in entry.vectors}:
+            frames.append(Turn(f"spk{cid:02d}", entry.time_start, entry.time_end))
+    merged = Segmentation(session_id, tuple(frames)).merged_per_speaker(gap=0.5 * cfg.frame_step)
+    turns = sorted(merged.turns, key=lambda t: (t.start, t.speaker))
+    return Segmentation(session_id, tuple(turns))
 
 
 def diarize_embeddings(
@@ -347,7 +336,7 @@ def diarize_embeddings(
         )
     raw = np.vstack([e.vectors[0] for e in single.entries])
     target = min(cfg.reduced_dim, raw.shape[1])
-    reduced = reduce_dim(raw, target, cfg.reduction)
+    reduced, project = reduce_dim(raw, target, cfg.reduction)
     clusters = gmm_cluster(reduced, cfg, seed)
     clusters = merge_reject_clusters(clusters, cfg)
     if nonspeech_clusters:
@@ -362,16 +351,11 @@ def diarize_embeddings(
             centroids=clusters.centroids[keep],
             sizes=clusters.sizes[keep],
         )
-    # mixed vectors projected into the clustering space by the same PCA basis
-    if cfg.reduction == "linear" and len(mixed):
-        center = raw.mean(axis=0)
-        _, svals, vt = np.linalg.svd(raw - center, full_matrices=False)
-        basis = vt[:target].T
-        proj_entries = [
-            EmbeddingEntry(e.time_start, e.time_end, (e.vectors - center) @ basis)
-            for e in mixed.entries
-        ]
-        mixed = EmbeddingSet(tuple(proj_entries), source_tag=mixed.source_tag)
+    # mixed vectors projected into the clustering space by the same reduction
+    mixed = EmbeddingSet(
+        tuple(EmbeddingEntry(e.time_start, e.time_end, project(e.vectors)) for e in mixed.entries),
+        source_tag=mixed.source_tag,
+    )
     seg = assign_mixed_frames(
         clusters, single, mixed, cfg, session_id, reduced_single=reduced
     )

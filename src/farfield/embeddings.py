@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from farfield.errors import DataError
+from farfield.segments import read_exact
 
 
 @dataclass(frozen=True)
@@ -18,7 +19,7 @@ class EmbeddingEntry:
 
     def __post_init__(self):
         vectors = np.atleast_2d(np.asarray(self.vectors, dtype=np.float64))
-        if self.time_start >= self.time_end:
+        if not self.time_start < self.time_end:
             raise DataError("entry time_start must precede time_end")
         if vectors.shape[0] < 1:
             raise DataError("entry must carry at least one vector")
@@ -73,19 +74,15 @@ def read_embeddings(path, source_tag: str = "") -> EmbeddingSet:
         magic = fh.read(4)
         if magic != _EMB_MAGIC:
             raise DataError(f"{path}: not an embedding file (bad magic {magic!r})")
-        header = fh.read(8)
-        if len(header) != 8:
-            raise DataError(f"{path}: truncated embedding file header")
-        dim, count = struct.unpack("<II", header)
-        entries = []
+        dim, count = struct.unpack("<II", read_exact(fh, 8, path, "embedding file header"))
+        records = []
         for _ in range(count):
-            header = fh.read(20)
-            if len(header) != 20:
-                raise DataError(f"{path}: truncated embedding record header")
+            header = read_exact(fh, 20, path, "embedding record header")
             t0, t1, n_vec = struct.unpack("<ddI", header)
-            payload = fh.read(4 * dim * n_vec)
-            if len(payload) != 4 * dim * n_vec:
-                raise DataError(f"{path}: truncated embedding vectors")
-            vectors = np.frombuffer(payload, dtype="<f4").reshape(n_vec, dim)
-            entries.append(EmbeddingEntry(t0, t1, vectors.astype(np.float64)))
-    return EmbeddingSet(tuple(entries), source_tag=source_tag or str(path))
+            payload = read_exact(fh, 4 * dim * n_vec, path, "embedding vectors")
+            records.append((t0, t1, np.frombuffer(payload, dtype="<f4").reshape(n_vec, dim)))
+    try:
+        entries = tuple(EmbeddingEntry(t0, t1, v.astype(np.float64)) for t0, t1, v in records)
+        return EmbeddingSet(entries, source_tag=source_tag or str(path))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -9,7 +10,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from farfield.errors import DataError
-from farfield.segments import Segmentation, SoftActivity, Turn, segmentation_to_activity
+from farfield.segments import Segmentation, SoftActivity, Turn, segmentation_to_activity, sweep
 
 
 @dataclass(frozen=True)
@@ -34,16 +35,18 @@ class FusionInput:
 
 
 def overlap_duration_matrix(a: Segmentation, b: Segmentation):
-    """Total co-active duration for every (speaker of a, speaker of b) pair."""
+    """Total co-active duration for every (speaker of a, speaker of b) pair.
+
+    A speaker's overlapping turns count once, as in the DER and the vote.
+    """
     spk_a, spk_b = a.speakers, b.speakers
     matrix = np.zeros((len(spk_a), len(spk_b)))
     ia = {s: i for i, s in enumerate(spk_a)}
     ib = {s: i for i, s in enumerate(spk_b)}
-    for ta in a.turns:
-        for tb in b.turns:
-            overlap = min(ta.end, tb.end) - max(ta.start, tb.start)
-            if overlap > 0:
-                matrix[ia[ta.speaker], ib[tb.speaker]] += overlap
+    for left, right, (active_a, active_b) in sweep(a, b):
+        for sa in active_a:
+            for sb in active_b:
+                matrix[ia[sa], ib[sb]] += right - left
     return matrix, spk_a, spk_b
 
 
@@ -64,10 +67,6 @@ def map_labels_to_anchor(hyp: Segmentation, anchor: Segmentation, tag: str) -> S
     return hyp.relabeled(mapping)
 
 
-def _round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
-
-
 def doverlap_fuse(fusion_input: FusionInput) -> Segmentation:
     """Rank-weighted label mapping and region voting over diarization hypotheses."""
     hyps = list(fusion_input.hypotheses)
@@ -77,48 +76,26 @@ def doverlap_fuse(fusion_input: FusionInput) -> Segmentation:
 
     anchor_idx = int(np.argmax(weights))
     anchor = hyps[anchor_idx]
-    mapped = []
-    for i, hyp in enumerate(hyps):
-        if i == anchor_idx:
-            mapped.append(hyp)
-        else:
-            mapped.append(map_labels_to_anchor(hyp, anchor, tag=f"h{i}"))
+    mapped = [hyp if i == anchor_idx else map_labels_to_anchor(hyp, anchor, tag=f"h{i}")
+              for i, hyp in enumerate(hyps)]
 
-    boundaries = sorted({t.start for h in mapped for t in h.turns}
-                        | {t.end for h in mapped for t in h.turns})
     total_weight = sum(weights)
-    region_sets = []
-    for left, right in zip(boundaries[:-1], boundaries[1:]):
-        mid = 0.5 * (left + right)
-        active_sets = [
-            {t.speaker for t in h.turns if t.start <= mid < t.end} for h in mapped
-        ]
-        count = _round_half_up(
-            sum(w * len(a) for w, a in zip(weights, active_sets)) / total_weight
-        )
+    turns = []
+    open_spans: dict = {}  # speaker -> start of its current fused turn
+    for left, right, active_sets in sweep(*mapped):
+        votes = sum(w * len(a) for w, a in zip(weights, active_sets)) / total_weight
+        count = math.floor(votes + 0.5)  # round half up
         accrued: dict = {}
         for w, active in zip(weights, active_sets):
             for s in active:
                 accrued[s] = accrued.get(s, 0.0) + w
         winners = sorted(accrued, key=lambda s: (-accrued[s], s))[:count]
-        region_sets.append((left, right, frozenset(winners)))
-
-    turns = []
-    open_spans: dict = {}
-    previous_end = None
-    for left, right, speakers in region_sets:
-        if previous_end is not None and left > previous_end + 1e-12:
-            for s, start in open_spans.items():
-                turns.append(Turn(s, start, previous_end))
-            open_spans = {}
-        for s in list(open_spans):
-            if s not in speakers:
-                turns.append(Turn(s, open_spans.pop(s), left))
-        for s in speakers:
+        for s in [s for s in open_spans if s not in winners]:
+            turns.append(Turn(s, open_spans.pop(s), left))
+        for s in winners:
             open_spans.setdefault(s, left)
-        previous_end = right
     for s, start in open_spans.items():
-        turns.append(Turn(s, start, previous_end))
+        turns.append(Turn(s, start, right))
     return Segmentation(
         hyps[0].session_id, tuple(sorted(turns, key=lambda t: (t.start, t.speaker)))
     )

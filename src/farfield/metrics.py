@@ -8,7 +8,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from farfield.errors import DataError
-from farfield.segments import Segmentation
+from farfield.segments import Segmentation, sweep
 
 SI_SDR_CAP_DB = 60.0
 
@@ -25,47 +25,37 @@ class DerBreakdown:
         return (self.missed + self.false_alarm + self.confusion) / self.total_ref
 
 
-def _regions(ref: Segmentation, hyp: Segmentation, collar: float):
-    """Timeline partition with collar exclusion zones around reference boundaries."""
-    points = set()
-    for t in ref.turns:
-        points.update((t.start, t.end))
-        if collar > 0:
-            points.update((t.start - collar, t.start + collar, t.end - collar, t.end + collar))
-    for t in hyp.turns:
-        points.update((t.start, t.end))
-    points = sorted(p for p in points if p >= 0.0)
-    exclusions = []
-    if collar > 0:
-        for t in ref.turns:
-            exclusions.append((t.start - collar, t.start + collar))
-            exclusions.append((t.end - collar, t.end + collar))
-    for left, right in zip(points[:-1], points[1:]):
-        if right - left <= 1e-12:
-            continue
-        mid = 0.5 * (left + right)
-        if any(lo < mid < hi for lo, hi in exclusions):
-            continue
-        yield left, right, mid
+def _scored_regions(ref: Segmentation, hyp: Segmentation, collar: float) -> list:
+    """(duration, ref speakers, hyp speakers) of every scored region, in time order.
+
+    Regions before 0, of width <= 1e-12 or inside a collar zone around a
+    reference boundary are not scored.
+    """
+    zones = [("collar", b - collar, b + collar) for t in ref.turns for b in (t.start, t.end)]
+    zones = Segmentation(ref.session_id, tuple(zones) if collar > 0 else ())
+    return [
+        (right - left, ref_active, hyp_active)
+        for left, right, (ref_active, hyp_active, in_collar) in sweep(ref, hyp, zones)
+        if left >= 0.0 and right - left > 1e-12 and not in_collar
+    ]
 
 
-def _active_at(seg: Segmentation, mid: float) -> set:
-    return {t.speaker for t in seg.turns if t.start <= mid < t.end}
-
-
-def optimal_speaker_mapping(ref: Segmentation, hyp: Segmentation, collar: float = 0.0) -> dict:
-    """Hypothesis-to-reference label mapping maximizing correctly attributed time."""
+def _mapping(regions: list, ref: Segmentation, hyp: Segmentation) -> dict:
     ref_spk, hyp_spk = ref.speakers, hyp.speakers
     matrix = np.zeros((len(hyp_spk), len(ref_spk)))
     ih = {s: i for i, s in enumerate(hyp_spk)}
     ir = {s: i for i, s in enumerate(ref_spk)}
-    for left, right, mid in _regions(ref, hyp, collar):
-        dur = right - left
-        for h in _active_at(hyp, mid):
-            for r in _active_at(ref, mid):
+    for dur, ref_active, hyp_active in regions:
+        for h in hyp_active:
+            for r in ref_active:
                 matrix[ih[h], ir[r]] += dur
     rows, cols = linear_sum_assignment(-matrix)
     return {hyp_spk[r]: ref_spk[c] for r, c in zip(rows, cols) if matrix[r, c] > 0}
+
+
+def optimal_speaker_mapping(ref: Segmentation, hyp: Segmentation, collar: float = 0.0) -> dict:
+    """Hypothesis-to-reference label mapping maximizing correctly attributed time."""
+    return _mapping(_scored_regions(ref, hyp, collar), ref, hyp)
 
 
 def compute_der(ref: Segmentation, hyp: Segmentation, collar: float = 0.0) -> DerBreakdown:
@@ -74,12 +64,11 @@ def compute_der(ref: Segmentation, hyp: Segmentation, collar: float = 0.0) -> De
         raise DataError("collar must be >= 0")
     if not ref.turns:
         raise DataError("empty reference: DER undefined")
-    mapping = optimal_speaker_mapping(ref, hyp, collar)
+    regions = _scored_regions(ref, hyp, collar)
+    mapping = _mapping(regions, ref, hyp)
     missed = false_alarm = confusion = total_ref = 0.0
-    for left, right, mid in _regions(ref, hyp, collar):
-        dur = right - left
-        ref_active = _active_at(ref, mid)
-        hyp_active = {mapping.get(s, f"__unmapped__{s}") for s in _active_at(hyp, mid)}
+    for dur, ref_active, hyp_active in regions:
+        hyp_active = {mapping.get(s, f"__unmapped__{s}") for s in hyp_active}
         n_ref, n_hyp = len(ref_active), len(hyp_active)
         n_correct = len(ref_active & hyp_active)
         total_ref += dur * n_ref

@@ -106,6 +106,10 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     return config
 
 
+def _list_of(value, kind) -> bool:
+    return isinstance(value, list) and all(isinstance(v, kind) for v in value)
+
+
 def load_manifest(path) -> list:
     """Read a session manifest file; returns a list of session dicts."""
     try:
@@ -115,21 +119,25 @@ def load_manifest(path) -> list:
     if isinstance(raw, dict) and "sessions" not in raw:
         raise DataError(f"manifest {path}: missing 'sessions'")
     sessions = raw["sessions"] if isinstance(raw, dict) else raw
-    if not isinstance(sessions, list):
-        raise DataError(f"manifest {path}: 'sessions' must be a list")
+    if not _list_of(sessions, dict):
+        raise DataError(f"manifest {path}: 'sessions' must be a list of objects")
     base = Path(path).parent
     out = []
     for entry in sessions:
-        if not isinstance(entry, dict):
-            raise DataError(f"manifest {path}: each session must be an object")
         if "session_id" not in entry or "channels" not in entry:
             raise DataError(f"manifest {path}: sessions need session_id and channels")
         entry = dict(entry)
+        if not _list_of(entry["channels"], str):
+            raise DataError(f"manifest {path}: 'channels' must be a list of paths")
         entry["channels"] = [str(base / p) for p in entry["channels"]]
-        for item in entry.get("embeddings", []):
-            item["path"] = str(base / item["path"])
-        for item in entry.get("soft_activities", []):
-            item["path"] = str(base / item["path"])
+        for key in ("embeddings", "soft_activities"):
+            items = entry.get(key, [])
+            if not (_list_of(items, dict) and _list_of([i.get("path") for i in items], str)):
+                raise DataError(f"manifest {path}: '{key}' must be a list of objects with a path")
+            for item in items:
+                item["path"] = str(base / item["path"])
+        if not isinstance(entry.get("reference_rttm") or "", str):
+            raise DataError(f"manifest {path}: 'reference_rttm' must be a path")
         if entry.get("reference_rttm"):
             entry["reference_rttm"] = str(base / entry["reference_rttm"])
         out.append(entry)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -17,8 +20,8 @@ class Turn:
     end: float
 
     def __post_init__(self):
-        if not self.start < self.end:
-            raise DataError(f"turn start {self.start} must precede end {self.end}")
+        if not -math.inf < self.start < self.end < math.inf:
+            raise DataError(f"turn [{self.start}, {self.end}) must be finite and non-empty")
 
     @property
     def duration(self) -> float:
@@ -63,18 +66,13 @@ class Segmentation:
 
     def merged_per_speaker(self, gap: float = 0.0) -> "Segmentation":
         """Merge same-speaker turns that touch or are separated by <= gap."""
-        merged = []
-        for spk in self.speakers:
-            spans = sorted((t.start, t.end) for t in self.turns if t.speaker == spk)
-            cur_s, cur_e = spans[0]
-            for s, e in spans[1:]:
-                if s <= cur_e + gap:
-                    cur_e = max(cur_e, e)
-                else:
-                    merged.append(Turn(spk, cur_s, cur_e))
-                    cur_s, cur_e = s, e
-            merged.append(Turn(spk, cur_s, cur_e))
-        return Segmentation(self.session_id, tuple(merged))
+        merged = []  # [speaker, start, end] per merged turn
+        for spk, start, end in sorted((t.speaker, t.start, t.end) for t in self.turns):
+            if merged and merged[-1][0] == spk and start <= merged[-1][2] + gap:
+                merged[-1][2] = max(merged[-1][2], end)
+            else:
+                merged.append([spk, start, end])
+        return Segmentation(self.session_id, tuple(Turn(*m) for m in merged))
 
 
 @dataclass(frozen=True)
@@ -90,10 +88,10 @@ class SoftActivity:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 2:
             raise DataError("probs must be (speakers, frames)")
-        if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
-            raise DataError("activity probabilities must lie in [0, 1]")
-        if self.frame_step <= 0:
-            raise DataError("frame_step must be positive")
+        if probs.size and not (probs.min() >= 0.0 and probs.max() <= 1.0):
+            raise DataError("activity probabilities must be finite and lie in [0, 1]")
+        if not 0.0 < self.frame_step < math.inf:
+            raise DataError("frame_step must be positive and finite")
         object.__setattr__(self, "probs", probs)
 
     @property
@@ -112,7 +110,31 @@ class SoftActivity:
 
 
 # ---------------------------------------------------------------------------
-# boundary utilities
+# timeline sweep and boundary utilities
+
+
+def sweep(*segmentations):
+    """Elementary regions of the joint timeline of several segmentations.
+
+    Sorts the start and end events of every turn once and yields
+    (left, right, active) for each span between consecutive distinct
+    boundaries, where active holds, per segmentation, the frozenset of its
+    speakers with a turn covering [left, right). Overlapping turns of one
+    speaker count once.
+    """
+    events = sorted(
+        ((time, k, t.speaker, delta) for k, seg in enumerate(segmentations)
+         for t in seg.turns for time, delta in ((t.start, 1), (t.end, -1))),
+        key=itemgetter(0),
+    )
+    open_turns = [{} for _ in segmentations]  # speaker -> number of turns open
+    for (time, k, speaker, delta), following in zip(events, events[1:]):
+        counts = open_turns[k]
+        counts[speaker] = counts.get(speaker, 0) + delta
+        if not counts[speaker]:
+            del counts[speaker]
+        if following[0] != time:
+            yield time, following[0], tuple(map(frozenset, open_turns))
 
 
 def erode_bounds(seg: Segmentation, margin: float) -> Segmentation:
@@ -193,22 +215,23 @@ def write_rttm(path, segs) -> None:
 def read_rttm(path) -> dict:
     """Read an RTTM file into {session_id: Segmentation}."""
     by_session = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith(";"):
-                continue
-            fields = line.split()
-            if fields[0] != "SPEAKER" or len(fields) < 8:
-                raise DataError(f"{path}:{lineno}: malformed RTTM line")
-            try:
-                onset, dur = float(fields[3]), float(fields[4])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric RTTM onset or duration") from None
-            if not dur > 0:
-                raise DataError(f"{path}:{lineno}: RTTM duration {fields[4]} must be positive")
-            session, speaker = fields[1], fields[7]
-            by_session.setdefault(session, []).append(Turn(speaker, onset, onset + dur))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: RTTM is not UTF-8 text: {exc}") from None
+    for lineno, line in enumerate(lines, 1):
+        fields = line.split()
+        if not fields or fields[0].startswith(";"):
+            continue
+        if fields[0] != "SPEAKER" or len(fields) < 8:
+            raise DataError(f"{path}:{lineno}: malformed RTTM line")
+        try:
+            onset = float(fields[3])
+            turn = Turn(fields[7], onset, onset + float(fields[4]))
+        except (ValueError, DataError) as exc:
+            raise DataError(f"{path}:{lineno}: bad RTTM onset or duration: {exc}") from None
+        by_session.setdefault(fields[1], []).append(turn)
     return {sid: Segmentation(sid, tuple(turns)) for sid, turns in by_session.items()}
 
 
@@ -216,6 +239,13 @@ def read_rttm(path) -> dict:
 # binary SoftActivity format: "ACT1" header + f32 row-major matrix
 
 _ACT_MAGIC = b"ACT1"
+
+
+def read_exact(fh, size: int, path, what: str) -> bytes:
+    """Read size bytes of a binary file, checked first against the bytes left in it."""
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise DataError(f"{path}: truncated {what}")
+    return fh.read(size)
 
 
 def write_activity(path, activity: SoftActivity) -> None:
@@ -230,12 +260,12 @@ def read_activity(path, session_id: str = "", source_tag: str = "") -> SoftActiv
         magic = fh.read(4)
         if magic != _ACT_MAGIC:
             raise DataError(f"{path}: not a soft-activity file (bad magic {magic!r})")
-        header = fh.read(16)
-        if len(header) != 16:
-            raise DataError(f"{path}: truncated soft-activity header")
+        header = read_exact(fh, 16, path, "soft-activity header")
         n_spk, n_frames, step = struct.unpack("<IId", header)
-        payload = fh.read(4 * n_spk * n_frames)
-        if len(payload) != 4 * n_spk * n_frames:
-            raise DataError(f"{path}: truncated soft-activity payload")
+        payload = read_exact(fh, 4 * n_spk * n_frames, path, "soft-activity payload")
         probs = np.frombuffer(payload, dtype="<f4").reshape(n_spk, n_frames).astype(np.float64)
-    return SoftActivity(session_id or str(path), probs, step, source_tag=source_tag or str(path))
+    try:
+        return SoftActivity(session_id or str(path), probs, step,
+                            source_tag=source_tag or str(path))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

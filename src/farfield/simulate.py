@@ -301,10 +301,8 @@ def simulate_mixture(
             raise DataError(f"noise audio {spec.noise_ref!r} missing from store")
         noise = np.asarray(dry_store[spec.noise_ref], dtype=np.float64)
         noise = _tile_noise(noise, mix.shape[1], spec.channels, noise_seed)
-        speech_power = np.mean(mix**2)
-        noise_power = np.mean(noise**2)
-        if noise_power > 0 and speech_power > 0:
-            gain = math.sqrt(speech_power / (noise_power * 10.0 ** (spec.snr_db / 10.0)))
+        gain = _snr_gain(mix, noise, spec.snr_db)
+        if gain is not None:
             noise_image = gain * noise
             mix = mix + noise_image
     segmentation = Segmentation("sim", tuple(sorted(turns, key=lambda t: (t.start, t.speaker))))
@@ -312,6 +310,15 @@ def simulate_mixture(
     if return_components:
         return audio, segmentation, images, noise_image
     return audio, segmentation
+
+
+def _snr_gain(speech: np.ndarray, noise: np.ndarray, snr_db: float):
+    """Gain that puts noise snr_db below speech in power; None if either is silent."""
+    speech_power = np.mean(speech**2)
+    noise_power = np.mean(noise**2)
+    if noise_power > 0 and speech_power > 0:
+        return math.sqrt(speech_power / (noise_power * 10.0 ** (snr_db / 10.0)))
+    return None
 
 
 def _tile_noise(noise: np.ndarray, n_samples: int, channels: int, seed: int) -> np.ndarray:
@@ -403,12 +410,8 @@ def simulate_separation_examples(cfg: SeparationExampleConfig, dry_store: dict, 
                 cfg.render_channels,
                 seed=index,
             )
-            speech_power = np.mean(mix**2)
-            noise_power = np.mean(noise**2)
-            gain = 1.0
-            if noise_power > 0 and speech_power > 0:
-                gain = math.sqrt(speech_power / (noise_power * 10.0 ** (cfg.snr_db / 10.0)))
-            noise_img = gain * noise
+            gain = _snr_gain(mix, noise, cfg.snr_db)
+            noise_img = (1.0 if gain is None else gain) * noise
         mixture = MultichannelAudio(mix + noise_img, cfg.sample_rate)
         ranking = envelope_variance_rank(mixture)
         selected = select_top_channels(

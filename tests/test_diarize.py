@@ -78,7 +78,7 @@ class TestReduceDim:
         plane = rng.standard_normal((40, 2))
         basis = np.linalg.qr(rng.standard_normal((10, 2)))[0]
         data = plane @ basis.T
-        reduced = reduce_dim(data, 2)
+        reduced, _ = reduce_dim(data, 2)
         d_in = np.linalg.norm(data[:, None] - data[None], axis=2)
         d_out = np.linalg.norm(reduced[:, None] - reduced[None], axis=2)
         np.testing.assert_allclose(d_out, d_in, atol=1e-9)
@@ -86,7 +86,7 @@ class TestReduceDim:
     def test_full_dim_is_isometry(self):
         rng = np.random.default_rng(1)
         data = rng.standard_normal((30, 5))
-        reduced = reduce_dim(data, 5)
+        reduced, _ = reduce_dim(data, 5)
         d_in = np.linalg.norm(data[:, None] - data[None], axis=2)
         d_out = np.linalg.norm(reduced[:, None] - reduced[None], axis=2)
         np.testing.assert_allclose(d_out, d_in, atol=1e-9)
@@ -95,7 +95,7 @@ class TestReduceDim:
         rng = np.random.default_rng(2)
         c1, c2 = rng.standard_normal(50), rng.standard_normal(50) + 4.0
         data, labels = _blobs(rng, [c1, c2], [50, 50], std=0.5)
-        reduced = reduce_dim(data, 12)
+        reduced, _ = reduce_dim(data, 12)
 
         def ratio(points):
             a, b = points[labels == 0], points[labels == 1]
@@ -113,12 +113,12 @@ class TestReduceDim:
         data = np.zeros((20, 6))
         data[:, 0] = np.arange(20.0)
         with pytest.warns(UserWarning):
-            reduced = reduce_dim(data, 3)
+            reduced, _ = reduce_dim(data, 3)
         assert np.all(reduced[:, 1:] == 0)
 
     def test_external_is_passthrough(self):
         data = np.arange(12.0).reshape(3, 4)
-        np.testing.assert_array_equal(reduce_dim(data, 4, "external"), data)
+        np.testing.assert_array_equal(reduce_dim(data, 4, "external")[0], data)
 
 
 class TestGmmCluster:
@@ -269,9 +269,9 @@ class TestAssignMixedAndPipeline:
         data, labels = _blobs(rng, list(centers), [40] * 4, std=0.2)
         rotation = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
         cfg = DiarizeConfig(max_clusters=8, reduced_dim=8)
-        a = merge_reject_clusters(gmm_cluster(reduce_dim(data, 8), cfg, 0), cfg)
+        a = merge_reject_clusters(gmm_cluster(reduce_dim(data, 8)[0], cfg, 0), cfg)
         b = merge_reject_clusters(
-            gmm_cluster(reduce_dim(data @ rotation.T, 8), cfg, 0), cfg
+            gmm_cluster(reduce_dim(data @ rotation.T, 8)[0], cfg, 0), cfg
         )
         # identical up to label permutation
         mapping = {}

@@ -1,7 +1,10 @@
 import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from farfield.audio import MultichannelAudio, read_wav, stack_channel_files, write_wav
 from farfield.embeddings import EmbeddingEntry, EmbeddingSet, read_embeddings, write_embeddings
@@ -201,9 +204,33 @@ class TestMalformedHeaders:
              "zero.rttm:1"),
             ("sessions.json", '{"sessions": 5}', load_manifest, "sessions.json"),
             ("entry.json", '{"sessions": [5]}', load_manifest, "entry.json"),
+            ("channels.json", '{"sessions": [{"session_id": "s", "channels": 5}]}',
+             load_manifest, "channels.json"),
+            ("emb-item.json",
+             '{"sessions": [{"session_id": "s", "channels": [], "embeddings": ["x.emb"]}]}',
+             load_manifest, "emb-item.json"),
+            ("act-item.json", '{"sessions": [{"session_id": "s", "channels": ["a.wav"], '
+             '"soft_activities": [{"tag": "nd"}]}]}', load_manifest, "act-item.json"),
+            ("reference.json", '{"sessions": [{"session_id": "s", "channels": [], '
+             '"reference_rttm": 5}]}', load_manifest, "reference.json"),
+            ("count.emb", b"EMB1" + struct.pack("<II", 4, 1)
+             + struct.pack("<ddI", 0.0, 0.5, 0xFFFFFFFF), read_embeddings, "count.emb"),
+            ("empty.emb", b"EMB1" + struct.pack("<II", 4, 1) + struct.pack("<ddI", 0.0, 0.5, 0),
+             read_embeddings, "empty.emb"),
+            ("count.act", b"ACT1" + struct.pack("<IId", 0xFFFFFFFF, 0xFFFFFFFF, 0.5),
+             read_activity, "count.act"),
+            ("nan.act", b"ACT1" + struct.pack("<IId", 1, 2, 0.5)
+             + np.array([0.5, np.nan], "<f4").tobytes(), read_activity, "nan.act"),
+            ("latin1.rttm", b"SPEAKER s 1 0.0 1.0 <NA> <NA> \xe9 <NA> <NA>\n", read_rttm,
+             "latin1.rttm"),
+            ("nan.rttm", "SPEAKER s 1 nan 1.0 <NA> <NA> a <NA> <NA>\n", read_rttm, "nan.rttm:1"),
         ],
         ids=["emb-header", "act-header", "rttm-onset", "rttm-duration", "rttm-negative",
-             "rttm-zero", "manifest-sessions-type", "manifest-entry-type"],
+             "rttm-zero", "manifest-sessions-type", "manifest-entry-type",
+             "manifest-channels-type", "manifest-embeddings-item", "manifest-activity-path",
+             "manifest-reference-type",
+             "emb-vector-count", "emb-no-vectors", "act-counts", "act-nan", "rttm-not-utf8",
+             "rttm-nan-onset"],
     )
     def test_data_error_names_file(self, tmp_path, name, payload, reader, named):
         path = tmp_path / name
@@ -213,6 +240,42 @@ class TestMalformedHeaders:
             path.write_bytes(payload)
         with pytest.raises(DataError, match=re.escape(named)):
             reader(path)
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A scratch directory and one small valid file per format, with its reader."""
+    root = tmp_path_factory.mktemp("valid")
+    emb = EmbeddingSet((
+        EmbeddingEntry(0.0, 0.5, np.arange(6.0).reshape(2, 3)),
+        EmbeddingEntry(0.5, 1.0, np.ones((1, 3))),
+    ))
+    write_embeddings(root / "valid.emb", emb)
+    write_activity(root / "valid.act", SoftActivity("s", np.array([[0.1, 0.9], [1.0, 0.0]]), 0.5))
+    write_rttm(root / "valid.rttm", Segmentation("s", (Turn("a", 0.0, 1.5), Turn("b", 1.0, 2.0))))
+    readers = {"emb": read_embeddings, "act": read_activity, "rttm": read_rttm}
+    return root, {k: ((root / f"valid.{k}").read_bytes(), r) for k, r in readers.items()}
+
+
+class TestCorruptFiles:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["emb", "act", "rttm"]),
+        cut=st.none() | st.integers(min_value=0, max_value=200),
+        flips=st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)), max_size=3),
+    )
+    def test_parse_or_data_error_naming_path(self, valid_files, kind, cut, flips):
+        root, files = valid_files
+        valid, reader = files[kind]
+        data = bytearray(valid)
+        for position, value in flips:
+            data[position % len(data)] = value
+        path = root / f"corrupt.{kind}"
+        path.write_bytes(bytes(data[:cut]))
+        try:
+            reader(path)
+        except DataError as exc:
+            assert str(path) in str(exc)
 
 
 class TestBoundaryUtilities:

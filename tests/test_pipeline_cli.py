@@ -187,6 +187,10 @@ def _write_malformed_inputs(root):
     (root / "no_sessions.json").write_text(json.dumps({"session": [session]}))
     (root / "int_sessions.json").write_text(json.dumps({"sessions": 5}))
     (root / "int_entry.json").write_text(json.dumps({"sessions": [5]}))
+    (root / "int_channels.json").write_text(
+        json.dumps({"sessions": [dict(session, channels=5)]}))
+    (root / "str_embedding.json").write_text(
+        json.dumps({"sessions": [dict(session, embeddings=["x.emb"])]}))
     (root / "no_wpe.json").write_text(json.dumps({"preprocess": {"wpe": False}}))
 
 
@@ -202,9 +206,12 @@ class TestCli:
             (["preprocess", "--manifest", "int_sessions.json"], "int_sessions.json"),
             (["preprocess", "--manifest", "int_entry.json"], "int_entry.json"),
             (["score", "--ref-dir", "negative", "--hyp-dir", "negative"], "neg.rttm:1"),
+            (["preprocess", "--manifest", "int_channels.json"], "int_channels.json"),
+            (["preprocess", "--manifest", "str_embedding.json"], "str_embedding.json"),
         ],
         ids=["manifest-sessions", "emb-header", "act-header", "rttm-onset",
-             "manifest-sessions-type", "manifest-entry-type", "rttm-negative-duration"],
+             "manifest-sessions-type", "manifest-entry-type", "rttm-negative-duration",
+             "manifest-channels-type", "manifest-embeddings-item"],
     )
     def test_malformed_input_exits_3(self, tmp_path, monkeypatch, capsys, argv, named):
         _write_malformed_inputs(tmp_path)
