@@ -56,7 +56,7 @@ def read_wav(path) -> MultichannelAudio:
     """Read a PCM16 or float32 WAV file into a MultichannelAudio."""
     try:
         rate, data = wavfile.read(path)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot read WAV file {path}: {exc}") from exc
     data = np.asarray(data)
     if data.ndim == 1:

@@ -8,7 +8,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from farfield.errors import FarfieldError
+from farfield.errors import ConfigError, DataError, FarfieldError
 
 
 def _add_common(parser):
@@ -16,15 +16,30 @@ def _add_common(parser):
     parser.add_argument("--config", default=None, help="pipeline config (JSON)")
     parser.add_argument("--run-dir", default="runs/default", help="artifact directory")
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
+    parser.add_argument(
+        "--set", action="append", default=[], metavar="KEY=VALUE",
+        help="override a dotted config key (seed, gss.iterations); VALUE is JSON "
+             "or else a string; repeatable",
+    )
+
+
+def _overrides(items) -> dict:
+    overrides = {}
+    for item in items:
+        key, sep, text = item.partition("=")
+        if not (key and sep):
+            raise ConfigError(f"--set {item!r}: expected KEY=VALUE")
+        try:
+            overrides[key] = json.loads(text)
+        except ValueError:
+            overrides[key] = text
+    return overrides
 
 
 def _load(args):
     from farfield.pipeline import load_config, load_manifest
 
-    config = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        config["seed"] = args.seed
+    config = load_config(args.config, _overrides(args.set))
     sessions = load_manifest(args.manifest)
     return sessions, config
 
@@ -40,17 +55,6 @@ def cmd_preprocess(args):
     from farfield.pipeline import run_preprocess
 
     sessions, config = _load(args)
-    pc = config["preprocess"]
-    if args.percentile is not None:
-        pc["percentile"] = args.percentile
-    if args.target_peak is not None:
-        pc["target_peak"] = args.target_peak
-    if args.no_wpe:
-        pc["wpe"] = False
-    if args.block_seconds is not None:
-        pc["block_seconds"] = args.block_seconds
-    if args.selection_fraction is not None:
-        pc["selection_fraction"] = args.selection_fraction
     results = _map_sessions(
         lambda s: run_preprocess(s, config, Path(args.run_dir)), sessions, args.workers
     )
@@ -74,46 +78,55 @@ def cmd_diarize(args):
 
 def cmd_fuse(args):
     from farfield.fusion import FusionInput, doverlap_fuse
+    from farfield.pipeline import objects_with, read_json
     from farfield.segments import read_rttm, write_rttm
 
-    spec = json.loads(Path(args.inputs).read_text())
+    spec = read_json(args.inputs, DataError, "fusion inputs")
+    items = spec.get("hypotheses") if isinstance(spec, dict) else None
+    if not (items and objects_with(items, "path")):
+        raise DataError(f"fusion inputs {args.inputs}: 'hypotheses' must be a non-empty "
+                        "list of objects with a path")
     base = Path(args.inputs).parent
-    hypotheses, weights = [], []
-    for item in spec["hypotheses"]:
+    hypotheses = []
+    for item in items:
         segs = read_rttm(base / item["path"])
         if len(segs) != 1:
-            raise FarfieldError(f"{item['path']}: expected exactly one session per file")
+            raise DataError(f"{base / item['path']}: expected exactly one session per file")
         hypotheses.append(next(iter(segs.values())))
-        weights.append(float(item.get("weight", 1.0)))
-    fused = doverlap_fuse(FusionInput(tuple(hypotheses), tuple(weights)))
+    try:
+        weights = tuple(float(item.get("weight", 1.0)) for item in items)
+        fusion_input = FusionInput(tuple(hypotheses), weights)
+    except (TypeError, ValueError, DataError) as exc:
+        raise DataError(f"fusion inputs {args.inputs}: {exc}") from exc
+    fused = doverlap_fuse(fusion_input)
     write_rttm(args.output, fused)
     print(f"fused {len(hypotheses)} hypotheses -> {args.output}")
     return 0
 
 
 def cmd_gss(args):
-    from farfield.pipeline import run_gss
-    from farfield.segments import read_activity, read_rttm
+    import numpy as np
+
+    from farfield.gss import apply_vad_mask
+    from farfield.pipeline import read_session_rttm, run_gss, run_preprocess
+    from farfield.segments import read_activity
 
     sessions, config = _load(args)
-    gc = config["gss"]
-    if args.iterations is not None:
-        gc["iterations"] = args.iterations
-    if args.margin is not None:
-        gc["context_margin"] = args.margin
-    if args.chunk_frames is not None:
-        gc["chunk_frames"] = args.chunk_frames
-    if args.noise_floor is not None:
-        gc["noise_floor"] = args.noise_floor
+    vad = None
+    if args.vad_mask:
+        try:
+            vad = np.load(args.vad_mask)
+        except (OSError, ValueError) as exc:
+            raise DataError(f"cannot read VAD mask {args.vad_mask}: {exc}") from exc
+    jobs = []  # every input is read before any stage runs
     for session in sessions:
-        seg = read_rttm(args.rttm)[session["session_id"]]
-        activity = read_activity(args.activity, session["session_id"]) if args.activity else None
-        if activity is not None and args.vad_mask:
-            import numpy as np
-
-            from farfield.gss import apply_vad_mask
-
-            activity = apply_vad_mask(activity, np.load(args.vad_mask))
+        sid = session["session_id"]
+        activity = read_activity(args.activity, sid) if args.activity else None
+        if activity is not None and vad is not None:
+            activity = apply_vad_mask(activity, vad)
+        jobs.append((session, read_session_rttm(args.rttm, sid), activity))
+    for session, seg, activity in jobs:
+        run_preprocess(session, config, Path(args.run_dir))  # a cache hit after preprocess/run
         outputs = run_gss(session, config, Path(args.run_dir), seg, activity)
         print(f"{session['session_id']}: {len(outputs)} segment WAVs")
     return 0
@@ -122,8 +135,8 @@ def cmd_gss(args):
 def cmd_simulate(args):
     import numpy as np
 
-    from farfield.audio import MultichannelAudio, read_wav, write_wav
-    from farfield.pipeline import atomic_write_bytes
+    from farfield.audio import read_wav, write_wav
+    from farfield.pipeline import atomic_write_bytes, objects_with, read_json
     from farfield.segments import write_rttm
     from farfield.simulate import (
         MixtureSpec,
@@ -134,27 +147,34 @@ def cmd_simulate(args):
         simulate_mixture,
     )
 
-    spec = json.loads(Path(args.config).read_text())
+    spec = read_json(args.config, ConfigError, "simulation config")
+    if not (isinstance(spec, dict) and spec.get("dry_corpus")
+            and objects_with(spec["dry_corpus"], "ref", "path")):
+        raise ConfigError(f"simulation config {args.config}: 'dry_corpus' must be a "
+                          "non-empty list of objects with ref and path")
+    try:
+        ranges = RoomRanges(**spec.get("room_ranges", {}))
+        stats = OverlapStats(**spec.get("overlap_stats", {}))
+        sample_rate, num_sessions, n_spk, channels = (
+            int(spec.get(key, default)) for key, default in
+            (("sample_rate", 16000), ("num_sessions", 1), ("speakers", 4), ("channels", 10))
+        )
+        duration = float(spec.get("duration", 60.0))
+    except (TypeError, ValueError, DataError) as exc:
+        raise ConfigError(f"simulation config {args.config}: {exc}") from exc
     base = Path(args.config).parent
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ranges = RoomRanges(**spec.get("room_ranges", {}))
-    stats = OverlapStats(**spec.get("overlap_stats", {}))
-    sample_rate = int(spec.get("sample_rate", 16000))
-    dry_store = {}
-    speaker_of = {}
-    for item in spec["dry_corpus"]:
-        dry_store[item["ref"]] = read_wav(base / item["path"]).samples[0]
-        speaker_of[item["ref"]] = item.get("speaker", item["ref"])
+    dry_store = {item["ref"]: read_wav(base / item["path"]).samples[0]
+                 for item in spec["dry_corpus"]}
     speech_refs = [r for r in dry_store if r != spec.get("noise_ref")]
+    if not speech_refs:
+        raise ConfigError(f"simulation config {args.config}: 'dry_corpus' has only the noise_ref")
     rng = np.random.default_rng(args.seed)
-    for index in range(int(spec.get("num_sessions", 1))):
+    for index in range(num_sessions):
         session_id = f"sim{index:03d}"
         room = sample_room(ranges, seed=args.seed * 1000 + index)
-        n_spk = int(spec.get("speakers", 4))
-        schedule = sample_conversation(
-            stats, n_spk, float(spec.get("duration", 60.0)), seed=args.seed * 1000 + index
-        )
+        schedule = sample_conversation(stats, n_spk, duration, seed=args.seed * 1000 + index)
         utterances = tuple(
             (u.speaker, speech_refs[int(rng.integers(len(speech_refs)))], u.start)
             for u in schedule
@@ -162,8 +182,8 @@ def cmd_simulate(args):
         mix_spec = MixtureSpec(
             speakers=n_spk,
             utterances=utterances,
-            duration=float(spec.get("duration", 60.0)),
-            channels=int(spec.get("channels", 10)),
+            duration=duration,
+            channels=channels,
             noise_ref=spec.get("noise_ref"),
             snr_db=spec.get("snr_db"),
         )
@@ -218,11 +238,6 @@ def build_parser():
 
     p = sub.add_parser("preprocess", help="normalize, dereverberate, rank channels")
     _add_common(p)
-    p.add_argument("--percentile", type=float, default=None)
-    p.add_argument("--target-peak", type=float, default=None)
-    p.add_argument("--no-wpe", action="store_true")
-    p.add_argument("--block-seconds", type=float, default=None)
-    p.add_argument("--selection-fraction", type=float, default=None)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("diarize", help="clustering grid + per-channel fusion")
@@ -239,10 +254,6 @@ def build_parser():
     p.add_argument("--rttm", required=True)
     p.add_argument("--activity", default=None, help="soft-activity file")
     p.add_argument("--vad-mask", default=None, help="binary VAD mask (.npy)")
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--margin", type=float, default=None)
-    p.add_argument("--chunk-frames", type=int, default=None)
-    p.add_argument("--noise-floor", type=float, default=None)
     p.set_defaults(func=cmd_gss)
 
     p = sub.add_parser("simulate", help="generate synthetic sessions")

@@ -38,6 +38,8 @@ class DiarizeConfig:
             raise DataError("reject_thr must be positive")
         if self.max_clusters < 1 or self.reduced_dim < 1:
             raise DataError("max_clusters and reduced_dim must be >= 1")
+        if self.reduction not in ("linear", "external"):
+            raise DataError(f"unknown reduction method {self.reduction!r}")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from farfield.errors import DataError
-from farfield.segments import read_exact
+from farfield.segments import open_input, read_exact
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def write_embeddings(path, emb: EmbeddingSet) -> None:
 
 
 def read_embeddings(path, source_tag: str = "") -> EmbeddingSet:
-    with open(path, "rb") as fh:
+    with open_input(path, "embedding file", "rb") as fh:
         magic = fh.read(4)
         if magic != _EMB_MAGIC:
             raise DataError(f"{path}: not an embedding file (bad magic {magic!r})")

@@ -8,7 +8,9 @@ import numpy as np
 
 from farfield.audio import MultichannelAudio
 from farfield.errors import DataError, NumericalError
-from farfield.preprocess import WpeConfig, wpe_dereverberate
+# not called here (GSS separates the preprocess stage's WPE output); the binding
+# stays because the benchmark's tracer wraps farfield.gss.wpe_dereverberate
+from farfield.preprocess import wpe_dereverberate  # noqa: F401
 from farfield.segments import SoftActivity, Turn
 from farfield.stft import SpectralTensor, StftParams, istft, stft
 
@@ -22,8 +24,6 @@ class GssConfig:
     chunk_frames: int | None = None
     add_noise_source: bool = True
     noise_floor: float = 0.01
-    wpe_enabled: bool = True
-    freeze_priors: bool = True
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -32,14 +32,6 @@ class GssConfig:
             raise DataError("context_margin must be >= 0")
         if self.chunk_frames is not None and self.chunk_frames < 2:
             raise DataError("chunk_frames must be >= 2")
-
-
-@dataclass(frozen=True)
-class CacgmmState:
-    """Per-source spatial shape matrices and time-varying priors."""
-
-    shape_matrices: np.ndarray  # (sources, bins, channels, channels)
-    priors: np.ndarray  # (sources, frames)
 
 
 @dataclass(frozen=True)
@@ -288,9 +280,11 @@ def extract_speaker_segment(
     cfg: GssConfig = GssConfig(),
     stft_params: StftParams = StftParams(),
 ) -> MultichannelAudio:
-    """Extract one speaker's turn: context extension, WPE, guided masks, MVDR.
+    """Extract one speaker's turn: context extension, guided masks, MVDR.
 
-    target indexes the speaker's row in the session-level activities.
+    target indexes the speaker's row in the session-level activities. The
+    audio is separated as given; dereverberate it beforehand (run_gss passes
+    the preprocess stage's WPE output).
     """
     session_end = audio.duration
     if not (0.0 <= turn.start < turn.end <= session_end + 1e-9):
@@ -299,10 +293,6 @@ def extract_speaker_segment(
     ext_end = min(session_end, turn.end + cfg.context_margin)
     window = audio.slice_time(ext_start, ext_end)
     tensor = stft(window, stft_params)
-    if cfg.wpe_enabled:
-        tensor = wpe_dereverberate(
-            tensor, WpeConfig(taps=10, delay=2, iterations=1, block_length=1e9)
-        )
     # activities for the window, on the window's own frame grid
     window_act = SoftActivity(
         activities.session_id,

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import os
 import tempfile
 import warnings
-from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from farfield.segments import (
     binarize,
     read_activity,
     read_rttm,
+    segmentation_to_activity,
     write_rttm,
 )
 from farfield.stft import StftParams, istft, stft
@@ -67,55 +69,170 @@ DEFAULT_CONFIG = {
         "context_margin": 0.5,
         "chunk_frames": None,
         "noise_floor": 0.01,
-        "wpe": True,
     },
     "score": {"collar": 0.0},
 }
 
 
+# keys whose default is null, and the JSON type of their other values
+_NULL_DEFAULT_TYPES = {"gss.chunk_frames": "integer"}
+
+
+def _json_type(value) -> str:
+    for name, kind in (("boolean", bool), ("integer", int), ("number", float),
+                       ("string", str), ("array", list), ("object", dict)):
+        if isinstance(value, kind):  # bool before int: True is an int in Python
+            return name
+    return "null" if value is None else type(value).__name__
+
+
+def _has_type(value, want: str) -> bool:
+    got = _json_type(value)
+    return got == want or (want, got) == ("number", "integer")
+
+
+def _check_type(where: str, value, default) -> None:
+    """Reject a value whose JSON type differs from its default's."""
+    if default is None:
+        want = f"null or {_NULL_DEFAULT_TYPES[where]}"
+        ok = value is None or _has_type(value, _NULL_DEFAULT_TYPES[where])
+    elif isinstance(default, list):
+        want = f"a non-empty array of {_json_type(default[0])}s"
+        ok = (isinstance(value, list) and bool(value)
+              and all(_has_type(v, _json_type(default[0])) for v in value))
+    else:
+        want = _json_type(default)
+        ok = _has_type(value, want)
+    if not ok:
+        raise ConfigError(f"{where}: expected {want}, got {value!r}")
+
+
 def _validate(config: dict, defaults: dict, path: str = "") -> dict:
-    """Recursively apply defaults and reject unknown keys."""
+    """Recursively apply defaults; reject unknown keys and mistyped values."""
+    for key in config:
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {path}{key}")
     merged = {}
     for key, default in defaults.items():
-        where = f"{path}.{key}" if path else key
+        where = path + key
         if key not in config:
             merged[key] = copy.deepcopy(default)  # callers edit their config in place
         elif isinstance(default, dict):
             if not isinstance(config[key], dict):
                 raise ConfigError(f"{where}: expected a mapping")
-            merged[key] = _validate(config[key], default, where)
+            merged[key] = _validate(config[key], default, where + ".")
         else:
+            _check_type(where, config[key], default)
             merged[key] = config[key]
-    for key in config:
-        if key not in defaults:
-            raise ConfigError(f"unknown config key {path + '.' if path else ''}{key}")
     return merged
 
 
+def read_json(path, error: type = DataError, what: str = "file"):
+    """Parse the JSON file at path; any failure raises `error` naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_config(path=None, overrides: dict | None = None) -> dict:
-    raw = {}
-    if path is not None:
-        try:
-            raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    config = _validate(raw, DEFAULT_CONFIG)
+    """Defaults, overlaid by the JSON file at path, then by overrides.
+
+    overrides map dotted keys ("seed", "gss.iterations") to values. The
+    merged config is checked before it is returned: an unknown key, a value
+    of another JSON type than the default's, or a value a stage config
+    rejects raises a ConfigError naming section.key.
+    """
+    raw = {} if path is None else read_json(path, ConfigError, "config")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path}: expected a JSON object")
     for dotted, value in (overrides or {}).items():
-        section, key = dotted.split(".", 1)
-        config[section][key] = value
+        *sections, key = dotted.split(".")
+        node = raw
+        for section in sections:
+            node = node.setdefault(section, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"{dotted}: {section} is not a mapping")
+        node[key] = value
+    config = _validate(raw, DEFAULT_CONFIG)
+    stage_configs(config)
     return config
+
+
+class StageConfigs(NamedTuple):
+    stft: StftParams
+    clip: ClipNormConfig
+    wpe: WpeConfig
+    diarize: tuple  # one DiarizeConfig per diarize.reject_thrs entry
+    gss: GssConfig
+
+
+def _build(cls, section: str, values: dict, rename: dict | None = None):
+    """cls from config values; rename maps a config key to its field where they differ.
+
+    A value that cls rejects raises a ConfigError naming section.key.
+    """
+    rename = rename or {}
+
+    def make(items):
+        return cls(**{rename.get(key, key): value for key, value in items})
+
+    def rejects(key) -> bool:
+        try:
+            make([(key, values[key])])
+        except (DataError, TypeError):
+            return True
+        return False
+
+    try:
+        return make(values.items())
+    except (DataError, TypeError) as exc:
+        keys = [key for key in values if rejects(key)] or list(values)  # else a combination
+        raise ConfigError(", ".join(f"{section}.{k}" for k in keys) + f": {exc}") from exc
+
+
+_WPE_KEYS = {"wpe_taps": "taps", "wpe_delay": "delay", "wpe_iterations": "iterations",
+             "block_seconds": "block_length"}
+
+
+def stage_configs(config: dict) -> StageConfigs:
+    """The stages' config objects, built from a config that load_config returned."""
+    s, p, d, g = (config[k] for k in ("stft", "preprocess", "diarize", "gss"))
+    shared = {k: v for k, v in d.items() if k not in ("reject_thrs", "variants")}
+    return StageConfigs(
+        stft=_build(StftParams, "stft", s),
+        clip=_build(ClipNormConfig, "preprocess",
+                    {k: p[k] for k in ("percentile", "target_peak")}),
+        wpe=_build(WpeConfig, "preprocess", {k: p[k] for k in _WPE_KEYS}, _WPE_KEYS),
+        diarize=tuple(
+            _build(DiarizeConfig, "diarize", {**shared, "reject_thrs": float(thr)},
+                   {"reject_thrs": "reject_thr"})
+            for thr in d["reject_thrs"]
+        ),
+        gss=_build(GssConfig, "gss", g),
+    )
+
+
+def read_session_rttm(path, session_id: str) -> Segmentation:
+    """The turns of one session in an RTTM file."""
+    by_session = read_rttm(path)
+    if session_id not in by_session:
+        raise DataError(f"{path}: no turns of session {session_id!r}")
+    return by_session[session_id]
 
 
 def _list_of(value, kind) -> bool:
     return isinstance(value, list) and all(isinstance(v, kind) for v in value)
 
 
+def objects_with(value, *keys) -> bool:
+    """value is a list of objects whose entries at keys are strings."""
+    return _list_of(value, dict) and all(_list_of([v.get(k) for v in value], str) for k in keys)
+
+
 def load_manifest(path) -> list:
     """Read a session manifest file; returns a list of session dicts."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read manifest {path}: {exc}") from exc
+    raw = read_json(path, DataError, "manifest")
     if isinstance(raw, dict) and "sessions" not in raw:
         raise DataError(f"manifest {path}: missing 'sessions'")
     sessions = raw["sessions"] if isinstance(raw, dict) else raw
@@ -132,7 +249,7 @@ def load_manifest(path) -> list:
         entry["channels"] = [str(base / p) for p in entry["channels"]]
         for key in ("embeddings", "soft_activities"):
             items = entry.get(key, [])
-            if not (_list_of(items, dict) and _list_of([i.get("path") for i in items], str)):
+            if not objects_with(items, "path"):
                 raise DataError(f"manifest {path}: '{key}' must be a list of objects with a path")
             for item in items:
                 item["path"] = str(base / item["path"])
@@ -161,6 +278,16 @@ def atomic_write_bytes(path: Path, payload: bytes) -> None:
         raise
 
 
+@functools.cache
+def code_digest() -> str:
+    """sha256 of the package's source files; part of every cache key."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode())
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
 def content_hash(paths, config_blob) -> str:
     digest = hashlib.sha256()
     digest.update(json.dumps(config_blob, sort_keys=True, default=str).encode())
@@ -186,16 +313,13 @@ def _cache_store(stage_dir: Path, key: str) -> None:
 # stages
 
 
-def _stft_params(config) -> StftParams:
-    s = config["stft"]
-    return StftParams(s["frame_length"], s["frame_shift"], s["window"], "center")
-
-
 def run_preprocess(session: dict, config: dict, run_dir: Path) -> dict:
     """Normalize, dereverberate and rank channels; returns artifact paths."""
     stage_dir = Path(run_dir) / "preprocess" / session["session_id"]
     pc = config["preprocess"]
-    key = content_hash(session["channels"], {"stage": "preprocess", **pc, "stft": config["stft"]})
+    cfgs = stage_configs(config)
+    key = content_hash(session["channels"], {"stage": "preprocess", **pc,
+                                             "stft": config["stft"], "code": code_digest()})
     result = {
         "orig": stage_dir / "normalized.wav",
         "wpe": stage_dir / "wpe.wav",
@@ -208,14 +332,9 @@ def run_preprocess(session: dict, config: dict, run_dir: Path) -> dict:
         return result
 
     audio = stack_channel_files(session["channels"], session.get("sample_rate"))
-    normalized = clip_normalize(audio, ClipNormConfig(pc["percentile"], pc["target_peak"]))
-    params = _stft_params(config)
+    normalized = clip_normalize(audio, cfgs.clip)
     if pc["wpe"]:
-        tensor = wpe_dereverberate(
-            stft(normalized, params),
-            WpeConfig(pc["wpe_taps"], pc["wpe_delay"], pc["wpe_iterations"], pc["block_seconds"]),
-        )
-        dereverbed = istft(tensor, params)
+        dereverbed = istft(wpe_dereverberate(stft(normalized, cfgs.stft), cfgs.wpe), cfgs.stft)
     else:
         dereverbed = normalized
     ranking = envelope_variance_rank(dereverbed)
@@ -236,10 +355,11 @@ def run_preprocess(session: dict, config: dict, run_dir: Path) -> dict:
 def _grid_cells(session: dict, config: dict):
     """Grid: activity-segment source x recording variant x rejection threshold."""
     vad_sources = sorted({e.get("vad_source", "default") for e in session.get("embeddings", [])})
+    cfgs = stage_configs(config).diarize
     for vad_source in vad_sources:
         for variant in config["diarize"]["variants"]:
-            for thr in config["diarize"]["reject_thrs"]:
-                yield vad_source, variant, float(thr)
+            for cfg in cfgs:
+                yield vad_source, variant, cfg
 
 
 def _find_embedding(session, channel, vad_source, variant):
@@ -265,7 +385,8 @@ def run_diarize_grid(session: dict, config: dict, run_dir: Path) -> dict:
         channels = sorted({e.get("channel", 0) for e in session.get("embeddings", [])})
 
     inputs = [p["path"] for p in session.get("embeddings", [])]
-    key = content_hash(inputs, {"stage": "diarize", **dc, "seed": config["seed"]})
+    key = content_hash(inputs, {"stage": "diarize", **dc, "seed": config["seed"],
+                                "code": code_digest()})
     fused_paths = {ch: stage_dir / f"fused_ch{ch}.rttm" for ch in channels}
     if _cache_valid(stage_dir, key) and all(p.exists() for p in fused_paths.values()):
         return {"fused": fused_paths, "cached": True}
@@ -273,7 +394,7 @@ def run_diarize_grid(session: dict, config: dict, run_dir: Path) -> dict:
     per_channel = {}
     for ch in channels:
         hypotheses = []
-        for vad_source, variant, thr in _grid_cells(session, config):
+        for vad_source, variant, cfg in _grid_cells(session, config):
             emb_path = _find_embedding(session, ch, vad_source, variant)
             if emb_path is None:
                 warnings.warn(
@@ -281,20 +402,11 @@ def run_diarize_grid(session: dict, config: dict, run_dir: Path) -> dict:
                     stacklevel=2,
                 )
                 continue
-            cfg = DiarizeConfig(
-                merge_cos_threshold=dc["merge_cos_threshold"],
-                reject_thr=thr,
-                max_clusters=dc["max_clusters"],
-                reduced_dim=dc["reduced_dim"],
-                frame_step=dc["frame_step"],
-                single_speaker_cos_threshold=dc["single_speaker_cos_threshold"],
-                reduction=dc["reduction"],
-            )
             seg, _, _ = diarize_embeddings(
                 read_embeddings(emb_path), cfg, seed=config["seed"],
                 session_id=session["session_id"],
             )
-            cell_path = stage_dir / f"ch{ch}_{vad_source}_{variant}_thr{thr:g}.rttm"
+            cell_path = stage_dir / f"ch{ch}_{vad_source}_{variant}_thr{cfg.reject_thr:g}.rttm"
             stage_dir.mkdir(parents=True, exist_ok=True)
             write_rttm(cell_path, seg)
             hypotheses.append(seg)
@@ -349,25 +461,19 @@ def run_fusion(session: dict, config: dict, run_dir: Path, per_channel: dict) ->
 
 def run_gss(session: dict, config: dict, run_dir: Path, seg: Segmentation,
             activity: SoftActivity | None) -> list:
-    """Extract one enhanced WAV per (speaker, turn)."""
+    """Extract one enhanced WAV per (speaker, turn) from the preprocess stage's audio.
+
+    Separation reads preprocess/<session>/wpe.wav, so run_preprocess must
+    have run into the same run_dir.
+    """
     run_dir = Path(run_dir)
     stage_dir = run_dir / "gss" / session["session_id"]
+    cfgs = stage_configs(config)
+    gss_cfg, params = cfgs.gss, cfgs.stft
+    audio = read_wav(run_dir / "preprocess" / session["session_id"] / "wpe.wav")
     stage_dir.mkdir(parents=True, exist_ok=True)
-    gc = config["gss"]
-    gss_cfg = GssConfig(
-        iterations=gc["iterations"],
-        context_margin=gc["context_margin"],
-        chunk_frames=gc["chunk_frames"],
-        noise_floor=gc["noise_floor"],
-        wpe_enabled=gc["wpe"],
-    )
-    params = _stft_params(config)
-    wpe_wav = run_dir / "preprocess" / session["session_id"] / "wpe.wav"
-    audio = read_wav(wpe_wav) if wpe_wav.exists() else stack_channel_files(session["channels"])
     speakers = seg.speakers
     if activity is None:
-        from farfield.segments import segmentation_to_activity
-
         frame_step = params.frame_step_seconds(audio.sample_rate)
         activity = segmentation_to_activity(
             seg, frame_step, num_frames=int(np.ceil(audio.duration / frame_step))
@@ -391,27 +497,28 @@ def run_full(session: dict, config: dict, run_dir) -> dict:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_bytes(run_dir / "config.json", json.dumps(config, indent=2).encode())
-    report: dict = {"session_id": session["session_id"]}
+    sid = session["session_id"]
+    report: dict = {"session_id": sid}
+    # read before any stage runs, so that a bad reference fails the run early
+    ref = None
+    if session.get("reference_rttm"):
+        ref = read_session_rttm(session["reference_rttm"], sid)
     run_preprocess(session, config, run_dir)
     grid = run_diarize_grid(session, config, run_dir)
     per_channel = grid.get("per_channel")
     if per_channel is None:  # cache hit: reload fused per-channel RTTMs
-        per_channel = {
-            ch: read_rttm(path)[session["session_id"]]
-            for ch, path in grid["fused"].items()
-        }
+        per_channel = {ch: read_session_rttm(path, sid) for ch, path in grid["fused"].items()}
     fusion = run_fusion(session, config, run_dir, per_channel)
     report["final_rttm"] = str(fusion["final_path"])
     outputs = run_gss(session, config, run_dir, fusion["final"], fusion["activity"])
     report["gss_outputs"] = [str(p) for p in outputs]
-    if session.get("reference_rttm"):
-        ref = read_rttm(session["reference_rttm"])[session["session_id"]]
+    if ref is not None:
         breakdown = compute_der(ref, fusion["final"], config["score"]["collar"])
         report["der"] = breakdown.der
         report["ref_speakers"] = ref.num_speakers
         report["hyp_speakers"] = fusion["final"].num_speakers
     atomic_write_bytes(
-        run_dir / "report" / f"{session['session_id']}.json",
+        run_dir / "report" / f"{sid}.json",
         json.dumps(report, indent=2).encode(),
     )
     return report

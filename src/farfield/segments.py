@@ -212,11 +212,19 @@ def write_rttm(path, segs) -> None:
                 )
 
 
+def open_input(path, what: str, mode: str = "r"):
+    """open(path, mode); an OSError becomes a DataError naming the file."""
+    try:
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc.strerror}") from None
+
+
 def read_rttm(path) -> dict:
     """Read an RTTM file into {session_id: Segmentation}."""
     by_session = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_input(path, "RTTM file") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: RTTM is not UTF-8 text: {exc}") from None
@@ -256,7 +264,7 @@ def write_activity(path, activity: SoftActivity) -> None:
 
 
 def read_activity(path, session_id: str = "", source_tag: str = "") -> SoftActivity:
-    with open(path, "rb") as fh:
+    with open_input(path, "soft-activity file", "rb") as fh:
         magic = fh.read(4)
         if magic != _ACT_MAGIC:
             raise DataError(f"{path}: not a soft-activity file (bad magic {magic!r})")

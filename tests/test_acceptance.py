@@ -210,7 +210,7 @@ def test_c04_gss_numeric_suite():
     )
     rooms = [sample_room(ranges, seed=r) for r in range(20)]
     params = StftParams(1024, 256, "hann", "center")
-    cfg = GssConfig(iterations=5, wpe_enabled=False)
+    cfg = GssConfig(iterations=5)
     step = params.frame_step_seconds(FS)
     improved = 0
     min_ll_step = np.inf

@@ -316,7 +316,7 @@ class TestExtractSegment:
         frames_t = np.arange(n_frames) * step
         probs = np.vstack([(frames_t < 1.8).astype(float), (frames_t >= 1.2).astype(float)])
         activities = SoftActivity("s", probs, step)
-        cfg = GssConfig(iterations=3, wpe_enabled=False, context_margin=0.2)
+        cfg = GssConfig(iterations=3, context_margin=0.2)
         out = extract_speaker_segment(
             audio, Turn("a", 0.0, 1.8), 0, activities, cfg, StftParams(1024, 256)
         )

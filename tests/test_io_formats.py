@@ -224,17 +224,28 @@ class TestMalformedHeaders:
             ("latin1.rttm", b"SPEAKER s 1 0.0 1.0 <NA> <NA> \xe9 <NA> <NA>\n", read_rttm,
              "latin1.rttm"),
             ("nan.rttm", "SPEAKER s 1 nan 1.0 <NA> <NA> a <NA> <NA>\n", read_rttm, "nan.rttm:1"),
+            ("missing.rttm", None, read_rttm, "missing.rttm"),
+            ("missing.act", None, read_activity, "missing.act"),
+            ("missing.emb", None, read_embeddings, "missing.emb"),
+            ("missing.wav", None, read_wav, "missing.wav"),
+            ("directory.wav", "dir", read_wav, "directory.wav"),
+            ("directory.rttm", "dir", read_rttm, "directory.rttm"),
         ],
         ids=["emb-header", "act-header", "rttm-onset", "rttm-duration", "rttm-negative",
              "rttm-zero", "manifest-sessions-type", "manifest-entry-type",
              "manifest-channels-type", "manifest-embeddings-item", "manifest-activity-path",
              "manifest-reference-type",
              "emb-vector-count", "emb-no-vectors", "act-counts", "act-nan", "rttm-not-utf8",
-             "rttm-nan-onset"],
+             "rttm-nan-onset", "rttm-missing", "act-missing", "emb-missing", "wav-missing",
+             "wav-directory", "rttm-directory"],
     )
     def test_data_error_names_file(self, tmp_path, name, payload, reader, named):
         path = tmp_path / name
-        if isinstance(payload, str):
+        if payload is None:
+            pass  # the file does not exist
+        elif payload == "dir":
+            path.mkdir()
+        elif isinstance(payload, str):
             path.write_text(payload)
         else:
             path.write_bytes(payload)

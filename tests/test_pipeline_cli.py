@@ -7,12 +7,14 @@ import pytest
 from farfield.audio import MultichannelAudio, write_wav
 from farfield.cli import main
 from farfield.errors import ConfigError, DataError, FarfieldError, NumericalError
+import farfield.pipeline
 from farfield.pipeline import (
     atomic_write_bytes,
     content_hash,
     load_config,
     load_manifest,
     run_full,
+    run_gss,
     run_preprocess,
     score_directories,
 )
@@ -56,6 +58,23 @@ class TestConfig:
         config["preprocess"]["wpe"] = False
         assert load_config(None)["gss"]["iterations"] == 5  # defaults left untouched
         assert load_config(None)["preprocess"]["wpe"] is True
+        assert load_config(None, overrides={"seed": 3})["seed"] == 3
+        assert load_config(None, overrides={"gss.chunk_frames": 300})["gss"]["chunk_frames"] == 300
+        assert load_config(None, overrides={"gss.noise_floor": 0})["gss"]["noise_floor"] == 0
+        for dotted, value in [
+            ("nosuch.key", 1), ("gss.bogus", 1), ("gss.wpe", False), ("gss.iterations", 2.0),
+            ("seed", True), ("gss.chunk_frames", "300"), ("gss.chunk_frames", 1),
+            ("diarize.reject_thrs", [8.0, -1.0]), ("diarize.variants", []),
+            ("stft.frame_shift", 2048), ("preprocess.wpe_taps", 0), ("diarize.reduction", "pca"),
+        ]:
+            with pytest.raises(ConfigError, match=dotted.split(".")[-1]):
+                load_config(None, overrides={dotted: value})
+
+    def test_file_values_checked(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"gss": {"context_margin": -1}}))
+        with pytest.raises(ConfigError, match="gss.context_margin"):
+            load_config(path)
 
     def test_exit_codes(self):
         assert ConfigError("x").exit_code == 2
@@ -104,6 +123,15 @@ class TestCaching:
         with pytest.raises(DataError):
             content_hash([tmp_path / "gone"], {})
 
+    def test_code_change_misses_cache(self, demo_manifest, tmp_path, monkeypatch):
+        sessions = load_manifest(demo_manifest)
+        config = load_config(None)
+        run_dir = tmp_path / "run"
+        assert run_preprocess(sessions[0], config, run_dir)["cached"] is False
+        assert run_preprocess(sessions[0], config, run_dir)["cached"] is True
+        monkeypatch.setattr(farfield.pipeline, "code_digest", lambda: "changed")
+        assert run_preprocess(sessions[0], config, run_dir)["cached"] is False
+
     def test_preprocess_cache_hit_and_invalidation(self, demo_manifest, tmp_path):
         sessions = load_manifest(demo_manifest)
         config = load_config(None)
@@ -144,6 +172,13 @@ class TestFullPipeline:
             finals.append((run_dir / "fusion" / "demo" / "final.rttm").read_bytes())
         assert finals[0] == finals[1]
         assert reports[0]["der"] == reports[1]["der"]
+
+
+    def test_gss_reads_preprocess_output(self, demo_manifest, tmp_path):
+        sessions = load_manifest(demo_manifest)
+        seg = read_rttm(Path(demo_manifest).parent / "demo.rttm")["demo"]
+        with pytest.raises(DataError, match="wpe.wav"):
+            run_gss(sessions[0], load_config(None), tmp_path / "run", seg, None)
 
 
 class TestScoring:
@@ -192,6 +227,23 @@ def _write_malformed_inputs(root):
     (root / "str_embedding.json").write_text(
         json.dumps({"sessions": [dict(session, embeddings=["x.emb"])]}))
     (root / "no_wpe.json").write_text(json.dumps({"preprocess": {"wpe": False}}))
+    (root / "two.rttm").write_text("SPEAKER s 1 0.0 0.5 <NA> <NA> a <NA> <NA>\n"
+                                   "SPEAKER t 1 0.0 0.5 <NA> <NA> a <NA> <NA>\n")
+    (root / "other.rttm").write_text("SPEAKER t 1 0.0 0.5 <NA> <NA> a <NA> <NA>\n")
+    (root / "no_reference.json").write_text(
+        json.dumps({"sessions": [dict(session, reference_rttm="gone.rttm")]}))
+    (root / "bad.json").write_text("{not json")
+    (root / "fuse_empty.json").write_text(json.dumps({}))
+    (root / "fuse_no_path.json").write_text(json.dumps({"hypotheses": [{"weight": 1.0}]}))
+    (root / "fuse_two.json").write_text(json.dumps({"hypotheses": [{"path": "two.rttm"}]}))
+    (root / "fuse_gone.json").write_text(json.dumps({"hypotheses": [{"path": "gone.rttm"}]}))
+    (root / "fuse_weight.json").write_text(
+        json.dumps({"hypotheses": [{"path": "ok.rttm", "weight": "heavy"}]}))
+    (root / "sim_rooms.json").write_text(json.dumps(
+        {"room_ranges": {"t60": 0.3}, "dry_corpus": [{"ref": "u", "path": "ch0.wav"}]}))
+    (root / "sim_no_corpus.json").write_text(json.dumps({"speakers": 2}))
+    (root / "sim_noise_only.json").write_text(json.dumps(
+        {"dry_corpus": [{"ref": "n", "path": "ch0.wav"}], "noise_ref": "n"}))
 
 
 class TestCli:
@@ -208,10 +260,29 @@ class TestCli:
             (["score", "--ref-dir", "negative", "--hyp-dir", "negative"], "neg.rttm:1"),
             (["preprocess", "--manifest", "int_channels.json"], "int_channels.json"),
             (["preprocess", "--manifest", "str_embedding.json"], "str_embedding.json"),
+            (["fuse", "--inputs", "gone.json", "--output", "o.rttm"], "gone.json"),
+            (["fuse", "--inputs", "bad.json", "--output", "o.rttm"], "bad.json"),
+            (["fuse", "--inputs", "fuse_empty.json", "--output", "o.rttm"], "fuse_empty.json"),
+            (["fuse", "--inputs", "fuse_no_path.json", "--output", "o.rttm"],
+             "fuse_no_path.json"),
+            (["fuse", "--inputs", "fuse_two.json", "--output", "o.rttm"], "two.rttm"),
+            (["fuse", "--inputs", "fuse_gone.json", "--output", "o.rttm"], "gone.rttm"),
+            (["fuse", "--inputs", "fuse_weight.json", "--output", "o.rttm"],
+             "fuse_weight.json"),
+            (["gss", "--manifest", "manifest.json", "--rttm", "other.rttm"],
+             "other.rttm: no turns of session 's'"),
+            (["gss", "--manifest", "manifest.json", "--rttm", "gone.rttm"], "gone.rttm"),
+            (["gss", "--manifest", "manifest.json", "--rttm", "ok.rttm",
+              "--activity", "gone.act"], "gone.act"),
+            (["run", "--manifest", "no_reference.json"], "gone.rttm"),
         ],
         ids=["manifest-sessions", "emb-header", "act-header", "rttm-onset",
              "manifest-sessions-type", "manifest-entry-type", "rttm-negative-duration",
-             "manifest-channels-type", "manifest-embeddings-item"],
+             "manifest-channels-type", "manifest-embeddings-item",
+             "fuse-missing", "fuse-bad-json", "fuse-no-hypotheses", "fuse-item-no-path",
+             "fuse-multi-session", "fuse-missing-rttm", "fuse-bad-weight",
+             "gss-rttm-session", "gss-missing-rttm", "gss-missing-activity",
+             "run-missing-reference"],
     )
     def test_malformed_input_exits_3(self, tmp_path, monkeypatch, capsys, argv, named):
         _write_malformed_inputs(tmp_path)
@@ -219,13 +290,59 @@ class TestCli:
         assert main(argv) == 3
         assert named in capsys.readouterr().err
 
-    def test_negative_margin_exits_3(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["simulate", "--config", "gone.json", "--output-dir", "out"], "gone.json"),
+            (["simulate", "--config", "bad.json", "--output-dir", "out"], "bad.json"),
+            (["simulate", "--config", "sim_rooms.json", "--output-dir", "out"],
+             "sim_rooms.json"),
+            (["simulate", "--config", "sim_no_corpus.json", "--output-dir", "out"],
+             "sim_no_corpus.json"),
+            (["simulate", "--config", "sim_noise_only.json", "--output-dir", "out"],
+             "sim_noise_only.json"),
+            (["run", "--set", "gss.iterations"], "gss.iterations"),
+            (["run", "--set", 'gss.iterations="2"'], "gss.iterations"),
+            (["run", "--set", "gss.noise_floor=x"], "gss.noise_floor"),
+            (["run", "--set", "diarize.reject_thrs=8.0"], "diarize.reject_thrs"),
+            (["run", "--set", "seed=a"], "seed"),
+            (["run", "--set", "gss.iterations=0"], "gss.iterations"),
+            (["run", "--set", 'diarize.variants="orig"'], "diarize.variants"),
+            (["run", "--set", "nosuch.key=1"], "nosuch"),
+            (["run", "--set", "gss.bogus=1"], "gss.bogus"),
+            (["run", "--set", "gss.wpe=false"], "gss.wpe"),
+            (["run", "--set", "preprocess.percentile=1.5"], "preprocess.percentile"),
+        ],
+        ids=["sim-missing", "sim-bad-json", "sim-room-key", "sim-no-corpus", "sim-noise-only",
+             "set-no-value",
+             "set-string-int", "set-string-float", "set-float-list", "set-string-seed",
+             "set-zero-iterations", "set-string-list", "set-unknown-section",
+             "set-unknown-key", "set-removed-gss-wpe", "set-percentile-range"],
+    )
+    def test_config_error_exits_2(self, tmp_path, monkeypatch, capsys, argv, named):
+        _write_malformed_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "run":
+            argv = [*argv, "--manifest", "manifest.json"]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not Path("runs/default/preprocess").exists()
+
+    def test_negative_margin_exits_2(self, tmp_path, monkeypatch, capsys):
         _write_malformed_inputs(tmp_path)
         monkeypatch.chdir(tmp_path)
         code = main(["gss", "--manifest", "manifest.json", "--rttm", "ok.rttm",
-                     "--margin", "-0.5"])
-        assert code == 3
-        assert "context_margin" in capsys.readouterr().err
+                     "--set", "gss.context_margin=-0.5"])
+        assert code == 2
+        assert "gss.context_margin" in capsys.readouterr().err
+
+    def test_set_overrides_config(self, demo_manifest, tmp_path):
+        run_dir = tmp_path / "run"
+        code = main(["preprocess", "--manifest", str(demo_manifest), "--run-dir", str(run_dir),
+                     "--set", "preprocess.wpe=false", "--set", "seed=3"])
+        assert code == 0
+        wav = run_dir / "preprocess" / "demo"
+        assert (wav / "wpe.wav").read_bytes() == (wav / "normalized.wav").read_bytes()
 
     def test_preprocess_command(self, demo_manifest, tmp_path, capsys):
         code = main([
@@ -235,6 +352,18 @@ class TestCli:
         assert code == 0
         assert "demo" in capsys.readouterr().out
         assert (tmp_path / "run" / "preprocess" / "demo" / "ranking.txt").exists()
+
+    def test_gss_command_runs_or_reuses_preprocess(self, demo_manifest, tmp_path):
+        rttm = str(Path(demo_manifest).parent / "demo.rttm")
+        common = ["--manifest", str(demo_manifest), "--set", "gss.iterations=1"]
+        assert main(["preprocess", *common, "--run-dir", str(tmp_path / "a")]) == 0
+        outputs = []
+        for name in ("a", "b"):  # b has no preprocess output yet
+            assert main(["gss", *common, "--run-dir", str(tmp_path / name), "--rttm", rttm]) == 0
+            wavs = sorted((tmp_path / name / "gss" / "demo").glob("*.wav"))
+            outputs.append([p.read_bytes() for p in wavs])
+        assert len(outputs[0]) == 5
+        assert outputs[0] == outputs[1]
 
     def test_score_command(self, demo_manifest, tmp_path, capsys):
         base = Path(demo_manifest).parent
