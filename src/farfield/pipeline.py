@@ -20,7 +20,7 @@ from farfield.embeddings import read_embeddings
 from farfield.errors import ConfigError, DataError
 from farfield.fusion import FusionInput, doverlap_fuse, soft_fuse
 from farfield.gss import GssConfig, extract_speaker_segment
-from farfield.metrics import compute_der
+from farfield.metrics import compute_der, speaker_count_accuracy
 from farfield.preprocess import (
     ClipNormConfig,
     WpeConfig,
@@ -331,8 +331,9 @@ def run_preprocess(session: dict, config: dict, run_dir: Path) -> dict:
         result["cached"] = True
         return result
 
-    audio = stack_channel_files(session["channels"], session.get("sample_rate"))
-    normalized = clip_normalize(audio, cfgs.clip)
+    normalized = clip_normalize(
+        stack_channel_files(session["channels"], session.get("sample_rate")), cfgs.clip
+    )
     if pc["wpe"]:
         dereverbed = istft(wpe_dereverberate(stft(normalized, cfgs.stft), cfgs.wpe), cfgs.stft)
     else:
@@ -411,7 +412,11 @@ def run_diarize_grid(session: dict, config: dict, run_dir: Path) -> dict:
             write_rttm(cell_path, seg)
             hypotheses.append(seg)
         if not hypotheses:
-            raise DataError(f"no diarization hypotheses for channel {ch}")
+            raise DataError(
+                f"session {session['session_id']}: no diarization hypotheses for channel "
+                f"{ch}: no embedding file of the manifest matches diarize.variants "
+                f"{dc['variants']}"
+            )
         fused = doverlap_fuse(FusionInput(tuple(hypotheses)))
         write_rttm(fused_paths[ch], fused)
         per_channel[ch] = fused
@@ -533,8 +538,9 @@ def score_directories(ref_dir, hyp_dir, collar: float = 0.0) -> dict:
     hyps: dict = {}
     for path in sorted(hyp_dir.glob("*.rttm")):
         hyps.update(read_rttm(path))
-    rows = []
+    rows, counts = [], []
     for sid in sorted(refs):
+        counts.append((refs[sid].num_speakers, hyps[sid].num_speakers if sid in hyps else None))
         if sid not in hyps:
             rows.append({"session": sid, "der": None, "count_match": False})
             continue
@@ -550,7 +556,7 @@ def score_directories(ref_dir, hyp_dir, collar: float = 0.0) -> dict:
         )
     scored = [r for r in rows if r["der"] is not None]
     macro_der = float(np.mean([r["der"] for r in scored])) if scored else float("nan")
-    count_acc = float(np.mean([r["count_match"] for r in rows])) if rows else float("nan")
+    count_acc = speaker_count_accuracy(counts) if counts else float("nan")
     return {"sessions": rows, "macro_der": macro_der, "count_accuracy": count_acc}
 
 

@@ -13,6 +13,12 @@ from farfield.stft import SpectralTensor, StftParams, stft
 
 _EPS = 1e-30
 
+# Frequency bins per _wpe_block call. Each bin is an independent problem, so
+# the output does not depend on this; it bounds the (bins, channels*taps,
+# block frames) work arrays, which for 4 channels, 10 taps and a 120 s block
+# of 7,500 frames take 38 MB each at 8 bins and 2.5 GB at all 513.
+_BINS = 8
+
 
 @dataclass(frozen=True)
 class ClipNormConfig:
@@ -113,19 +119,25 @@ def _wpe_block(values: np.ndarray, taps: int, delay: int, iterations: int) -> np
 
 
 def wpe_dereverberate(tensor: SpectralTensor, cfg: WpeConfig = WpeConfig()) -> SpectralTensor:
-    """Block-wise delayed linear prediction; removes late reverberation per bin."""
+    """Block-wise delayed linear prediction; removes late reverberation per bin.
+
+    Solves _BINS frequency bins at a time, so the work arrays hold a few bins
+    of one block rather than every bin of it.
+    """
     values = tensor.values.transpose(2, 0, 1)  # (F, C, T)
-    n_frames = values.shape[2]
+    n_bins, _, n_frames = values.shape
     block_frames = max(
         cfg.taps + cfg.delay,
         int(round(cfg.block_length * tensor.sample_rate / tensor.frame_shift)),
     )
     out = np.empty_like(values)
-    for start in range(0, n_frames, block_frames):
-        stop = min(start + block_frames, n_frames)
-        out[:, :, start:stop] = _wpe_block(
-            values[:, :, start:stop], cfg.taps, cfg.delay, cfg.iterations
-        )
+    for lo in range(0, n_bins, _BINS):
+        bins = slice(lo, lo + _BINS)
+        for start in range(0, n_frames, block_frames):
+            frames = slice(start, start + block_frames)
+            out[bins, :, frames] = _wpe_block(
+                values[bins, :, frames], cfg.taps, cfg.delay, cfg.iterations
+            )
     return SpectralTensor(
         values=out.transpose(1, 2, 0),
         frame_shift=tensor.frame_shift,

@@ -201,13 +201,18 @@ def segmentation_to_activity(
 
 
 def write_rttm(path, segs) -> None:
+    """Write times with 3 decimals; a turn under 0.5 ms, whose duration would
+    read back as 0.000, is left out so that read_rttm accepts every file."""
     if isinstance(segs, Segmentation):
         segs = [segs]
     with open(path, "w") as fh:
         for seg in segs:
             for t in seg.sorted_turns():
+                duration = f"{t.duration:.3f}"
+                if duration == "0.000":
+                    continue
                 fh.write(
-                    f"SPEAKER {seg.session_id} 1 {t.start:.3f} {t.duration:.3f} "
+                    f"SPEAKER {seg.session_id} 1 {t.start:.3f} {duration} "
                     f"<NA> <NA> {t.speaker} <NA> <NA>\n"
                 )
 

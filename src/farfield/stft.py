@@ -9,6 +9,11 @@ import numpy as np
 from farfield.audio import MultichannelAudio
 from farfield.errors import DataError
 
+# Frames per FFT call. A framed copy of the signal is frame_length/frame_shift
+# times its size, so stft and istft frame, transform and overlap-add a slice
+# of frames at a time; every frame is transformed on its own either way.
+_FRAMES = 256
+
 
 @dataclass(frozen=True)
 class StftParams:
@@ -102,19 +107,18 @@ def stft(audio: MultichannelAudio, params: StftParams = StftParams()) -> Spectra
     if audio.num_samples == 0:
         raise DataError("empty audio")
     window = _analysis_window(params)
-    x = audio.samples
     length, shift = params.frame_length, params.frame_shift
-    if params.padding == "center":
-        pad = length // 2
-        x = np.pad(x, ((0, 0), (pad, pad)))
-    elif x.shape[1] < length:
+    pad = length // 2 if params.padding == "center" else 0
+    padded = audio.num_samples + 2 * pad
+    if padded < length:
         raise DataError("signal shorter than frame_length with padding='none'")
-    n_frames = max(1, int(np.ceil((x.shape[1] - length) / shift)) + 1)
+    n_frames = max(1, int(np.ceil((padded - length) / shift)) + 1)
     total = (n_frames - 1) * shift + length
-    x = np.pad(x, ((0, 0), (0, total - x.shape[1])))
-    idx = np.arange(length)[None, :] + shift * np.arange(n_frames)[:, None]
-    frames = x[:, idx] * window
-    values = np.fft.rfft(frames, axis=-1)
+    x = np.pad(audio.samples, ((0, 0), (pad, total - padded + pad)))
+    framed = np.lib.stride_tricks.sliding_window_view(x, length, axis=-1)[:, ::shift]
+    values = np.empty((audio.num_channels, n_frames, params.num_bins), dtype=np.complex128)
+    for lo in range(0, n_frames, _FRAMES):
+        values[:, lo : lo + _FRAMES] = np.fft.rfft(framed[:, lo : lo + _FRAMES] * window, axis=-1)
     return SpectralTensor(
         values=values,
         frame_shift=shift,
@@ -131,15 +135,17 @@ def istft(tensor: SpectralTensor, params: StftParams = StftParams()) -> Multicha
     window = _analysis_window(params)
     length, shift = params.frame_length, params.frame_shift
     _check_cola(window, shift)
-    frames = np.fft.irfft(tensor.values, n=length, axis=-1) * window
-    n_channels, n_frames = frames.shape[:2]
+    n_frames = tensor.num_frames
     total = (n_frames - 1) * shift + length
-    out = np.zeros((n_channels, total))
+    out = np.zeros((tensor.num_channels, total))
     norm = np.zeros(total)
     wsq = window * window
-    for t in range(n_frames):
-        out[:, t * shift : t * shift + length] += frames[:, t]
-        norm[t * shift : t * shift + length] += wsq
+    for lo in range(0, n_frames, _FRAMES):
+        frames = np.fft.irfft(tensor.values[:, lo : lo + _FRAMES], n=length, axis=-1) * window
+        for i in range(frames.shape[1]):
+            t = (lo + i) * shift
+            out[:, t : t + length] += frames[:, i]
+            norm[t : t + length] += wsq
     out /= np.maximum(norm, 1e-12)
     if params.padding == "center":
         pad = length // 2

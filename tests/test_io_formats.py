@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from farfield.audio import MultichannelAudio, read_wav, stack_channel_files, write_wav
@@ -84,6 +84,30 @@ class TestRttm:
         back = read_rttm(path)["sess1"]
         assert len(back.turns) == 3
         for a, b in zip(back.sorted_turns(), seg.sorted_turns()):
+            assert a.speaker == b.speaker
+            assert a.start == pytest.approx(b.start, abs=1e-3)
+            assert a.end == pytest.approx(b.end, abs=2e-3)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(turns=st.lists(
+        st.tuples(st.sampled_from("abc"), st.floats(0.0, 1e4),
+                  st.floats(1e-6, 4e-4) | st.floats(1e-3, 50.0)),
+        min_size=1, max_size=12,
+    ))
+    @example(turns=[("a", 1.0, 4e-4), ("b", 2.0, 1.0)])
+    def test_written_file_reads_back(self, tmp_path_factory, turns):
+        # a turn under 0.5 ms would be written as duration 0.000; it is left out
+        seg = Segmentation("s", tuple(Turn(spk, start, start + dur) for spk, start, dur in turns))
+        path = tmp_path_factory.mktemp("rttm") / "x.rttm"
+        write_rttm(path, seg)
+        back = read_rttm(path).get("s", Segmentation("s", ()))
+
+        def key(t):
+            return round(t.start, 3), round(t.duration, 3), t.speaker
+
+        kept = sorted((t for t in seg.turns if t.duration > 9e-4), key=key)
+        assert len(back.turns) == len(kept)
+        for a, b in zip(sorted(back.turns, key=key), kept):
             assert a.speaker == b.speaker
             assert a.start == pytest.approx(b.start, abs=1e-3)
             assert a.end == pytest.approx(b.end, abs=2e-3)

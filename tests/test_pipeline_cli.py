@@ -203,6 +203,24 @@ class TestScoring:
         (ref_dir / "demo.rttm").write_bytes((base / "demo.rttm").read_bytes())
         result = score_directories(ref_dir, hyp_dir)
         assert result["sessions"][0]["der"] is None
+        assert result["count_accuracy"] == 0.0
+
+    def test_count_accuracy(self, demo_manifest, tmp_path):
+        base = Path(demo_manifest).parent
+        ref_dir, hyp_dir, empty = tmp_path / "ref", tmp_path / "hyp", tmp_path / "empty"
+        for d in (ref_dir, hyp_dir, empty):
+            d.mkdir()
+        for d in (ref_dir, hyp_dir):
+            (d / "demo.rttm").write_bytes((base / "demo.rttm").read_bytes())
+        (ref_dir / "one.rttm").write_text("SPEAKER one 1 0.0 1.0 <NA> <NA> a <NA> <NA>\n")
+        (hyp_dir / "one.rttm").write_text(
+            "SPEAKER one 1 0.0 1.0 <NA> <NA> a <NA> <NA>\n"
+            "SPEAKER one 1 1.0 1.0 <NA> <NA> b <NA> <NA>\n"
+        )
+        assert score_directories(ref_dir, hyp_dir)["count_accuracy"] == 0.5
+        # no reference session: nothing to count
+        result = score_directories(empty, hyp_dir)
+        assert result["sessions"] == [] and np.isnan(result["count_accuracy"])
 
 
 def _write_malformed_inputs(root):
@@ -433,6 +451,13 @@ class TestCli:
             "--run-dir", str(tmp_path / "run"),
         ])
         assert code == 3
+
+    def test_no_embeddings_for_variants_exits_3(self, demo_manifest, tmp_path, capsys):
+        code = main(["run", "--manifest", str(demo_manifest), "--run-dir", str(tmp_path / "run"),
+                     "--set", 'diarize.variants=["wpee"]'])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "diarize.variants" in err and "wpee" in err and "demo" in err
 
     def test_run_command_end_to_end(self, demo_manifest, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from farfield import preprocess
 from farfield.audio import MultichannelAudio
 from farfield.errors import DataError
 from farfield.preprocess import (
@@ -14,7 +17,7 @@ from farfield.preprocess import (
     select_top_channels,
     wpe_dereverberate,
 )
-from farfield.stft import StftParams, stft
+from farfield.stft import SpectralTensor, StftParams, stft
 
 FS = 16000
 
@@ -176,3 +179,65 @@ class TestWpe:
         tensor = stft(x, StftParams(1024, 512, "hann", "none"))
         out = wpe_dereverberate(tensor, WpeConfig(taps=10, delay=2))
         np.testing.assert_array_equal(out.values, tensor.values)
+
+
+def _wpe_all_bins(values, taps, delay, iterations, block_frames):
+    """One-shot reference: every bin of a (F, C, T) block in one solve."""
+    out = np.empty_like(values)
+    n_bins, n_ch, n_frames = values.shape
+    for start in range(0, n_frames, block_frames):
+        block = values[:, :, start : start + block_frames]
+        width = block.shape[2]
+        if width < taps + delay:
+            out[:, :, start : start + width] = block
+            continue
+        stacked = np.zeros((n_bins, n_ch * taps, width), dtype=block.dtype)
+        for k in range(taps):
+            d = delay + k
+            stacked[:, k * n_ch : (k + 1) * n_ch, d:] = block[:, :, : width - d]
+        dereverb = block
+        for _ in range(iterations):
+            power = np.maximum(np.mean(np.abs(dereverb) ** 2, axis=1), 1e-10)
+            weighted = stacked / power[:, None, :]
+            corr = weighted @ stacked.conj().transpose(0, 2, 1)
+            cross = weighted @ block.conj().transpose(0, 2, 1)
+            load = 1e-10 * np.trace(corr, axis1=1, axis2=2).real / (n_ch * taps)
+            corr += (np.maximum(load, 1e-300)[:, None, None]) * np.eye(n_ch * taps)
+            filters = np.linalg.solve(corr, cross)
+            dereverb = block - filters.conj().transpose(0, 2, 1) @ stacked
+        out[:, :, start : start + width] = dereverb
+    return out
+
+
+class TestWpeByBins:
+    def _tensor(self, n_bins, n_frames, shift=16, channels=3, seed=9):
+        rng = np.random.default_rng(seed)
+        shape = (channels, n_frames, n_bins)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return SpectralTensor(values, shift, 2 * (n_bins - 1), FS)
+
+    def test_equals_one_shot_reference(self):
+        # more bins than one slice and not a multiple of it; four time blocks,
+        # the last shorter than taps + delay
+        n_bins = 4 * preprocess._BINS + 3
+        tensor = self._tensor(n_bins, 123)
+        block_frames = 40
+        cfg = WpeConfig(taps=3, delay=2, iterations=2,
+                        block_length=block_frames * tensor.frame_shift / FS)
+        out = wpe_dereverberate(tensor, cfg)
+        ref = _wpe_all_bins(tensor.values.transpose(2, 0, 1), 3, 2, 2, block_frames)
+        assert np.array_equal(out.values, ref.transpose(1, 2, 0))
+
+    def test_peak_memory_bounded_by_bin_slice(self):
+        channels, n_frames, n_bins = 4, 625, 513
+        tensor = self._tensor(n_bins, n_frames, shift=256, channels=channels)
+        cfg = WpeConfig()  # one 120 s block holds all 625 frames
+        tracemalloc.start()
+        try:
+            out = wpe_dereverberate(tensor, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the output plus four (bins, channels*taps, frames) work arrays of one slice
+        work = 4 * preprocess._BINS * channels * cfg.taps * n_frames * 16
+        assert peak < out.values.nbytes + work

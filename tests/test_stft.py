@@ -3,7 +3,7 @@ import pytest
 
 from farfield.audio import MultichannelAudio
 from farfield.errors import DataError
-from farfield.stft import StftParams, istft, stft
+from farfield.stft import _FRAMES, StftParams, istft, stft
 
 FS = 16000
 
@@ -112,3 +112,52 @@ def test_errors():
     tensor = stft(_audio(np.ones(4000)), params)
     with pytest.raises(DataError):
         istft(tensor, params)
+
+
+def _window(params):
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(params.frame_length) / params.frame_length)
+    return np.sqrt(hann) if params.window == "sqrt_hann" else hann
+
+
+def _stft_one_shot(samples, params):
+    """Reference: every frame gathered, windowed and transformed in one call."""
+    length, shift = params.frame_length, params.frame_shift
+    x = samples
+    if params.padding == "center":
+        x = np.pad(x, ((0, 0), (length // 2, length // 2)))
+    n_frames = max(1, int(np.ceil((x.shape[1] - length) / shift)) + 1)
+    x = np.pad(x, ((0, 0), (0, (n_frames - 1) * shift + length - x.shape[1])))
+    idx = np.arange(length)[None, :] + shift * np.arange(n_frames)[:, None]
+    return np.fft.rfft(x[:, idx] * _window(params), axis=-1)
+
+
+def _istft_one_shot(values, params, num_samples):
+    """Reference: every frame inverted in one call, then overlap-added in frame order."""
+    length, shift = params.frame_length, params.frame_shift
+    window = _window(params)
+    frames = np.fft.irfft(values, n=length, axis=-1) * window
+    total = (frames.shape[1] - 1) * shift + length
+    out = np.zeros((frames.shape[0], total))
+    norm = np.zeros(total)
+    for t in range(frames.shape[1]):
+        out[:, t * shift : t * shift + length] += frames[:, t]
+        norm[t * shift : t * shift + length] += window * window
+    out /= np.maximum(norm, 1e-12)
+    if params.padding == "center":
+        out = out[:, length // 2 :]
+    return out[:, :num_samples]
+
+
+@pytest.mark.parametrize("window", ["hann", "sqrt_hann"])
+@pytest.mark.parametrize("padding", ["center", "none"])
+def test_frame_slices_equal_one_shot(window, padding):
+    # more frames than one slice and not a multiple of it
+    params = StftParams(64, 16, window, padding)
+    frames = 2 * _FRAMES + 37
+    n = (frames - 1) * 16 + (0 if padding == "center" else 64) - 5
+    x = np.random.default_rng(13).standard_normal((3, n))
+    tensor = stft(_audio(x), params)
+    assert tensor.num_frames == frames
+    assert np.array_equal(tensor.values, _stft_one_shot(x, params))
+    back = istft(tensor, params)
+    assert np.array_equal(back.samples, _istft_one_shot(tensor.values, params, n))
