@@ -68,9 +68,13 @@ def cmd_diarize(args):
     from farfield.pipeline import run_diarize_grid, run_preprocess
 
     sessions, config = _load(args)
-    for session in sessions:
+
+    def diarize(session):
         run_preprocess(session, config, Path(args.run_dir))
-        result = run_diarize_grid(session, config, Path(args.run_dir))
+        return run_diarize_grid(session, config, Path(args.run_dir))
+
+    results = _map_sessions(diarize, sessions, args.workers)
+    for session, result in zip(sessions, results):
         for ch, path in sorted(result["fused"].items()):
             print(f"{session['session_id']} channel {ch}: {path}")
     return 0
@@ -125,9 +129,13 @@ def cmd_gss(args):
         if activity is not None and vad is not None:
             activity = apply_vad_mask(activity, vad)
         jobs.append((session, read_session_rttm(args.rttm, sid), activity))
-    for session, seg, activity in jobs:
+
+    def separate(job):
+        session, seg, activity = job
         run_preprocess(session, config, Path(args.run_dir))  # a cache hit after preprocess/run
-        outputs = run_gss(session, config, Path(args.run_dir), seg, activity)
+        return run_gss(session, config, Path(args.run_dir), seg, activity)
+
+    for (session, _, _), outputs in zip(jobs, _map_sessions(separate, jobs, args.workers)):
         print(f"{session['session_id']}: {len(outputs)} segment WAVs")
     return 0
 
@@ -233,6 +241,8 @@ def cmd_run(args):
 
 
 def build_parser():
+    from farfield.pipeline import DEFAULT_CONFIG
+
     parser = argparse.ArgumentParser(prog="farfield")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -265,7 +275,7 @@ def build_parser():
     p = sub.add_parser("score", help="DER + speaker count over RTTM directories")
     p.add_argument("--ref-dir", required=True)
     p.add_argument("--hyp-dir", required=True)
-    p.add_argument("--collar", type=float, default=0.0)
+    p.add_argument("--collar", type=float, default=DEFAULT_CONFIG["score"]["collar"])
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("run", help="full pipeline")

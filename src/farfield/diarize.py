@@ -1,14 +1,14 @@
 """Clustering-based diarization and speaker counting over ingested embeddings.
 
-Stages: single-speaker frame selection, embedding concatenation,
-dimensionality reduction, GMM clustering, cluster merge/reject, greedy
-attraction of mixed frames, turn emission.
+Stages: single-speaker frame selection, dimensionality reduction, GMM
+clustering, cluster merge/reject, greedy attraction of mixed frames, turn
+emission.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,27 +84,6 @@ def select_single_speaker_frames(emb: EmbeddingSet, threshold: float):
         EmbeddingSet(tuple(single), source_tag=emb.source_tag),
         EmbeddingSet(tuple(mixed), source_tag=emb.source_tag),
     )
-
-
-def concat_normalize(emb_a: EmbeddingSet, emb_b: EmbeddingSet) -> EmbeddingSet:
-    """Concatenate two embedding streams entry-by-entry and renormalize."""
-    if len(emb_a) != len(emb_b):
-        raise DataError("embedding timelines differ in length")
-    entries = []
-    for ea, eb in zip(emb_a.entries, emb_b.entries):
-        if (ea.time_start, ea.time_end) != (eb.time_start, eb.time_end):
-            raise DataError(
-                f"timeline mismatch at [{ea.time_start}, {ea.time_end}) vs "
-                f"[{eb.time_start}, {eb.time_end})"
-            )
-        if ea.vectors.shape[0] != eb.vectors.shape[0]:
-            raise DataError("vector counts differ within an entry")
-        joined = np.concatenate([ea.vectors, eb.vectors], axis=1)
-        norms = np.linalg.norm(joined, axis=1)
-        if np.any(norms == 0):
-            raise DataError("zero-norm concatenated embedding")
-        entries.append(EmbeddingEntry(ea.time_start, ea.time_end, joined / norms[:, None]))
-    return EmbeddingSet(tuple(entries), source_tag=f"{emb_a.source_tag}+{emb_b.source_tag}")
 
 
 def reduce_dim(vectors: np.ndarray, target_dim: int, method: str = "linear"):
@@ -324,12 +303,10 @@ def diarize_embeddings(
     cfg: DiarizeConfig,
     seed: int,
     session_id: str = "session",
-    nonspeech_clusters: frozenset = frozenset(),
 ):
     """Full clustering pipeline over one embedding stream.
 
-    Returns (Segmentation, speaker_count, ClusterSet). nonspeech_clusters
-    holds externally flagged cluster ids removed before frame attraction.
+    Returns (Segmentation, speaker_count, ClusterSet).
     """
     single, mixed = select_single_speaker_frames(emb, cfg.single_speaker_cos_threshold)
     if len(single) < cfg.max_clusters:
@@ -341,18 +318,6 @@ def diarize_embeddings(
     reduced, project = reduce_dim(raw, target, cfg.reduction)
     clusters = gmm_cluster(reduced, cfg, seed)
     clusters = merge_reject_clusters(clusters, cfg)
-    if nonspeech_clusters:
-        keep = [i for i in range(len(clusters.sizes)) if i not in nonspeech_clusters]
-        remap = {old: new for new, old in enumerate(keep)}
-        assignments = np.array(
-            [remap.get(int(a), UNASSIGNED) for a in clusters.assignments], dtype=np.int64
-        )
-        clusters = replace(
-            clusters,
-            assignments=assignments,
-            centroids=clusters.centroids[keep],
-            sizes=clusters.sizes[keep],
-        )
     # mixed vectors projected into the clustering space by the same reduction
     mixed = EmbeddingSet(
         tuple(EmbeddingEntry(e.time_start, e.time_end, project(e.vectors)) for e in mixed.entries),

@@ -167,26 +167,3 @@ def soft_fuse(activities, reference: Segmentation, threshold: float = 0.5) -> So
     return SoftActivity(
         reference.session_id, accumulated / len(survivors), step, source_tag="soft-fusion"
     )
-
-
-def greedy_select_for_fusion(candidates, reference, score_fn, max_keep=None):
-    """Forward selection: add the hypothesis that most reduces score_fn(fused, ref).
-
-    score_fn takes (Segmentation, Segmentation) and returns a cost (e.g. DER).
-    Returns the list of selected candidate indices in selection order.
-    """
-    remaining = list(range(len(candidates)))
-    selected: list = []
-    best_cost = np.inf
-    while remaining and (max_keep is None or len(selected) < max_keep):
-        costs = []
-        for idx in remaining:
-            trial = selected + [idx]
-            fused = doverlap_fuse(FusionInput(tuple(candidates[i] for i in trial)))
-            costs.append(score_fn(fused, reference))
-        i_best = int(np.argmin(costs))
-        if costs[i_best] >= best_cost:
-            break
-        best_cost = costs[i_best]
-        selected.append(remaining.pop(i_best))
-    return selected

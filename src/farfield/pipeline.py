@@ -9,6 +9,7 @@ import json
 import os
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,36 +41,43 @@ from farfield.segments import (
 )
 from farfield.stft import StftParams, istft, stft
 
+# each stage config object: its config section, its dataclass, and the config
+# keys that name a field differently (config key -> field)
+_STAGES = {
+    "stft": ("stft", StftParams, {}),
+    "clip": ("preprocess", ClipNormConfig, {}),
+    "wpe": ("preprocess", WpeConfig, {"wpe_taps": "taps", "wpe_delay": "delay",
+                                      "wpe_iterations": "iterations",
+                                      "block_seconds": "block_length"}),
+    "diarize": ("diarize", DiarizeConfig, {"reject_thrs": "reject_thr"}),
+    "gss": ("gss", GssConfig, {}),
+}
+
+# dataclass fields that no config key sets, so a run always takes their
+# defaults: the stages place STFT frame i at i * frame_shift, which holds only
+# with centre padding, and GSS always models residual noise
+_UNKEYED = {(StftParams, "padding"), (GssConfig, "add_noise_source")}
+
+
+def _stage_defaults(stage: str) -> dict:
+    """The stage dataclass's defaults under their config keys, in field order."""
+    _, cls, rename = _STAGES[stage]
+    key_of = {f: k for k, f in rename.items()}
+    return {key_of.get(f.name, f.name): f.default for f in fields(cls)
+            if (cls, f.name) not in _UNKEYED}
+
+
+# the stage defaults live in the dataclasses; written out here are only the
+# keys that no dataclass field has, and the list that replaces reject_thr
 DEFAULT_CONFIG = {
     "seed": 0,
-    "stft": {"frame_length": 1024, "frame_shift": 256, "window": "hann"},
-    "preprocess": {
-        "percentile": 0.998,
-        "target_peak": 0.95,
-        "wpe": True,
-        "wpe_taps": 10,
-        "wpe_delay": 2,
-        "wpe_iterations": 3,
-        "block_seconds": 120.0,
-        "selection_fraction": 0.8,
-    },
-    "diarize": {
-        "merge_cos_threshold": 0.75,
-        "reject_thrs": [8.0, 10.0, 14.0],
-        "max_clusters": 8,
-        "reduced_dim": 12,
-        "frame_step": 0.5,
-        "single_speaker_cos_threshold": 0.6,
-        "reduction": "linear",
-        "variants": ["orig", "wpe"],
-    },
+    "stft": _stage_defaults("stft"),
+    "preprocess": {**_stage_defaults("clip"), "wpe": True, **_stage_defaults("wpe"),
+                   "selection_fraction": 0.8},
+    "diarize": {**_stage_defaults("diarize"), "reject_thrs": [8.0, 10.0, 14.0],
+                "variants": ["orig", "wpe"]},
     "fusion": {"binarize_threshold": 0.5, "count_match_threshold": 0.5},
-    "gss": {
-        "iterations": 5,
-        "context_margin": 0.5,
-        "chunk_frames": None,
-        "noise_floor": 0.01,
-    },
+    "gss": _stage_defaults("gss"),
     "score": {"collar": 0.0},
 }
 
@@ -191,25 +199,21 @@ def _build(cls, section: str, values: dict, rename: dict | None = None):
         raise ConfigError(", ".join(f"{section}.{k}" for k in keys) + f": {exc}") from exc
 
 
-_WPE_KEYS = {"wpe_taps": "taps", "wpe_delay": "delay", "wpe_iterations": "iterations",
-             "block_seconds": "block_length"}
-
-
 def stage_configs(config: dict) -> StageConfigs:
     """The stages' config objects, built from a config that load_config returned."""
-    s, p, d, g = (config[k] for k in ("stft", "preprocess", "diarize", "gss"))
-    shared = {k: v for k, v in d.items() if k not in ("reject_thrs", "variants")}
+
+    def build(stage: str, **values):
+        section, cls, rename = _STAGES[stage]
+        keyed = {key: config[section][key] for key in _stage_defaults(stage)}
+        return _build(cls, section, {**keyed, **values}, rename)
+
     return StageConfigs(
-        stft=_build(StftParams, "stft", s),
-        clip=_build(ClipNormConfig, "preprocess",
-                    {k: p[k] for k in ("percentile", "target_peak")}),
-        wpe=_build(WpeConfig, "preprocess", {k: p[k] for k in _WPE_KEYS}, _WPE_KEYS),
-        diarize=tuple(
-            _build(DiarizeConfig, "diarize", {**shared, "reject_thrs": float(thr)},
-                   {"reject_thrs": "reject_thr"})
-            for thr in d["reject_thrs"]
-        ),
-        gss=_build(GssConfig, "gss", g),
+        stft=build("stft"),
+        clip=build("clip"),
+        wpe=build("wpe"),
+        diarize=tuple(build("diarize", reject_thrs=float(thr))
+                      for thr in config["diarize"]["reject_thrs"]),
+        gss=build("gss"),
     )
 
 
@@ -309,6 +313,11 @@ def _cache_store(stage_dir: Path, key: str) -> None:
     atomic_write_bytes(stage_dir / ".cache-key", key.encode())
 
 
+def _cache_drop(stage_dir: Path) -> None:
+    """Remove the stored key, so that outputs a miss leaves half written never hit."""
+    (stage_dir / ".cache-key").unlink(missing_ok=True)
+
+
 # ---------------------------------------------------------------------------
 # stages
 
@@ -330,6 +339,7 @@ def run_preprocess(session: dict, config: dict, run_dir: Path) -> dict:
     if _cache_valid(stage_dir, key):
         result["cached"] = True
         return result
+    _cache_drop(stage_dir)
 
     normalized = clip_normalize(
         stack_channel_files(session["channels"], session.get("sample_rate")), cfgs.clip
@@ -391,6 +401,7 @@ def run_diarize_grid(session: dict, config: dict, run_dir: Path) -> dict:
     fused_paths = {ch: stage_dir / f"fused_ch{ch}.rttm" for ch in channels}
     if _cache_valid(stage_dir, key) and all(p.exists() for p in fused_paths.values()):
         return {"fused": fused_paths, "cached": True}
+    _cache_drop(stage_dir)
 
     per_channel = {}
     for ch in channels:
@@ -529,7 +540,8 @@ def run_full(session: dict, config: dict, run_dir) -> dict:
     return report
 
 
-def score_directories(ref_dir, hyp_dir, collar: float = 0.0) -> dict:
+def score_directories(ref_dir, hyp_dir,
+                      collar: float = DEFAULT_CONFIG["score"]["collar"]) -> dict:
     """Per-session DER/count table plus macro averages over two RTTM directories."""
     ref_dir, hyp_dir = Path(ref_dir), Path(hyp_dir)
     refs: dict = {}

@@ -8,7 +8,6 @@ from farfield.diarize import (
     ClusterSet,
     DiarizeConfig,
     assign_mixed_frames,
-    concat_normalize,
     count_speakers,
     diarize_embeddings,
     gmm_cluster,
@@ -17,7 +16,6 @@ from farfield.diarize import (
     select_single_speaker_frames,
 )
 from farfield.embeddings import EmbeddingEntry, EmbeddingSet
-from farfield.errors import DataError
 
 
 def _entry(t0, t1, vectors):
@@ -48,28 +46,6 @@ class TestSingleSpeakerSelection:
         emb = EmbeddingSet((_entry(0, 1, [[1.0, 0.0], [0.0, 1.0]]),))
         single, mixed = select_single_speaker_frames(emb, threshold=0.5)
         assert len(single) == 0 and len(mixed) == 1
-
-
-class TestConcatNormalize:
-    def test_unit_output_norm(self):
-        a = EmbeddingSet((_entry(0, 1, [[1.0, 0.0]]),))
-        b = EmbeddingSet((_entry(0, 1, [[0.0, 1.0, 0.0]]),))
-        out = concat_normalize(a, b)
-        vec = out.entries[0].vectors[0]
-        assert vec.shape == (5,)
-        assert np.linalg.norm(vec) == pytest.approx(1.0)
-
-    def test_zero_partner_keeps_unit(self):
-        a = EmbeddingSet((_entry(0, 1, [[0.0, 1.0]]),))
-        b = EmbeddingSet((_entry(0, 1, [[0.0, 0.0, 0.0]]),))
-        out = concat_normalize(a, b)
-        np.testing.assert_allclose(out.entries[0].vectors[0], [0, 1, 0, 0, 0])
-
-    def test_timeline_mismatch_errors(self):
-        a = EmbeddingSet((_entry(0, 1, [[1.0, 0.0]]),))
-        b = EmbeddingSet((_entry(0, 2, [[1.0, 0.0]]),))
-        with pytest.raises(DataError):
-            concat_normalize(a, b)
 
 
 class TestReduceDim:

@@ -8,12 +8,10 @@ from farfield.fusion import (
     FusionInput,
     best_permutation,
     doverlap_fuse,
-    greedy_select_for_fusion,
     map_labels_to_anchor,
     overlap_duration_matrix,
     soft_fuse,
 )
-from farfield.metrics import compute_der
 from farfield.segments import Segmentation, SoftActivity, Turn, segmentation_to_activity
 
 
@@ -236,25 +234,3 @@ class TestSoftFuse:
             fused = soft_fuse(acts, ref)
             assert np.all(fused.probs >= 0) and np.all(fused.probs <= 1)
 
-
-class TestGreedySelection:
-    def test_perfect_candidate_selected_first(self):
-        ref = _seg([("a", 0, 10), ("b", 10, 20)])
-        perfect = ref
-        noisy = _seg([("a", 0, 6), ("b", 12, 20)])
-
-        def cost(h, r):
-            return compute_der(r, h).der
-
-        selected = greedy_select_for_fusion([noisy, perfect], ref, cost)
-        assert selected[0] == 1
-
-    def test_stops_when_no_improvement(self):
-        ref = _seg([("a", 0, 10)])
-        cands = [ref, _seg([("z", 0, 20)]), _seg([("z", 5, 25)])]
-
-        def cost(h, r):
-            return compute_der(r, h).der
-
-        selected = greedy_select_for_fusion(cands, ref, cost)
-        assert selected == [0]

@@ -1,31 +1,109 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from farfield.audio import MultichannelAudio, write_wav
-from farfield.cli import main
+import farfield.cli
+from farfield.cli import build_parser, main
+from farfield.diarize import DiarizeConfig
 from farfield.errors import ConfigError, DataError, FarfieldError, NumericalError
+from farfield.gss import GssConfig
 import farfield.pipeline
 from farfield.pipeline import (
     atomic_write_bytes,
     content_hash,
     load_config,
     load_manifest,
+    run_diarize_grid,
     run_full,
     run_gss,
     run_preprocess,
     score_directories,
+    stage_configs,
 )
+from farfield.preprocess import ClipNormConfig, WpeConfig
 from farfield.segments import read_rttm
+from farfield.stft import StftParams
+
+# The defaults, key order included: run_full writes them to config.json.
+DEFAULTS = {
+    "seed": 0,
+    "stft": {"frame_length": 1024, "frame_shift": 256, "window": "hann"},
+    "preprocess": {
+        "percentile": 0.998,
+        "target_peak": 0.95,
+        "wpe": True,
+        "wpe_taps": 10,
+        "wpe_delay": 2,
+        "wpe_iterations": 3,
+        "block_seconds": 120.0,
+        "selection_fraction": 0.8,
+    },
+    "diarize": {
+        "merge_cos_threshold": 0.75,
+        "reject_thrs": [8.0, 10.0, 14.0],
+        "max_clusters": 8,
+        "reduced_dim": 12,
+        "frame_step": 0.5,
+        "single_speaker_cos_threshold": 0.6,
+        "reduction": "linear",
+        "variants": ["orig", "wpe"],
+    },
+    "fusion": {"binarize_threshold": 0.5, "count_match_threshold": 0.5},
+    "gss": {
+        "iterations": 5,
+        "context_margin": 0.5,
+        "chunk_frames": None,
+        "noise_floor": 0.01,
+    },
+    "score": {"collar": 0.0},
+}
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def _write_then_interrupt(write):
+    def wrapped(path, value):
+        write(path, value)
+        raise _Interrupted(path)
+
+    return wrapped
+
+
+def _files(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
 
 
 class TestConfig:
     def test_defaults_when_no_file(self):
         config = load_config(None)
-        assert config["stft"]["frame_length"] == 1024
-        assert config["diarize"]["reject_thrs"] == [8.0, 10.0, 14.0]
+        assert config == DEFAULTS
+        assert json.dumps(config, indent=2) == json.dumps(DEFAULTS, indent=2)
+
+    def test_every_stage_field_has_a_key(self):
+        unkeyed = {(StftParams, "padding"), (GssConfig, "add_noise_source")}
+        renamed = {(WpeConfig, "taps"): "wpe_taps", (WpeConfig, "delay"): "wpe_delay",
+                   (WpeConfig, "iterations"): "wpe_iterations",
+                   (WpeConfig, "block_length"): "block_seconds",
+                   (DiarizeConfig, "reject_thr"): "reject_thrs"}
+        sections = {StftParams: "stft", ClipNormConfig: "preprocess", WpeConfig: "preprocess",
+                    DiarizeConfig: "diarize", GssConfig: "gss"}
+        config = load_config(None)
+        for cls, section in sections.items():
+            for field in fields(cls):
+                if (cls, field.name) not in unkeyed:
+                    key = renamed.get((cls, field.name), field.name)
+                    assert key in config[section], f"{cls.__name__}.{field.name}"
+        built = stage_configs(config)
+        assert (built.stft, built.clip, built.wpe, built.gss) == (
+            StftParams(), ClipNormConfig(), WpeConfig(), GssConfig())
+        assert built.diarize == tuple(DiarizeConfig(reject_thr=t) for t in (8.0, 10.0, 14.0))
 
     def test_partial_file_merges_with_defaults(self, tmp_path):
         path = tmp_path / "c.json"
@@ -131,6 +209,39 @@ class TestCaching:
         assert run_preprocess(sessions[0], config, run_dir)["cached"] is True
         monkeypatch.setattr(farfield.pipeline, "code_digest", lambda: "changed")
         assert run_preprocess(sessions[0], config, run_dir)["cached"] is False
+
+    def test_interrupted_preprocess_misses_cache(self, demo_manifest, tmp_path, monkeypatch):
+        session = load_manifest(demo_manifest)[0]
+        run_dir = tmp_path / "run"
+        config_a = load_config(None, overrides={"preprocess.wpe": False})
+        config_b = load_config(None, overrides={"preprocess.wpe": False,
+                                                "preprocess.target_peak": 0.5})
+        run_preprocess(session, config_a, run_dir)
+        written = _files(run_dir)
+        with monkeypatch.context() as m:  # B stops after its first WAV
+            m.setattr(farfield.pipeline, "write_wav",
+                      _write_then_interrupt(farfield.pipeline.write_wav))
+            with pytest.raises(_Interrupted):
+                run_preprocess(session, config_b, run_dir)
+        assert _files(run_dir) != written
+        assert run_preprocess(session, config_a, run_dir)["cached"] is False
+        assert _files(run_dir) == written
+
+    def test_interrupted_diarize_misses_cache(self, demo_manifest, tmp_path, monkeypatch):
+        session = load_manifest(demo_manifest)[0]
+        run_dir = tmp_path / "run"
+        config_a = load_config(None)
+        config_b = load_config(None, overrides={"diarize.max_clusters": 1})
+        run_diarize_grid(session, config_a, run_dir)
+        written = _files(run_dir)
+        with monkeypatch.context() as m:  # B stops after its first cell RTTM
+            m.setattr(farfield.pipeline, "write_rttm",
+                      _write_then_interrupt(farfield.pipeline.write_rttm))
+            with pytest.raises(_Interrupted):
+                run_diarize_grid(session, config_b, run_dir)
+        assert _files(run_dir) != written
+        assert run_diarize_grid(session, config_a, run_dir)["cached"] is False
+        assert _files(run_dir) == written
 
     def test_preprocess_cache_hit_and_invalidation(self, demo_manifest, tmp_path):
         sessions = load_manifest(demo_manifest)
@@ -383,7 +494,7 @@ class TestCli:
         assert len(outputs[0]) == 5
         assert outputs[0] == outputs[1]
 
-    def test_score_command(self, demo_manifest, tmp_path, capsys):
+    def test_score_command(self, demo_manifest, tmp_path, capsys, monkeypatch):
         base = Path(demo_manifest).parent
         code = main([
             "score", "--ref-dir", str(base), "--hyp-dir", str(base),
@@ -391,6 +502,34 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "demo" in out and "AVG" in out
+        # --collar defaults to the config's score.collar
+        monkeypatch.setitem(farfield.pipeline.DEFAULT_CONFIG["score"], "collar", 0.25)
+        args = build_parser().parse_args(["score", "--ref-dir", "r", "--hyp-dir", "h"])
+        assert args.collar == 0.25
+
+    def test_workers_map_diarize_and_gss(self, demo_manifest, tmp_path, monkeypatch):
+        sessions = load_manifest(demo_manifest)  # absolute paths
+        sessions.append(dict(sessions[0], session_id="demo2"))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"sessions": sessions}))
+        text = (Path(demo_manifest).parent / "demo.rttm").read_text()
+        rttm = tmp_path / "both.rttm"
+        rttm.write_text(text + text.replace(" demo ", " demo2 "))
+        seen = []
+        map_sessions = farfield.cli._map_sessions
+        monkeypatch.setattr(farfield.cli, "_map_sessions", lambda fn, items, workers: (
+            seen.append((len(items), workers)) or map_sessions(fn, items, workers)))
+        written = []
+        for workers in ("1", "2"):
+            common = ["--manifest", str(manifest), "--run-dir", str(tmp_path / workers),
+                      "--workers", workers, "--set", "preprocess.wpe=false",
+                      "--set", "gss.iterations=1"]
+            assert main(["diarize", *common]) == 0
+            assert main(["gss", *common, "--rttm", str(rttm)]) == 0
+            written.append(_files(tmp_path / workers))
+        assert seen == [(2, 1), (2, 1), (2, 2), (2, 2)]
+        assert len([name for name in written[0] if name.startswith("gss/demo2/")]) == 5
+        assert written[0] == written[1]
 
     def test_fuse_command(self, demo_manifest, tmp_path, capsys):
         base = Path(demo_manifest).parent
