@@ -115,6 +115,8 @@ def cmd_gss(args):
     from farfield.pipeline import read_session_rttm, run_gss, run_preprocess
     from farfield.segments import read_activity
 
+    if args.vad_mask and not args.activity:
+        raise ConfigError("--vad-mask needs --activity: the mask multiplies its activities")
     sessions, config = _load(args)
     vad = None
     if args.vad_mask:
@@ -263,7 +265,8 @@ def build_parser():
     _add_common(p)
     p.add_argument("--rttm", required=True)
     p.add_argument("--activity", default=None, help="soft-activity file")
-    p.add_argument("--vad-mask", default=None, help="binary VAD mask (.npy)")
+    p.add_argument("--vad-mask", default=None,
+                   help="binary VAD mask (.npy) applied to --activity")
     p.set_defaults(func=cmd_gss)
 
     p = sub.add_parser("simulate", help="generate synthetic sessions")

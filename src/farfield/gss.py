@@ -157,6 +157,12 @@ def cacgmm_em(
 
     Priors come from the activities (plus a residual noise source) and stay
     frozen across EM sweeps; only the spatial shape matrices are re-estimated.
+    With cfg.chunk_frames set, the EM runs independently on runs of that many
+    frames (a trailing run shorter than 2 frames joins the one before it), so
+    that the shape matrices follow moving speakers; masks are concatenated
+    along frames and ll_history holds each run's columns in turn. Activity
+    guidance pins source identity, so no permutation handling is needed
+    across run boundaries.
     """
     if tensor.num_channels < 2:
         raise DataError("cACGMM needs at least 2 channels")
@@ -167,49 +173,21 @@ def cacgmm_em(
     z = np.where(valid[:, :, None], z, 1.0 / np.sqrt(tensor.num_channels))
     speaker_probs = resample_activities(activities, tensor)
     priors = build_priors(speaker_probs, cfg)
-    gammas, _, ll = _em_sweeps(z, valid, priors, cfg.iterations)
-    # (S, F, T) -> (S, T, F)
-    return MaskTensor(gammas=gammas.transpose(0, 2, 1), ll_history=ll)
-
-
-def chunked_cacgmm(
-    tensor: SpectralTensor, activities: SoftActivity, cfg: GssConfig
-) -> MaskTensor:
-    """Run the EM independently on fixed-length chunks and concatenate masks.
-
-    Activity guidance pins source identity, so no permutation handling is
-    needed across chunk boundaries.
-    """
-    if cfg.chunk_frames is None:
-        raise DataError("chunk_frames must be set for chunked processing")
     n_frames = tensor.num_frames
     size = cfg.chunk_frames
-    if n_frames <= size:
-        return cacgmm_em(tensor, activities, cfg)
-    starts = list(range(0, n_frames, size))
-    # merge a too-short trailing chunk into the previous one
-    if n_frames - starts[-1] < 2:
-        starts.pop()
-    speaker_probs = resample_activities(activities, tensor)
-    pieces, lls = [], []
-    for i, start in enumerate(starts):
-        stop = starts[i + 1] if i + 1 < len(starts) else n_frames
-        sub = SpectralTensor(
-            values=tensor.values[:, start:stop],
-            frame_shift=tensor.frame_shift,
-            frame_length=tensor.frame_length,
-            sample_rate=tensor.sample_rate,
-        )
-        sub_act = SoftActivity(
-            activities.session_id,
-            speaker_probs[:, start:stop],
-            tensor.frame_step_seconds,
-            activities.source_tag,
-        )
-        mask = cacgmm_em(sub, sub_act, cfg)
-        pieces.append(mask.gammas)
-        lls.append(mask.ll_history)
-    return MaskTensor(gammas=np.concatenate(pieces, axis=1), ll_history=np.hstack(lls))
+    # a trailing run shorter than 2 frames joins the one before it
+    inner = [] if size is None else range(size, n_frames - 1, size)
+    bounds = [0, *inner, n_frames]
+    gammas, lls = [], []
+    for start, stop in zip(bounds, bounds[1:]):
+        run = slice(start, stop)
+        g, _, ll = _em_sweeps(z[:, run], valid[:, run], priors[:, run], cfg.iterations)
+        gammas.append(g)
+        lls.append(ll)
+    # (S, F, T) -> (S, T, F)
+    return MaskTensor(
+        gammas=np.concatenate(gammas, axis=2).transpose(0, 2, 1), ll_history=np.hstack(lls)
+    )
 
 
 def apply_vad_mask(activities: SoftActivity, vad: np.ndarray) -> SoftActivity:
@@ -300,10 +278,7 @@ def extract_speaker_segment(
         tensor.frame_step_seconds,
         activities.source_tag,
     )
-    if cfg.chunk_frames is not None:
-        masks = chunked_cacgmm(tensor, window_act, cfg)
-    else:
-        masks = cacgmm_em(tensor, window_act, cfg)
+    masks = cacgmm_em(tensor, window_act, cfg)
     beamformed = mvdr_beamform(tensor, masks, target)
     wave = istft(beamformed, stft_params)
     offset = turn.start - ext_start

@@ -385,7 +385,11 @@ def _find_embedding(session, channel, vad_source, variant):
 
 
 def run_diarize_grid(session: dict, config: dict, run_dir: Path) -> dict:
-    """Run the clustering grid per channel and fuse each channel's hypotheses."""
+    """Run the clustering grid per channel and fuse each channel's hypotheses.
+
+    per_channel holds the fused turns as read back from their RTTMs, on a
+    miss as on a hit, so that a cached rerun hands fusion the same turns.
+    """
     run_dir = Path(run_dir)
     stage_dir = run_dir / "diarize" / session["session_id"]
     dc = config["diarize"]
@@ -399,40 +403,38 @@ def run_diarize_grid(session: dict, config: dict, run_dir: Path) -> dict:
     key = content_hash(inputs, {"stage": "diarize", **dc, "seed": config["seed"],
                                 "code": code_digest()})
     fused_paths = {ch: stage_dir / f"fused_ch{ch}.rttm" for ch in channels}
-    if _cache_valid(stage_dir, key) and all(p.exists() for p in fused_paths.values()):
-        return {"fused": fused_paths, "cached": True}
-    _cache_drop(stage_dir)
-
-    per_channel = {}
-    for ch in channels:
-        hypotheses = []
-        for vad_source, variant, cfg in _grid_cells(session, config):
-            emb_path = _find_embedding(session, ch, vad_source, variant)
-            if emb_path is None:
-                warnings.warn(
-                    f"no embeddings for channel {ch} / {vad_source} / {variant}; cell skipped",
-                    stacklevel=2,
+    cached = _cache_valid(stage_dir, key) and all(p.exists() for p in fused_paths.values())
+    if not cached:
+        _cache_drop(stage_dir)
+        for ch in channels:
+            hypotheses = []
+            for vad_source, variant, cfg in _grid_cells(session, config):
+                emb_path = _find_embedding(session, ch, vad_source, variant)
+                if emb_path is None:
+                    warnings.warn(
+                        f"no embeddings for channel {ch} / {vad_source} / {variant}; cell skipped",
+                        stacklevel=2,
+                    )
+                    continue
+                seg, _, _ = diarize_embeddings(
+                    read_embeddings(emb_path), cfg, seed=config["seed"],
+                    session_id=session["session_id"],
                 )
-                continue
-            seg, _, _ = diarize_embeddings(
-                read_embeddings(emb_path), cfg, seed=config["seed"],
-                session_id=session["session_id"],
-            )
-            cell_path = stage_dir / f"ch{ch}_{vad_source}_{variant}_thr{cfg.reject_thr:g}.rttm"
-            stage_dir.mkdir(parents=True, exist_ok=True)
-            write_rttm(cell_path, seg)
-            hypotheses.append(seg)
-        if not hypotheses:
-            raise DataError(
-                f"session {session['session_id']}: no diarization hypotheses for channel "
-                f"{ch}: no embedding file of the manifest matches diarize.variants "
-                f"{dc['variants']}"
-            )
-        fused = doverlap_fuse(FusionInput(tuple(hypotheses)))
-        write_rttm(fused_paths[ch], fused)
-        per_channel[ch] = fused
-    _cache_store(stage_dir, key)
-    return {"fused": fused_paths, "per_channel": per_channel, "cached": False}
+                cell_path = stage_dir / f"ch{ch}_{vad_source}_{variant}_thr{cfg.reject_thr:g}.rttm"
+                stage_dir.mkdir(parents=True, exist_ok=True)
+                write_rttm(cell_path, seg)
+                hypotheses.append(seg)
+            if not hypotheses:
+                raise DataError(
+                    f"session {session['session_id']}: no diarization hypotheses for channel "
+                    f"{ch}: no embedding file of the manifest matches diarize.variants "
+                    f"{dc['variants']}"
+                )
+            write_rttm(fused_paths[ch], doverlap_fuse(FusionInput(tuple(hypotheses))))
+        _cache_store(stage_dir, key)
+    per_channel = {ch: read_session_rttm(path, session["session_id"])
+                   for ch, path in fused_paths.items()}
+    return {"fused": fused_paths, "per_channel": per_channel, "cached": cached}
 
 
 def _channel_activities(session: dict, channel) -> list:
@@ -521,10 +523,7 @@ def run_full(session: dict, config: dict, run_dir) -> dict:
         ref = read_session_rttm(session["reference_rttm"], sid)
     run_preprocess(session, config, run_dir)
     grid = run_diarize_grid(session, config, run_dir)
-    per_channel = grid.get("per_channel")
-    if per_channel is None:  # cache hit: reload fused per-channel RTTMs
-        per_channel = {ch: read_session_rttm(path, sid) for ch, path in grid["fused"].items()}
-    fusion = run_fusion(session, config, run_dir, per_channel)
+    fusion = run_fusion(session, config, run_dir, grid["per_channel"])
     report["final_rttm"] = str(fusion["final_path"])
     outputs = run_gss(session, config, run_dir, fusion["final"], fusion["activity"])
     report["gss_outputs"] = [str(p) for p in outputs]

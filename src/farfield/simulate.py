@@ -399,9 +399,7 @@ def simulate_separation_examples(cfg: SeparationExampleConfig, dry_store: dict, 
             snr_db=cfg.snr_db,
         )
         images, turns = render_speaker_images(spec, room, dry_store, cfg.sample_rate)
-        mix = sum(images.values()) if images else np.zeros(
-            (cfg.render_channels, int(cfg.duration * cfg.sample_rate))
-        )
+        mix = sum(images.values())
         noise_img = np.zeros_like(mix)
         if cfg.noise_ref is not None and cfg.noise_ref in dry_store:
             noise = _tile_noise(

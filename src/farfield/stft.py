@@ -19,8 +19,8 @@ _FRAMES = 256
 class StftParams:
     """Framing configuration.
 
-    Defaults (1024/256 at 16 kHz) make 300 frames span 4.8 s, the chunk
-    length used by the chunked separation path.
+    Defaults (1024/256 at 16 kHz) make 300 frames span 4.8 s, so
+    gss.chunk_frames = 300 has cacgmm_em fit its EM on 4.8 s runs of frames.
     """
 
     frame_length: int = 1024

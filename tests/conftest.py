@@ -45,26 +45,30 @@ def _reference():
     return Segmentation("demo", tuple(Turn(s, a, b) for s, a, b in SCHEDULE))
 
 
-def _active_speakers(t):
-    return sorted({s for s, a, b in SCHEDULE if a <= t + FRAME_STEP / 2 < b})
+def _active_speakers(t, step):
+    return sorted({s for s, a, b in SCHEDULE if a <= t + step / 2 < b})
 
 
-def _make_embeddings(rng, centers, dim=16):
+def _make_embeddings(rng, centers, step, dim=16):
     entries = []
     t = 0.0
     while t < DURATION:
-        active = _active_speakers(t)
+        active = _active_speakers(t, step)
         if active:
             vectors = np.vstack(
                 [centers[s] + 0.05 * rng.standard_normal(dim) for s in active]
             )
-            entries.append(EmbeddingEntry(t, t + FRAME_STEP, vectors))
-        t += FRAME_STEP
+            entries.append(EmbeddingEntry(t, t + step, vectors))
+        t += step
     return EmbeddingSet(tuple(entries))
 
 
-def build_demo_session(root, seed=0):
-    """Write a complete synthetic session under root; returns the manifest path."""
+def build_demo_session(root, seed=0, embedding_step=FRAME_STEP):
+    """Write a complete synthetic session under root; returns the manifest path.
+
+    embedding_step is the length of the embedding frames, which places the
+    diarized turn boundaries.
+    """
     root.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     room = sample_room(FAST_RANGES, seed=seed)
@@ -104,7 +108,7 @@ def build_demo_session(root, seed=0):
                 name = f"emb_ch{ch}_{vad_source}_{variant}.emb"
                 tag = zlib.crc32(f"{vad_source}/{variant}".encode())
                 emb_rng = np.random.default_rng(seed + 7 * ch + 31 * tag % 1000)
-                write_embeddings(root / name, _make_embeddings(emb_rng, centers))
+                write_embeddings(root / name, _make_embeddings(emb_rng, centers, embedding_step))
                 embeddings.append(
                     {"path": name, "channel": ch, "vad_source": vad_source,
                      "variant": variant}
@@ -142,6 +146,14 @@ def build_demo_session(root, seed=0):
 def demo_manifest(tmp_path_factory):
     root = tmp_path_factory.mktemp("demo-session")
     return build_demo_session(root, seed=0)
+
+
+@pytest.fixture(scope="session")
+def offgrid_manifest(tmp_path_factory):
+    """The demo session on 0.4996 s embedding frames: its turn boundaries fall
+    between the milliseconds that RTTM files hold."""
+    root = tmp_path_factory.mktemp("offgrid-session")
+    return build_demo_session(root, seed=0, embedding_step=0.4996)
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from farfield.gss import (
     apply_vad_mask,
     build_priors,
     cacgmm_em,
-    chunked_cacgmm,
     extract_speaker_segment,
     mvdr_beamform,
     resample_activities,
@@ -209,18 +210,85 @@ class TestEmSweeps:
             _em_sweeps(z, np.ones((9, 40), dtype=bool), priors / priors.sum(axis=0), 5)
 
 
+def _reference_chunked_cacgmm(tensor, activities, cfg):
+    """Chunked EM as a wrapper that calls cacgmm_em once per chunk: the oracle
+    for cacgmm_em with chunk_frames set."""
+    n_frames = tensor.num_frames
+    size = cfg.chunk_frames
+    if n_frames <= size:
+        return cacgmm_em(tensor, activities, replace(cfg, chunk_frames=None))
+    starts = list(range(0, n_frames, size))
+    if n_frames - starts[-1] < 2:
+        starts.pop()
+    speaker_probs = resample_activities(activities, tensor)
+    pieces, lls = [], []
+    for i, start in enumerate(starts):
+        stop = starts[i + 1] if i + 1 < len(starts) else n_frames
+        sub = SpectralTensor(
+            values=tensor.values[:, start:stop],
+            frame_shift=tensor.frame_shift,
+            frame_length=tensor.frame_length,
+            sample_rate=tensor.sample_rate,
+        )
+        sub_act = SoftActivity(
+            activities.session_id,
+            speaker_probs[:, start:stop],
+            tensor.frame_step_seconds,
+            activities.source_tag,
+        )
+        mask = cacgmm_em(sub, sub_act, replace(cfg, chunk_frames=None))
+        pieces.append(mask.gammas)
+        lls.append(mask.ll_history)
+    return MaskTensor(gammas=np.concatenate(pieces, axis=1), ll_history=np.hstack(lls))
+
+
 class TestChunked:
+    @pytest.mark.parametrize("n_frames,chunk_frames", [
+        (60, 60),  # one chunk as long as the input
+        (40, 500),  # one chunk longer than the input
+        (60, 20),  # an exact multiple of the chunk length
+        (61, 20),  # a 1-frame trailing run joins the run before it
+        (65, 20),  # a 5-frame trailing run stands alone
+        (25, 8),  # three chunks and a 1-frame trailing run
+    ])
+    @pytest.mark.parametrize("add_noise_source", [True, False])
+    def test_equals_per_chunk_reference(self, n_frames, chunk_frames, add_noise_source):
+        rng = np.random.default_rng(n_frames + chunk_frames)
+        tensor, activities, _, _ = _rank1_scene(rng, n_frames=n_frames)
+        values = tensor.values.copy()
+        values[:, 3, :] = 0.0  # a silent frame passes its prior through
+        tensor = _tensor(values)
+        cfg = GssConfig(iterations=3, chunk_frames=chunk_frames,
+                        add_noise_source=add_noise_source)
+        got = cacgmm_em(tensor, activities, cfg)
+        want = _reference_chunked_cacgmm(tensor, activities, cfg)
+        np.testing.assert_array_equal(got.gammas, want.gammas)
+        np.testing.assert_array_equal(got.ll_history, want.ll_history)
+
+    def test_equals_reference_on_another_activity_step(self):
+        # activities on a coarser grid than the STFT frames are resampled once
+        rng = np.random.default_rng(11)
+        tensor, _, _, _ = _rank1_scene(rng, n_frames=50)
+        step = 3.7 * tensor.frame_step_seconds
+        probs = rng.uniform(size=(2, int(np.ceil(50 / 3.7))))
+        activities = _activity(probs, step)
+        cfg = GssConfig(iterations=2, chunk_frames=15)
+        got = cacgmm_em(tensor, activities, cfg)
+        want = _reference_chunked_cacgmm(tensor, activities, cfg)
+        np.testing.assert_array_equal(got.gammas, want.gammas)
+        np.testing.assert_array_equal(got.ll_history, want.ll_history)
+
     def test_single_chunk_equals_full(self):
         rng = np.random.default_rng(4)
         tensor, activities, _, _ = _rank1_scene(rng)
         full = cacgmm_em(tensor, activities, GssConfig(iterations=3))
-        one = chunked_cacgmm(tensor, activities, GssConfig(iterations=3, chunk_frames=500))
+        one = cacgmm_em(tensor, activities, GssConfig(iterations=3, chunk_frames=500))
         np.testing.assert_array_equal(one.gammas, full.gammas)
 
     def test_chunked_shapes_and_boundaries(self):
         rng = np.random.default_rng(5)
         tensor, activities, _, _ = _rank1_scene(rng, n_frames=60)
-        masks = chunked_cacgmm(tensor, activities, GssConfig(iterations=2, chunk_frames=25))
+        masks = cacgmm_em(tensor, activities, GssConfig(iterations=2, chunk_frames=25))
         assert masks.gammas.shape == (3, 60, 33)
         assert masks.ll_history.shape == (33, 3 * 3)  # 3 chunks x (iters + 1)
         np.testing.assert_allclose(masks.gammas.sum(axis=0), 1.0, atol=1e-9)
@@ -230,7 +298,7 @@ class TestChunked:
         tensor, activities, _, _ = _rank1_scene(rng)
         cfg = GssConfig(iterations=5)
         full = cacgmm_em(tensor, activities, cfg)
-        chunked = chunked_cacgmm(tensor, activities, GssConfig(iterations=5, chunk_frames=20))
+        chunked = cacgmm_em(tensor, activities, GssConfig(iterations=5, chunk_frames=20))
         # both recover the same exclusive-region decisions
         diff = np.abs(full.gammas[:, 5:15] - chunked.gammas[:, 5:15]).mean()
         assert diff < 0.05
@@ -238,10 +306,6 @@ class TestChunked:
     def test_bad_chunk_config_rejected(self):
         with pytest.raises(DataError):
             GssConfig(chunk_frames=1)
-        rng = np.random.default_rng(7)
-        tensor, activities, _, _ = _rank1_scene(rng, n_frames=10)
-        with pytest.raises(DataError):
-            chunked_cacgmm(tensor, activities, GssConfig())
 
 
 class TestVadMask:
@@ -298,7 +362,8 @@ class TestMvdr:
 
 
 class TestExtractSegment:
-    def test_end_to_end_separation(self):
+    @staticmethod
+    def _separate_first_speaker(chunk_frames):
         rng = np.random.default_rng(10)
         n = 3 * FS
         t = np.arange(n) / FS
@@ -316,7 +381,7 @@ class TestExtractSegment:
         frames_t = np.arange(n_frames) * step
         probs = np.vstack([(frames_t < 1.8).astype(float), (frames_t >= 1.2).astype(float)])
         activities = SoftActivity("s", probs, step)
-        cfg = GssConfig(iterations=3, context_margin=0.2)
+        cfg = GssConfig(iterations=3, context_margin=0.2, chunk_frames=chunk_frames)
         out = extract_speaker_segment(
             audio, Turn("a", 0.0, 1.8), 0, activities, cfg, StftParams(1024, 256)
         )
@@ -328,6 +393,13 @@ class TestExtractSegment:
         corr_b = abs(np.dot(y, seg_b)) / (np.linalg.norm(y) * np.linalg.norm(seg_b) + 1e-12)
         assert corr_a > 0.8
         assert corr_b < 0.3
+
+    def test_end_to_end_separation(self):
+        self._separate_first_speaker(chunk_frames=None)
+
+    def test_separation_across_chunks(self):
+        # the 2.0 s window holds 126 frames of 256 samples: four chunks of 40
+        self._separate_first_speaker(chunk_frames=40)
 
     def test_negative_context_margin_rejected(self):
         with pytest.raises(DataError, match="context_margin"):

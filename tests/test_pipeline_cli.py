@@ -284,6 +284,18 @@ class TestFullPipeline:
         assert finals[0] == finals[1]
         assert reports[0]["der"] == reports[1]["der"]
 
+    def test_cached_rerun_separates_the_same_turns(self, offgrid_manifest, tmp_path):
+        # without soft activities GSS is guided by the fused turns, and on this
+        # grid their boundaries hold more than the 3 decimals of the fused RTTMs
+        session = dict(load_manifest(offgrid_manifest)[0])
+        del session["soft_activities"]
+        config = load_config(None, overrides={"gss.iterations": 2})
+        run_dir = tmp_path / "run"
+        first = run_full(session, config, run_dir)
+        first_gss = _files(run_dir / "gss")
+        second = run_full(session, config, run_dir)
+        assert _files(run_dir / "gss") == first_gss
+        assert second["der"] == first["der"]
 
     def test_gss_reads_preprocess_output(self, demo_manifest, tmp_path):
         sessions = load_manifest(demo_manifest)
@@ -441,12 +453,15 @@ class TestCli:
             (["run", "--set", "gss.bogus=1"], "gss.bogus"),
             (["run", "--set", "gss.wpe=false"], "gss.wpe"),
             (["run", "--set", "preprocess.percentile=1.5"], "preprocess.percentile"),
+            (["gss", "--manifest", "manifest.json", "--rttm", "ok.rttm",
+              "--vad-mask", "mask.npy"], "--vad-mask needs --activity"),
         ],
         ids=["sim-missing", "sim-bad-json", "sim-room-key", "sim-no-corpus", "sim-noise-only",
              "set-no-value",
              "set-string-int", "set-string-float", "set-float-list", "set-string-seed",
              "set-zero-iterations", "set-string-list", "set-unknown-section",
-             "set-unknown-key", "set-removed-gss-wpe", "set-percentile-range"],
+             "set-unknown-key", "set-removed-gss-wpe", "set-percentile-range",
+             "gss-vad-mask-without-activity"],
     )
     def test_config_error_exits_2(self, tmp_path, monkeypatch, capsys, argv, named):
         _write_malformed_inputs(tmp_path)
