@@ -14,7 +14,7 @@ import numpy as np
 
 from farfield.embeddings import EmbeddingEntry, EmbeddingSet
 from farfield.errors import DataError, NumericalError
-from farfield.segments import Segmentation, Turn
+from farfield.segments import Segmentation, Turn, merge_intervals
 
 UNASSIGNED = -1
 
@@ -71,10 +71,13 @@ def select_single_speaker_frames(emb: EmbeddingSet, threshold: float):
     Single entries are collapsed to their renormalized mean vector.
     """
     single, mixed = [], []
+    pairs = {}  # vector count -> its upper-triangle indices
     for entry in emb.entries:
         vecs = _unit(entry.vectors)
         sims = vecs @ vecs.T
-        iu = np.triu_indices(len(vecs), k=1)
+        iu = pairs.get(len(vecs))
+        if iu is None:
+            iu = pairs[len(vecs)] = np.triu_indices(len(vecs), k=1)
         if len(iu[0]) == 0 or np.all(sims[iu] > threshold):
             mean = _unit(entry.vectors.mean(axis=0))
             single.append(EmbeddingEntry(entry.time_start, entry.time_end, mean[None, :]))
@@ -187,8 +190,7 @@ def gmm_cluster(
     )
     # drop empty components, compacting ids
     occupied = np.unique(assignments)
-    remap = {int(old): new for new, old in enumerate(occupied)}
-    assignments = np.array([remap[int(a)] for a in assignments], dtype=np.int64)
+    assignments = np.searchsorted(occupied, assignments)
     centroids = means[occupied]
     sizes = np.bincount(assignments, minlength=len(occupied))
     return ClusterSet(
@@ -199,13 +201,24 @@ def gmm_cluster(
     )
 
 
-def merge_reject_clusters(clusters: ClusterSet, cfg: DiarizeConfig) -> ClusterSet:
-    """Merge centroids by cosine similarity, then reject undersized clusters.
+def _compact(clusters: ClusterSet, assignments, centroids, sizes, keep) -> ClusterSet:
+    """Only the clusters whose ids are in keep, renumbered in index order;
+    frames of any other cluster become UNASSIGNED."""
+    table = np.full(len(sizes) + 1, UNASSIGNED, dtype=np.int64)  # id UNASSIGNED reads the last
+    table[keep] = np.arange(len(keep))
+    return ClusterSet(
+        assignments=table[assignments],
+        centroids=np.array([centroids[i] for i in keep])
+        if keep
+        else np.empty((0, clusters.centroids.shape[1])),
+        sizes=np.array([sizes[i] for i in keep], dtype=np.int64),
+        ll_history=clusters.ll_history,
+    )
 
-    The highest-similarity pair merges first, repeatedly, while similarity
-    exceeds the threshold. Clusters smaller than max_size / reject_thr lose
-    their frames to UNASSIGNED.
-    """
+
+def merge_clusters(clusters: ClusterSet, cfg: DiarizeConfig) -> ClusterSet:
+    """Merge centroids by cosine similarity; the highest-similarity pair merges
+    first, repeatedly, while similarity exceeds cfg.merge_cos_threshold."""
     centroids = [c.copy() for c in clusters.centroids]
     sizes = list(int(s) for s in clusters.sizes)
     assignments = clusters.assignments.copy()
@@ -227,29 +240,23 @@ def merge_reject_clusters(clusters: ClusterSet, cfg: DiarizeConfig) -> ClusterSe
         sizes[j] = 0
         assignments[assignments == j] = i
         active.remove(j)
+    return _compact(clusters, assignments, centroids, sizes, active)
 
-    max_size = max((sizes[i] for i in active), default=0)
-    rejected = set(range(len(sizes))) - set(active)
-    for i in active:
-        if sizes[i] < max_size / cfg.reject_thr:
-            rejected.add(i)
-            assignments[assignments == i] = UNASSIGNED
-            sizes[i] = 0
 
-    # compact surviving cluster ids
-    survivors = [i for i in range(len(sizes)) if i not in rejected]
-    remap = {old: new for new, old in enumerate(survivors)}
-    new_assign = np.array(
-        [remap.get(int(a), UNASSIGNED) for a in assignments], dtype=np.int64
-    )
-    return ClusterSet(
-        assignments=new_assign,
-        centroids=np.array([centroids[i] for i in survivors])
-        if survivors
-        else np.empty((0, clusters.centroids.shape[1])),
-        sizes=np.array([sizes[i] for i in survivors], dtype=np.int64),
-        ll_history=clusters.ll_history,
-    )
+def reject_clusters(clusters: ClusterSet, reject_thr: float) -> ClusterSet:
+    """Reject clusters smaller than max_size / reject_thr: their frames become
+    UNASSIGNED."""
+    if reject_thr <= 0:
+        raise DataError("reject_thr must be positive")
+    sizes = [int(s) for s in clusters.sizes]
+    max_size = max(sizes, default=0)
+    keep = [i for i, size in enumerate(sizes) if not size < max_size / reject_thr]
+    return _compact(clusters, clusters.assignments, clusters.centroids, sizes, keep)
+
+
+def merge_reject_clusters(clusters: ClusterSet, cfg: DiarizeConfig) -> ClusterSet:
+    """Merge centroids by cosine similarity, then reject undersized clusters."""
+    return reject_clusters(merge_clusters(clusters, cfg), cfg.reject_thr)
 
 
 def count_speakers(clusters: ClusterSet) -> int:
@@ -283,19 +290,56 @@ def assign_mixed_frames(
         raise DataError("no surviving clusters to attract frames to")
     centroids = clusters.centroids
     sizes = clusters.sizes
-    frames = []
+    frames = []  # (speaker, start, end) per frame and speaker
     for idx, entry in enumerate(single.entries):
         cid = clusters.assignments[idx]
         if cid == UNASSIGNED:
             vec = reduced_single[idx] if reduced_single is not None else entry.vectors[0]
             cid = _nearest_centroid(vec, centroids, sizes)
-        frames.append(Turn(f"spk{cid:02d}", entry.time_start, entry.time_end))
+        frames.append((f"spk{cid:02d}", entry.time_start, entry.time_end))
     for entry in mixed.entries:
         for cid in {_nearest_centroid(vec, centroids, sizes) for vec in entry.vectors}:
-            frames.append(Turn(f"spk{cid:02d}", entry.time_start, entry.time_end))
-    merged = Segmentation(session_id, tuple(frames)).merged_per_speaker(gap=0.5 * cfg.frame_step)
-    turns = sorted(merged.turns, key=lambda t: (t.start, t.speaker))
-    return Segmentation(session_id, tuple(turns))
+            frames.append((f"spk{cid:02d}", entry.time_start, entry.time_end))
+    turns = [Turn(*m) for m in merge_intervals(frames, gap=0.5 * cfg.frame_step)]
+    return Segmentation(session_id, tuple(sorted(turns, key=lambda t: (t.start, t.speaker))))
+
+
+def diarize_thresholds(
+    emb: EmbeddingSet,
+    cfg: DiarizeConfig,
+    reject_thrs,
+    seed: int,
+    session_id: str = "session",
+) -> list:
+    """diarize_embeddings once per entry of reject_thrs, with one fit.
+
+    Selection, reduction, GMM and merge do not read reject_thr, so they run
+    once; rejection and frame attraction run per threshold, and cfg's own
+    reject_thr is not read. Returns one (Segmentation, speaker_count,
+    ClusterSet) per entry of reject_thrs, in its order.
+    """
+    single, mixed = select_single_speaker_frames(emb, cfg.single_speaker_cos_threshold)
+    if len(single) < cfg.max_clusters:
+        raise DataError(
+            f"only {len(single)} single-speaker frames; need >= {cfg.max_clusters}"
+        )
+    raw = np.vstack([e.vectors[0] for e in single.entries])
+    target = min(cfg.reduced_dim, raw.shape[1])
+    reduced, project = reduce_dim(raw, target, cfg.reduction)
+    merged = merge_clusters(gmm_cluster(reduced, cfg, seed), cfg)
+    # mixed vectors projected into the clustering space by the same reduction
+    mixed = EmbeddingSet(
+        tuple(EmbeddingEntry(e.time_start, e.time_end, project(e.vectors)) for e in mixed.entries),
+        source_tag=mixed.source_tag,
+    )
+    results = []
+    for thr in reject_thrs:
+        clusters = reject_clusters(merged, thr)
+        seg = assign_mixed_frames(
+            clusters, single, mixed, cfg, session_id, reduced_single=reduced
+        )
+        results.append((seg, count_speakers(clusters), clusters))
+    return results
 
 
 def diarize_embeddings(
@@ -308,22 +352,4 @@ def diarize_embeddings(
 
     Returns (Segmentation, speaker_count, ClusterSet).
     """
-    single, mixed = select_single_speaker_frames(emb, cfg.single_speaker_cos_threshold)
-    if len(single) < cfg.max_clusters:
-        raise DataError(
-            f"only {len(single)} single-speaker frames; need >= {cfg.max_clusters}"
-        )
-    raw = np.vstack([e.vectors[0] for e in single.entries])
-    target = min(cfg.reduced_dim, raw.shape[1])
-    reduced, project = reduce_dim(raw, target, cfg.reduction)
-    clusters = gmm_cluster(reduced, cfg, seed)
-    clusters = merge_reject_clusters(clusters, cfg)
-    # mixed vectors projected into the clustering space by the same reduction
-    mixed = EmbeddingSet(
-        tuple(EmbeddingEntry(e.time_start, e.time_end, project(e.vectors)) for e in mixed.entries),
-        source_tag=mixed.source_tag,
-    )
-    seg = assign_mixed_frames(
-        clusters, single, mixed, cfg, session_id, reduced_single=reduced
-    )
-    return seg, count_speakers(clusters), clusters
+    return diarize_thresholds(emb, cfg, [cfg.reject_thr], seed, session_id)[0]

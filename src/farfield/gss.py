@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from farfield.audio import MultichannelAudio
-from farfield.errors import DataError, NumericalError
+from farfield.errors import ConfigError, DataError, NumericalError
 # not called here (GSS separates the preprocess stage's WPE output); the binding
 # stays because the benchmark's tracer wraps farfield.gss.wpe_dereverberate
 from farfield.preprocess import wpe_dereverberate  # noqa: F401
@@ -15,6 +15,10 @@ from farfield.segments import SoftActivity, Turn
 from farfield.stft import SpectralTensor, StftParams, istft, stft
 
 _QUAD_FLOOR = 1e-10
+# Shortest EM run, in frames per channel. A run of fewer frames than channels
+# gives rank-deficient shape matrices; on runs of 1 to 2 frames per channel,
+# the likelihood guard stopped the EM in about one case in five.
+_RUN_FRAMES_PER_CHANNEL = 2
 
 
 @dataclass(frozen=True)
@@ -158,25 +162,33 @@ def cacgmm_em(
     Priors come from the activities (plus a residual noise source) and stay
     frozen across EM sweeps; only the spatial shape matrices are re-estimated.
     With cfg.chunk_frames set, the EM runs independently on runs of that many
-    frames (a trailing run shorter than 2 frames joins the one before it), so
-    that the shape matrices follow moving speakers; masks are concatenated
-    along frames and ll_history holds each run's columns in turn. Activity
-    guidance pins source identity, so no permutation handling is needed
-    across run boundaries.
+    frames, so that the shape matrices follow moving speakers; masks are
+    concatenated along frames and ll_history holds each run's columns in
+    turn. A run needs _RUN_FRAMES_PER_CHANNEL frames per channel: a
+    chunk_frames below that is a ConfigError, and a shorter trailing run joins
+    the one before it. Activity guidance pins source identity, so no
+    permutation handling is needed across run boundaries.
     """
-    if tensor.num_channels < 2:
+    n_ch = tensor.num_channels
+    if n_ch < 2:
         raise DataError("cACGMM needs at least 2 channels")
+    size = cfg.chunk_frames
+    min_run = _RUN_FRAMES_PER_CHANNEL * n_ch
+    if size is not None and size < min_run:
+        raise ConfigError(
+            f"gss.chunk_frames {size} is below {_RUN_FRAMES_PER_CHANNEL} frames per channel "
+            f"for the channel count {n_ch}: set it to at least {min_run}"
+        )
     x = tensor.values.transpose(2, 1, 0)  # (F, T, C)
     norms = np.linalg.norm(x, axis=2)
     valid = norms > 0  # (F, T): zero-energy cells pass the prior through
     z = x / np.maximum(norms, 1e-300)[:, :, None]
-    z = np.where(valid[:, :, None], z, 1.0 / np.sqrt(tensor.num_channels))
+    z = np.where(valid[:, :, None], z, 1.0 / np.sqrt(n_ch))
     speaker_probs = resample_activities(activities, tensor)
     priors = build_priors(speaker_probs, cfg)
     n_frames = tensor.num_frames
-    size = cfg.chunk_frames
-    # a trailing run shorter than 2 frames joins the one before it
-    inner = [] if size is None else range(size, n_frames - 1, size)
+    # a trailing run shorter than min_run frames joins the one before it
+    inner = [] if size is None else range(size, n_frames - min_run + 1, size)
     bounds = [0, *inner, n_frames]
     gammas, lls = [], []
     for start, stop in zip(bounds, bounds[1:]):

@@ -66,13 +66,20 @@ class Segmentation:
 
     def merged_per_speaker(self, gap: float = 0.0) -> "Segmentation":
         """Merge same-speaker turns that touch or are separated by <= gap."""
-        merged = []  # [speaker, start, end] per merged turn
-        for spk, start, end in sorted((t.speaker, t.start, t.end) for t in self.turns):
-            if merged and merged[-1][0] == spk and start <= merged[-1][2] + gap:
-                merged[-1][2] = max(merged[-1][2], end)
-            else:
-                merged.append([spk, start, end])
+        merged = merge_intervals(((t.speaker, t.start, t.end) for t in self.turns), gap)
         return Segmentation(self.session_id, tuple(Turn(*m) for m in merged))
+
+
+def merge_intervals(intervals, gap: float = 0.0) -> list:
+    """Merge (speaker, start, end) intervals of one speaker that touch or are
+    separated by <= gap; returns [speaker, start, end] lists, sorted."""
+    merged = []
+    for spk, start, end in sorted(intervals):
+        if merged and merged[-1][0] == spk and start <= merged[-1][2] + gap:
+            merged[-1][2] = max(merged[-1][2], end)
+        else:
+            merged.append([spk, start, end])
+    return merged
 
 
 @dataclass(frozen=True)

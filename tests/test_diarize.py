@@ -1,21 +1,32 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import farfield.diarize
+import farfield.pipeline
 from farfield.diarize import (
     UNASSIGNED,
     ClusterSet,
     DiarizeConfig,
+    _nearest_centroid,
+    _unit,
     assign_mixed_frames,
     count_speakers,
     diarize_embeddings,
+    diarize_thresholds,
     gmm_cluster,
+    merge_clusters,
     merge_reject_clusters,
     reduce_dim,
+    reject_clusters,
     select_single_speaker_frames,
 )
 from farfield.embeddings import EmbeddingEntry, EmbeddingSet
+from farfield.errors import DataError
+from farfield.pipeline import load_config, load_manifest, run_diarize_grid
+from farfield.segments import Segmentation, Turn
 
 
 def _entry(t0, t1, vectors):
@@ -255,6 +266,30 @@ class TestAssignMixedAndPipeline:
             mapping.setdefault(int(x), int(y))
             assert mapping[int(x)] == int(y)
 
+    def test_turns_equal_per_frame_turns_merged(self):
+        # the frames' turns merged by Segmentation.merged_per_speaker, as
+        # assign_mixed_frames emitted them when it built one Turn per frame
+        emb = _three_speaker_stream(np.random.default_rng(4))
+        cfg = DiarizeConfig(max_clusters=3, reduction="external", reject_thr=4.0)
+        single, mixed = select_single_speaker_frames(emb, cfg.single_speaker_cos_threshold)
+        reduced = np.vstack([e.vectors[0] for e in single.entries])
+        clusters = reject_clusters(gmm_cluster(reduced, cfg, 0), cfg.reject_thr)
+        assert np.any(clusters.assignments == UNASSIGNED)
+        seg = assign_mixed_frames(clusters, single, mixed, cfg, "s", reduced_single=reduced)
+        frames = []
+        for idx, entry in enumerate(single.entries):
+            cid = clusters.assignments[idx]
+            if cid == UNASSIGNED:
+                cid = _nearest_centroid(reduced[idx], clusters.centroids, clusters.sizes)
+            frames.append(Turn(f"spk{cid:02d}", entry.time_start, entry.time_end))
+        for entry in mixed.entries:
+            for cid in {_nearest_centroid(v, clusters.centroids, clusters.sizes)
+                        for v in entry.vectors}:
+                frames.append(Turn(f"spk{cid:02d}", entry.time_start, entry.time_end))
+        merged = Segmentation("s", tuple(frames)).merged_per_speaker(0.5 * cfg.frame_step)
+        assert seg.turns == tuple(sorted(merged.turns, key=lambda t: (t.start, t.speaker)))
+        assert len(seg.turns) > 1
+
     def test_assign_never_changes_cluster_count(self):
         rng = np.random.default_rng(8)
         centroids = np.eye(4)
@@ -272,3 +307,142 @@ class TestAssignMixedAndPipeline:
         seg = assign_mixed_frames(clusters, single, mixed, DiarizeConfig(), "s")
         assert len(seg.speakers) <= 4
         assert count_speakers(clusters) == 4
+
+
+def _reference_merge_reject_clusters(clusters, cfg):
+    """Merge and reject in one pass, as a single function did before the two
+    steps were split: the oracle for reject_clusters(merge_clusters(...))."""
+    centroids = [c.copy() for c in clusters.centroids]
+    sizes = list(int(s) for s in clusters.sizes)
+    assignments = clusters.assignments.copy()
+    active = list(range(len(sizes)))
+    while len(active) > 1:
+        units = _unit(np.array([centroids[i] for i in active]))
+        sims = units @ units.T
+        np.fill_diagonal(sims, -np.inf)
+        i_loc, j_loc = divmod(np.argmax(sims), len(active))
+        if sims[i_loc, j_loc] <= cfg.merge_cos_threshold:
+            break
+        i, j = sorted((active[i_loc], active[j_loc]))
+        total = sizes[i] + sizes[j]
+        centroids[i] = _unit((sizes[i] * centroids[i] + sizes[j] * centroids[j]) / total)
+        sizes[i] = total
+        sizes[j] = 0
+        assignments[assignments == j] = i
+        active.remove(j)
+    max_size = max((sizes[i] for i in active), default=0)
+    rejected = set(range(len(sizes))) - set(active)
+    for i in active:
+        if sizes[i] < max_size / cfg.reject_thr:
+            rejected.add(i)
+            assignments[assignments == i] = UNASSIGNED
+            sizes[i] = 0
+    survivors = [i for i in range(len(sizes)) if i not in rejected]
+    remap = {old: new for new, old in enumerate(survivors)}
+    return ClusterSet(
+        assignments=np.array([remap.get(int(a), UNASSIGNED) for a in assignments],
+                             dtype=np.int64),
+        centroids=np.array([centroids[i] for i in survivors])
+        if survivors
+        else np.empty((0, clusters.centroids.shape[1])),
+        sizes=np.array([sizes[i] for i in survivors], dtype=np.int64),
+        ll_history=clusters.ll_history,
+    )
+
+
+def _assert_same_clusters(got, want):
+    np.testing.assert_array_equal(got.assignments, want.assignments)
+    np.testing.assert_array_equal(got.centroids, want.centroids)
+    np.testing.assert_array_equal(got.sizes, want.sizes)
+    assert got.centroids.shape == want.centroids.shape
+    assert got.ll_history == want.ll_history
+
+
+class TestMergeThenReject:
+    @pytest.mark.parametrize("n_clusters", [0, 1, 2, 3, 5, 8])
+    def test_split_equals_one_pass_reference(self, n_clusters):
+        rng = np.random.default_rng(n_clusters)
+        for trial in range(40):
+            dim = 3
+            # near-duplicate directions, so that some pairs merge and others do not
+            base = rng.standard_normal((max(n_clusters, 1), dim))
+            centroids = base[rng.integers(len(base), size=n_clusters)]
+            centroids = centroids + 0.3 * rng.standard_normal((n_clusters, dim))
+            sizes = rng.integers(1, 60, size=n_clusters)
+            assignments = np.concatenate(
+                [np.full(s, i) for i, s in enumerate(sizes)] + [np.full(3, UNASSIGNED)]
+            )
+            clusters = ClusterSet(rng.permutation(assignments),
+                                  centroids.reshape(n_clusters, dim), sizes,
+                                  ll_history=(float(trial),))
+            cfg = DiarizeConfig(merge_cos_threshold=float(rng.uniform(0.3, 0.95)),
+                                reject_thr=float(rng.choice([1.5, 4.0, 10.0])))
+            want = _reference_merge_reject_clusters(clusters, cfg)
+            _assert_same_clusters(reject_clusters(merge_clusters(clusters, cfg),
+                                                  cfg.reject_thr), want)
+            _assert_same_clusters(merge_reject_clusters(clusters, cfg), want)
+
+    def test_size_at_the_bound_survives(self):
+        clusters = ClusterSet(np.repeat([0, 1, 2], [40, 10, 9]), np.eye(3), [40, 10, 9])
+        out = reject_clusters(clusters, 4.0)  # 40 / 4 = 10: 10 stays, 9 goes
+        np.testing.assert_array_equal(out.sizes, [40, 10])
+        assert np.sum(out.assignments == UNASSIGNED) == 9
+
+    def test_nonpositive_threshold_rejected(self):
+        clusters = ClusterSet([0], np.eye(1), [1])
+        with pytest.raises(DataError):
+            reject_clusters(clusters, 0.0)
+
+
+def _three_speaker_stream(rng, counts=(40, 10, 5), n_mixed=6, dim=6, std=0.01):
+    """Single-speaker frames of three orthogonal speakers in the given counts,
+    shuffled in time, then mixed frames of speakers 0 and 1."""
+    centers = np.eye(dim)[:3]
+    speakers = rng.permutation(np.repeat(np.arange(3), counts))
+    vectors = [[centers[s] + std * rng.standard_normal(dim)] for s in speakers]
+    vectors += [[centers[0] + std * rng.standard_normal(dim),
+                 centers[1] + std * rng.standard_normal(dim)] for _ in range(n_mixed)]
+    return EmbeddingSet(tuple(_entry(0.5 * i, 0.5 * i + 0.5, v) for i, v in enumerate(vectors)))
+
+
+class TestDiarizeThresholds:
+    CFG = DiarizeConfig(max_clusters=3, reduction="external")
+    # 40 / 4 = 10 keeps the 10-frame speaker at the bound; 40 / 2 = 20 rejects
+    # it; 40 / 10 = 4 keeps the 5-frame speaker, which 4 and 2 reject
+    THRESHOLDS = [10.0, 4.0, 2.0, 4.0]
+
+    def test_each_threshold_equals_diarize_embeddings(self):
+        emb = _three_speaker_stream(np.random.default_rng(3))
+        cells = diarize_thresholds(emb, self.CFG, self.THRESHOLDS, seed=1, session_id="s")
+        assert [c[1] for c in cells] == [3, 2, 1, 2]
+        assert sorted(cells[0][2].sizes.tolist()) == [5, 10, 40]
+        for thr, (seg, count, clusters) in zip(self.THRESHOLDS, cells):
+            want_seg, want_count, want_clusters = diarize_embeddings(
+                emb, replace(self.CFG, reject_thr=thr), seed=1, session_id="s")
+            assert seg == want_seg
+            assert count == want_count
+            _assert_same_clusters(clusters, want_clusters)
+
+
+class TestGridStreams:
+    def test_one_read_and_fit_per_stream(self, demo_manifest, tmp_path, monkeypatch):
+        counts = {"gmm_cluster": 0, "read_embeddings": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, call)
+
+        counted(farfield.diarize, "gmm_cluster")
+        counted(farfield.pipeline, "read_embeddings")
+        session = load_manifest(demo_manifest)[0]
+        config = load_config()
+        run_diarize_grid(session, config, tmp_path)
+        streams = len(session["embeddings"])  # 2 channels x 2 VAD sources x 2 variants
+        assert counts == {"gmm_cluster": streams, "read_embeddings": streams}
+        cells = sorted(p.name for p in (tmp_path / "diarize" / "demo").glob("ch*.rttm"))
+        assert len(cells) == streams * len(config["diarize"]["reject_thrs"])

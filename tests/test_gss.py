@@ -218,7 +218,7 @@ def _reference_chunked_cacgmm(tensor, activities, cfg):
     if n_frames <= size:
         return cacgmm_em(tensor, activities, replace(cfg, chunk_frames=None))
     starts = list(range(0, n_frames, size))
-    if n_frames - starts[-1] < 2:
+    if n_frames - starts[-1] < 2 * tensor.num_channels:
         starts.pop()
     speaker_probs = resample_activities(activities, tensor)
     pieces, lls = [], []
@@ -248,7 +248,8 @@ class TestChunked:
         (40, 500),  # one chunk longer than the input
         (60, 20),  # an exact multiple of the chunk length
         (61, 20),  # a 1-frame trailing run joins the run before it
-        (65, 20),  # a 5-frame trailing run stands alone
+        (65, 20),  # a 5-frame trailing run, under 2 frames per channel, joins too
+        (68, 20),  # an 8-frame trailing run stands alone
         (25, 8),  # three chunks and a 1-frame trailing run
     ])
     @pytest.mark.parametrize("add_noise_source", [True, False])
@@ -306,6 +307,25 @@ class TestChunked:
     def test_bad_chunk_config_rejected(self):
         with pytest.raises(DataError):
             GssConfig(chunk_frames=1)
+
+    def test_short_trailing_run_completes(self):
+        # a 2-frame trailing run of 4-channel frames stopped the EM on its
+        # likelihood guard; it now joins the run before it
+        tensor, activities, _, _ = _rank1_scene(np.random.default_rng(82), n_frames=62)
+        values = tensor.values.copy()
+        values[:, 3, :] = 0.0
+        masks = cacgmm_em(_tensor(values), activities, GssConfig(iterations=3, chunk_frames=20))
+        assert masks.gammas.shape == (3, 62, 33)
+        assert masks.ll_history.shape == (33, 3 * 4)  # runs of 20, 20 and 22 frames
+
+    @pytest.mark.parametrize("n_ch", [2, 3, 4, 6])
+    def test_runs_of_two_frames_per_channel_complete(self, n_ch):
+        for seed in range(4):
+            rng = np.random.default_rng(100 * n_ch + seed)
+            n_frames = 7 * n_ch  # runs of 2, 2 and 3 frames per channel
+            tensor, activities, _, _ = _rank1_scene(rng, n_ch=n_ch, n_frames=n_frames)
+            masks = cacgmm_em(tensor, activities, GssConfig(chunk_frames=2 * n_ch))
+            assert masks.ll_history.shape == (33, 3 * 6)
 
 
 class TestVadMask:

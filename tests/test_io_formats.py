@@ -17,6 +17,7 @@ from farfield.segments import (
     binarize,
     erode_bounds,
     extend_segments,
+    merge_intervals,
     read_activity,
     read_rttm,
     segmentation_to_activity,
@@ -350,3 +351,17 @@ class TestBoundaryUtilities:
     def test_active_speaker_count(self):
         act = SoftActivity("s", np.array([[0.9, 0.0], [0.2, 0.3], [0.0, 0.6]]), 0.5)
         assert act.active_speaker_count(0.5) == 2
+
+    @pytest.mark.parametrize("frames,gap,want", [
+        ([("a", 0.0, 0.5), ("a", 0.5, 1.0)], 0.0, [["a", 0.0, 1.0]]),  # touching
+        ([("a", 0.0, 0.5), ("a", 0.7, 1.0)], 0.25, [["a", 0.0, 1.0]]),  # within the gap
+        ([("a", 0.0, 0.5), ("a", 0.8, 1.0)], 0.25, [["a", 0.0, 0.5], ["a", 0.8, 1.0]]),
+        ([("a", 0.0, 2.0), ("a", 0.5, 1.0)], 0.0, [["a", 0.0, 2.0]]),  # overlapping
+        ([("b", 1.0, 1.5), ("a", 0.5, 1.0), ("a", 0.0, 0.5), ("b", 0.0, 0.5)], 0.0,
+         [["a", 0.0, 1.0], ["b", 0.0, 0.5], ["b", 1.0, 1.5]]),  # two speakers, unsorted
+        ([], 0.0, []),
+    ], ids=["touching", "within-gap", "beyond-gap", "overlapping", "multi-speaker", "empty"])
+    def test_merge_intervals(self, frames, gap, want):
+        assert merge_intervals(frames, gap) == want
+        merged = Segmentation("s", tuple(Turn(*f) for f in frames)).merged_per_speaker(gap)
+        assert merged.turns == tuple(Turn(*m) for m in want)

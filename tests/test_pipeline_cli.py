@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -471,6 +472,20 @@ class TestCli:
         assert main(argv) == 2
         assert named in capsys.readouterr().err
         assert not Path("runs/default/preprocess").exists()
+
+    def test_chunk_below_two_frames_per_channel_exits_2(self, tmp_path, monkeypatch, capsys):
+        _write_malformed_inputs(tmp_path)
+        rng = np.random.default_rng(1)
+        channels = [f"four_ch{ch}.wav" for ch in range(4)]
+        for name in channels:
+            write_wav(tmp_path / name, MultichannelAudio(0.1 * rng.standard_normal(8000), 16000))
+        (tmp_path / "four.json").write_text(
+            json.dumps({"sessions": [{"session_id": "s", "channels": channels}]}))
+        monkeypatch.chdir(tmp_path)
+        code = main(["gss", "--manifest", "four.json", "--rttm", "ok.rttm",
+                     "--set", "gss.chunk_frames=7"])
+        assert code == 2
+        assert re.search(r"gss\.chunk_frames 7 .* channel count 4", capsys.readouterr().err)
 
     def test_negative_margin_exits_2(self, tmp_path, monkeypatch, capsys):
         _write_malformed_inputs(tmp_path)
