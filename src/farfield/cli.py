@@ -137,8 +137,9 @@ def cmd_gss(args):
         run_preprocess(session, config, Path(args.run_dir))  # a cache hit after preprocess/run
         return run_gss(session, config, Path(args.run_dir), seg, activity)
 
-    for (session, _, _), outputs in zip(jobs, _map_sessions(separate, jobs, args.workers)):
-        print(f"{session['session_id']}: {len(outputs)} segment WAVs")
+    for (session, _, _), result in zip(jobs, _map_sessions(separate, jobs, args.workers)):
+        state = "cached" if result["cached"] else "done"
+        print(f"{session['session_id']}: {state}, {len(result['outputs'])} segment WAVs")
     return 0
 
 
@@ -238,7 +239,9 @@ def cmd_run(args):
     )
     for report in reports:
         der = f"DER {report['der']:.4f}" if "der" in report else "no reference"
-        print(f"{report['session_id']}: {der}, {len(report['gss_outputs'])} segments")
+        cached = ", ".join(stage for stage, hit in report["cached"].items() if hit) or "none"
+        print(f"{report['session_id']}: {der}, {len(report['gss_outputs'])} segments, "
+              f"cached: {cached}")
     return 0
 
 

@@ -295,15 +295,28 @@ def code_digest() -> str:
     return digest.hexdigest()
 
 
+# bytes read per step when a file is hashed, so a large input is never held whole
+_HASH_BLOCK = 1 << 20
+
+
 def content_hash(paths, config_blob) -> str:
+    """sha256 over the JSON of config_blob, then each path and its file's sha256.
+
+    config_blob must hold no arrays: it is written with default=str, and numpy
+    abbreviates an array of more than 1,000 elements with "...".
+    """
     digest = hashlib.sha256()
     digest.update(json.dumps(config_blob, sort_keys=True, default=str).encode())
     for p in sorted(str(p) for p in paths):
         digest.update(p.encode())
+        file_digest = hashlib.sha256()
         try:
-            digest.update(hashlib.sha256(Path(p).read_bytes()).digest())
+            with open(p, "rb") as fh:
+                while block := fh.read(_HASH_BLOCK):
+                    file_digest.update(block)
         except OSError as exc:
             raise DataError(f"missing input file {p}") from exc
+        digest.update(file_digest.digest())
     return digest.hexdigest()
 
 
@@ -483,36 +496,54 @@ def run_fusion(session: dict, config: dict, run_dir: Path, per_channel: dict) ->
 
 
 def run_gss(session: dict, config: dict, run_dir: Path, seg: Segmentation,
-            activity: SoftActivity | None) -> list:
+            activity: SoftActivity | None) -> dict:
     """Extract one enhanced WAV per (speaker, turn) from the preprocess stage's audio.
 
     Separation reads preprocess/<session>/wpe.wav, so run_preprocess must
-    have run into the same run_dir.
+    have run into the same run_dir. The stage is cached like preprocess and
+    diarize: its key covers the bytes of wpe.wav, the turns and speakers, the
+    guiding activity (None when GSS derives it from the turns), the gss and
+    stft config sections and the code digest. A miss removes every WAV of the
+    stage directory, so it holds exactly the outputs of the stored key.
     """
     run_dir = Path(run_dir)
-    stage_dir = run_dir / "gss" / session["session_id"]
+    sid = session["session_id"]
+    stage_dir = run_dir / "gss" / sid
+    wpe_path = run_dir / "preprocess" / sid / "wpe.wav"
+    turns, speakers = seg.sorted_turns(), seg.speakers
+    guide = None
+    if activity is not None:  # by digest: content_hash's JSON would abbreviate the array
+        probs = np.ascontiguousarray(activity.probs, dtype=np.float64)
+        guide = {"sha256": hashlib.sha256(probs.tobytes()).hexdigest(),
+                 "shape": list(probs.shape), "frame_step": activity.frame_step}
+    key = content_hash([wpe_path], {
+        "stage": "gss", "turns": [[t.speaker, t.start, t.end] for t in turns],
+        "speakers": speakers, "activity": guide, "gss": config["gss"],
+        "stft": config["stft"], "code": code_digest(),
+    })
+    outputs = [stage_dir / (f"{sid}-{t.speaker}-{int(round(t.start * 1000))}-"
+                            f"{int(round(t.end * 1000))}.wav") for t in turns]
+    if _cache_valid(stage_dir, key) and all(p.exists() for p in outputs):
+        return {"outputs": outputs, "cached": True}
+    _cache_drop(stage_dir)
+    for stale in stage_dir.glob("*.wav"):
+        stale.unlink()
+
     cfgs = stage_configs(config)
     gss_cfg, params = cfgs.gss, cfgs.stft
-    audio = read_wav(run_dir / "preprocess" / session["session_id"] / "wpe.wav")
+    audio = read_wav(wpe_path)
     stage_dir.mkdir(parents=True, exist_ok=True)
-    speakers = seg.speakers
     if activity is None:
         frame_step = params.frame_step_seconds(audio.sample_rate)
         activity = segmentation_to_activity(
             seg, frame_step, num_frames=int(np.ceil(audio.duration / frame_step))
         )
-    outputs = []
-    for turn in seg.sorted_turns():
+    for turn, out_path in zip(turns, outputs):
         target = speakers.index(turn.speaker)
         wave = extract_speaker_segment(audio, turn, target, activity, gss_cfg, params)
-        name = (
-            f"{session['session_id']}-{turn.speaker}-"
-            f"{int(round(turn.start * 1000))}-{int(round(turn.end * 1000))}.wav"
-        )
-        out_path = stage_dir / name
         write_wav(out_path, wave)
-        outputs.append(out_path)
-    return outputs
+    _cache_store(stage_dir, key)
+    return {"outputs": outputs, "cached": False}
 
 
 def run_full(session: dict, config: dict, run_dir) -> dict:
@@ -526,12 +557,14 @@ def run_full(session: dict, config: dict, run_dir) -> dict:
     ref = None
     if session.get("reference_rttm"):
         ref = read_session_rttm(session["reference_rttm"], sid)
-    run_preprocess(session, config, run_dir)
+    preprocess = run_preprocess(session, config, run_dir)
     grid = run_diarize_grid(session, config, run_dir)
     fusion = run_fusion(session, config, run_dir, grid["per_channel"])
     report["final_rttm"] = str(fusion["final_path"])
-    outputs = run_gss(session, config, run_dir, fusion["final"], fusion["activity"])
-    report["gss_outputs"] = [str(p) for p in outputs]
+    gss = run_gss(session, config, run_dir, fusion["final"], fusion["activity"])
+    report["gss_outputs"] = [str(p) for p in gss["outputs"]]
+    report["cached"] = {"preprocess": preprocess["cached"], "diarize": grid["cached"],
+                        "gss": gss["cached"]}
     if ref is not None:
         breakdown = compute_der(ref, fusion["final"], config["score"]["collar"])
         report["der"] = breakdown.der

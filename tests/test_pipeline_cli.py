@@ -1,6 +1,7 @@
+import hashlib
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from farfield.pipeline import (
     stage_configs,
 )
 from farfield.preprocess import ClipNormConfig, WpeConfig
-from farfield.segments import read_rttm
+from farfield.segments import Segmentation, Turn, read_rttm, segmentation_to_activity
 from farfield.stft import StftParams
 
 # The defaults, key order included: run_full writes them to config.json.
@@ -199,8 +200,27 @@ class TestCaching:
         assert len({h1, h2, h3}) == 3
 
     def test_content_hash_missing_file(self, tmp_path):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=re.escape(str(tmp_path / "gone"))):
             content_hash([tmp_path / "gone"], {})
+
+    def test_content_hash_equals_whole_file_formula(self, tmp_path):
+        # the formula of the hash that read each file whole, which earlier keys used
+        def whole_file_hash(paths, blob):
+            digest = hashlib.sha256(json.dumps(blob, sort_keys=True, default=str).encode())
+            for p in sorted(str(p) for p in paths):
+                digest.update(p.encode())
+                digest.update(hashlib.sha256(Path(p).read_bytes()).digest())
+            return digest.hexdigest()
+
+        block = farfield.pipeline._HASH_BLOCK
+        rng = np.random.default_rng(0)
+        paths = []
+        for name, size in (("empty", 0), ("one_block", block), ("blocks", 2 * block + 3)):
+            paths.append(tmp_path / name)
+            paths[-1].write_bytes(rng.integers(0, 256, size, dtype=np.uint8).tobytes())
+            blob = {"stage": name, "values": [1, 2.5, None]}
+            assert content_hash([paths[-1]], blob) == whole_file_hash([paths[-1]], blob)
+        assert content_hash(paths, {}) == whole_file_hash(paths, {})
 
     def test_code_change_misses_cache(self, demo_manifest, tmp_path, monkeypatch):
         sessions = load_manifest(demo_manifest)
@@ -257,6 +277,82 @@ class TestCaching:
         assert third["cached"] is False
 
 
+# two turns of the demo session, and an activity of 3,200 values that guides them
+GSS_SEG = Segmentation("demo", (Turn("spk00", 0.5, 2.0), Turn("spk01", 4.0, 5.5)))
+GSS_ACTIVITY = segmentation_to_activity(GSS_SEG, 0.01, num_frames=1600)
+
+
+def _gss_session(manifest, run_dir):
+    """The demo session preprocessed into run_dir, and a config for a quick GSS."""
+    session = load_manifest(manifest)[0]
+    config = load_config(None, overrides={"preprocess.wpe": False, "gss.iterations": 1})
+    run_preprocess(session, config, run_dir)
+    return session, config
+
+
+class TestGssCache:
+    def test_hit_on_unchanged_rerun(self, demo_manifest, tmp_path):
+        run_dir = tmp_path / "run"
+        session, config = _gss_session(demo_manifest, run_dir)
+        first = run_gss(session, config, run_dir, GSS_SEG, GSS_ACTIVITY)
+        written = _files(run_dir / "gss")
+        second = run_gss(session, config, run_dir, GSS_SEG, GSS_ACTIVITY)
+        assert (first["cached"], second["cached"]) == (False, True)
+        assert second["outputs"] == first["outputs"]
+        assert len(first["outputs"]) == 2
+        assert _files(run_dir / "gss") == written
+        first["outputs"][1].unlink()  # a key whose outputs are not all there is a miss
+        assert run_gss(session, config, run_dir, GSS_SEG, GSS_ACTIVITY)["cached"] is False
+        assert _files(run_dir / "gss") == written
+
+    def test_each_input_change_misses(self, demo_manifest, tmp_path, monkeypatch):
+        run_dir = tmp_path / "run"
+        session, config = _gss_session(demo_manifest, run_dir)
+        seg, activity = GSS_SEG, GSS_ACTIVITY
+
+        def separate():
+            return run_gss(session, config, run_dir, seg, activity)
+
+        def misses_then_hits() -> bool:
+            return separate()["cached"] is False and separate()["cached"] is True
+
+        assert misses_then_hits()
+        wpe = run_dir / "preprocess" / "demo" / "wpe.wav"
+        data = bytearray(wpe.read_bytes())
+        data[-4] ^= 1  # the lowest mantissa bit of the last float32 sample
+        wpe.write_bytes(bytes(data))
+        assert misses_then_hits()
+        names = [p.name for p in separate()["outputs"]]
+        seg = Segmentation("demo", (GSS_SEG.turns[0], Turn("spk01", 4.0, 5.5004)))
+        assert misses_then_hits()
+        assert [p.name for p in separate()["outputs"]] == names  # same millisecond names
+        probs = activity.probs.copy()
+        probs[0, 800] = 0.5  # inside what numpy abbreviates when it prints the array
+        activity = replace(activity, probs=probs)
+        assert misses_then_hits()
+        config = load_config(None, overrides={"preprocess.wpe": False, "gss.iterations": 2})
+        assert misses_then_hits()
+        config["stft"]["window"] = "sqrt_hann"
+        assert misses_then_hits()
+        monkeypatch.setattr(farfield.pipeline, "code_digest", lambda: "changed")
+        assert misses_then_hits()
+
+    def test_interrupted_gss_misses_cache(self, demo_manifest, tmp_path, monkeypatch):
+        run_dir = tmp_path / "run"
+        session, config_a = _gss_session(demo_manifest, run_dir)
+        config_b = load_config(None, overrides={"preprocess.wpe": False, "gss.iterations": 2})
+        run_gss(session, config_a, run_dir, GSS_SEG, None)
+        written = _files(run_dir)
+        with monkeypatch.context() as m:  # B stops after its first WAV
+            m.setattr(farfield.pipeline, "write_wav",
+                      _write_then_interrupt(farfield.pipeline.write_wav))
+            with pytest.raises(_Interrupted):
+                run_gss(session, config_b, run_dir, GSS_SEG, None)
+        assert _files(run_dir) != written
+        assert run_gss(session, config_a, run_dir, GSS_SEG, None)["cached"] is False
+        assert _files(run_dir) == written
+
+
 class TestFullPipeline:
     def test_run_full_produces_report_and_outputs(self, demo_manifest, tmp_path):
         sessions = load_manifest(demo_manifest)
@@ -297,6 +393,8 @@ class TestFullPipeline:
         second = run_full(session, config, run_dir)
         assert _files(run_dir / "gss") == first_gss
         assert second["der"] == first["der"]
+        assert first["cached"] == {"preprocess": False, "diarize": False, "gss": False}
+        assert second["cached"] == {"preprocess": True, "diarize": True, "gss": True}
 
     def test_gss_reads_preprocess_output(self, demo_manifest, tmp_path):
         sessions = load_manifest(demo_manifest)
@@ -524,6 +622,21 @@ class TestCli:
         assert len(outputs[0]) == 5
         assert outputs[0] == outputs[1]
 
+    def test_gss_command_keeps_only_the_last_turn_set(self, demo_manifest, tmp_path, capsys):
+        rttm = tmp_path / "two.rttm"
+        rttm.write_text("SPEAKER demo 1 0.500 1.000 <NA> <NA> spk00 <NA> <NA>\n"
+                        "SPEAKER demo 1 4.000 1.000 <NA> <NA> spk01 <NA> <NA>\n")
+        common = ["gss", "--manifest", str(demo_manifest), "--run-dir", str(tmp_path / "run"),
+                  "--set", "preprocess.wpe=false", "--set", "gss.iterations=1"]
+        printed = []
+        for path in (Path(demo_manifest).parent / "demo.rttm", rttm, rttm):
+            assert main([*common, "--rttm", str(path)]) == 0
+            printed.append(capsys.readouterr().out.strip())
+        assert printed == ["demo: done, 5 segment WAVs", "demo: done, 2 segment WAVs",
+                           "demo: cached, 2 segment WAVs"]
+        assert sorted(p.name for p in (tmp_path / "run" / "gss" / "demo").iterdir()) == [
+            ".cache-key", "demo-spk00-500-1500.wav", "demo-spk01-4000-5000.wav"]
+
     def test_score_command(self, demo_manifest, tmp_path, capsys, monkeypatch):
         base = Path(demo_manifest).parent
         code = main([
@@ -558,8 +671,14 @@ class TestCli:
             assert main(["gss", *common, "--rttm", str(rttm)]) == 0
             written.append(_files(tmp_path / workers))
         assert seen == [(2, 1), (2, 1), (2, 2), (2, 2)]
-        assert len([name for name in written[0] if name.startswith("gss/demo2/")]) == 5
-        assert written[0] == written[1]
+        assert len([name for name in written[0]
+                    if name.startswith("gss/demo2/") and name.endswith(".wav")]) == 5
+        # a GSS key hashes the path of its wpe.wav, and so differs between run dirs
+        gss_keys = {"gss/demo/.cache-key", "gss/demo2/.cache-key"}
+        for files in written:
+            assert gss_keys <= files.keys()
+        assert ({k: v for k, v in written[0].items() if k not in gss_keys}
+                == {k: v for k, v in written[1].items() if k not in gss_keys})
 
     def test_fuse_command(self, demo_manifest, tmp_path, capsys):
         base = Path(demo_manifest).parent
@@ -637,4 +756,9 @@ class TestCli:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "demo" in out and "DER" in out
+        assert "demo" in out and "DER" in out and "cached: none" in out
+        assert main(["run", "--manifest", str(demo_manifest), "--config", str(cfg),
+                     "--run-dir", str(tmp_path / "run")]) == 0
+        assert "cached: preprocess, diarize, gss" in capsys.readouterr().out
+        report = json.loads((tmp_path / "run" / "report" / "demo.json").read_text())
+        assert report["cached"] == {"preprocess": True, "diarize": True, "gss": True}
