@@ -41,6 +41,10 @@ def _load(args):
 
     config = load_config(args.config, _overrides(args.set))
     sessions = load_manifest(args.manifest)
+    for session in sessions:  # every command that reads a manifest preprocesses its audio
+        if not session["channels"]:
+            raise DataError(f"manifest {args.manifest}: session {session['session_id']!r} "
+                            "lists no channels")
     return sessions, config
 
 

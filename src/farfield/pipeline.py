@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import functools
 import hashlib
+import itertools
 import json
 import os
 import tempfile
@@ -238,7 +239,15 @@ def objects_with(value, *keys) -> bool:
 
 
 def load_manifest(path) -> list:
-    """Read a session manifest file; returns a list of session dicts."""
+    """Read a session manifest file; returns a list of session dicts.
+
+    Paths resolve relative to the manifest. A session_id is unique and a
+    single path component, since it names a directory of the run dir; a
+    sample_rate is a positive integer; an embedding or activity entry's
+    channel is an integer and its vad_source and variant are strings. A
+    breach raises a DataError naming the manifest. channels may be empty for
+    a session that is only diarized.
+    """
     raw = read_json(path, DataError, "manifest")
     if isinstance(raw, dict) and "sessions" not in raw:
         raise DataError(f"manifest {path}: missing 'sessions'")
@@ -250,14 +259,25 @@ def load_manifest(path) -> list:
     for entry in sessions:
         if "session_id" not in entry or "channels" not in entry:
             raise DataError(f"manifest {path}: sessions need session_id and channels")
-        entry = dict(entry)
+        entry, sid, rate = dict(entry), entry["session_id"], entry.get("sample_rate")
+        if not (isinstance(sid, str) and "\0" not in sid
+                and os.path.basename(sid) == sid not in ("", ".", "..")):
+            raise DataError(f"manifest {path}: session_id {sid!r} is not a file name")
+        if sid in (s["session_id"] for s in out):
+            raise DataError(f"manifest {path}: session_id {sid!r} appears twice")
         if not _list_of(entry["channels"], str):
             raise DataError(f"manifest {path}: 'channels' must be a list of paths")
+        if rate is not None and not (type(rate) is int and rate > 0):
+            raise DataError(f"manifest {path}: 'sample_rate' {rate!r} is not a positive integer")
         entry["channels"] = [str(base / p) for p in entry["channels"]]
         for key in ("embeddings", "soft_activities"):
             items = entry.get(key, [])
             if not objects_with(items, "path"):
                 raise DataError(f"manifest {path}: '{key}' must be a list of objects with a path")
+            if not all(type(ch) is int and _list_of(names, str)
+                       for ch, *names in map(_labels, items)):
+                raise DataError(f"manifest {path}: each of '{key}' needs an integer channel "
+                                "and string vad_source and variant")
             for item in items:
                 item["path"] = str(base / item["path"])
         if not isinstance(entry.get("reference_rttm") or "", str):
@@ -300,15 +320,17 @@ _HASH_BLOCK = 1 << 20
 
 
 def content_hash(paths, config_blob) -> str:
-    """sha256 over the JSON of config_blob, then each path and its file's sha256.
+    """sha256 over code_digest(), the JSON of config_blob, then each file's
+    sha256 in the order of paths.
 
-    config_blob must hold no arrays: it is written with default=str, and numpy
-    abbreviates an array of more than 1,000 elements with "...".
+    A file counts by its bytes and position, never by its path, so moving the
+    inputs or the run dir keeps the key; config_blob names what a position
+    does not. It must hold no arrays: it is written with default=str, and
+    numpy abbreviates an array of more than 1,000 elements with "...".
     """
-    digest = hashlib.sha256()
+    digest = hashlib.sha256(code_digest().encode())
     digest.update(json.dumps(config_blob, sort_keys=True, default=str).encode())
-    for p in sorted(str(p) for p in paths):
-        digest.update(p.encode())
+    for p in paths:
         file_digest = hashlib.sha256()
         try:
             with open(p, "rb") as fh:
@@ -320,18 +342,26 @@ def content_hash(paths, config_blob) -> str:
     return digest.hexdigest()
 
 
-def _cache_valid(stage_dir: Path, key: str) -> bool:
+def _cache_hit(stage_dir: Path, key: str, outputs) -> bool:
+    """Whether stage_dir holds the outputs of key; a miss empties stage_dir.
+
+    A hit needs the stored key to equal key and every path in outputs to
+    exist. A miss removes the stored key first, so that a run interrupted
+    later still misses, then every other file of stage_dir, which then holds
+    only the outputs of the key that _cache_store stores next.
+    """
     marker = stage_dir / ".cache-key"
-    return marker.exists() and marker.read_text().strip() == key
+    if marker.is_file() and marker.read_text() == key and all(p.exists() for p in outputs):
+        return True
+    marker.unlink(missing_ok=True)
+    for stale in stage_dir.glob("*"):  # dot files too; a stage writes no directories
+        if stale.is_file():
+            stale.unlink()
+    return False
 
 
 def _cache_store(stage_dir: Path, key: str) -> None:
     atomic_write_bytes(stage_dir / ".cache-key", key.encode())
-
-
-def _cache_drop(stage_dir: Path) -> None:
-    """Remove the stored key, so that outputs a miss leaves half written never hit."""
-    (stage_dir / ".cache-key").unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -343,19 +373,17 @@ def run_preprocess(session: dict, config: dict, run_dir: Path) -> dict:
     stage_dir = Path(run_dir) / "preprocess" / session["session_id"]
     pc = config["preprocess"]
     cfgs = stage_configs(config)
-    key = content_hash(session["channels"], {"stage": "preprocess", **pc,
-                                             "stft": config["stft"], "code": code_digest()})
+    key = content_hash(session["channels"], {"preprocess": pc, "stft": config["stft"],
+                                             "sample_rate": session.get("sample_rate")})
     result = {
         "orig": stage_dir / "normalized.wav",
         "wpe": stage_dir / "wpe.wav",
         "ranking": stage_dir / "ranking.txt",
         "selected": stage_dir / "selected.json",
-        "cached": False,
     }
-    if _cache_valid(stage_dir, key):
-        result["cached"] = True
+    result["cached"] = _cache_hit(stage_dir, key, list(result.values()))
+    if result["cached"]:
         return result
-    _cache_drop(stage_dir)
 
     normalized = clip_normalize(
         stack_channel_files(session["channels"], session.get("sample_rate")), cfgs.clip
@@ -379,24 +407,10 @@ def run_preprocess(session: dict, config: dict, run_dir: Path) -> dict:
     return result
 
 
-def _grid_streams(session: dict, config: dict):
-    """Grid streams: activity-segment source x recording variant; each stream
-    gives one cell per rejection threshold."""
-    vad_sources = sorted({e.get("vad_source", "default") for e in session.get("embeddings", [])})
-    for vad_source in vad_sources:
-        for variant in config["diarize"]["variants"]:
-            yield vad_source, variant
-
-
-def _find_embedding(session, channel, vad_source, variant):
-    for item in session.get("embeddings", []):
-        if (
-            item.get("channel", 0) == channel
-            and item.get("vad_source", "default") == vad_source
-            and item.get("variant", "orig") == variant
-        ):
-            return item["path"]
-    return None
+def _labels(entry: dict) -> tuple:
+    """A manifest entry's (channel, VAD source, recording variant)."""
+    return (entry.get("channel", 0), entry.get("vad_source", "default"),
+            entry.get("variant", "orig"))
 
 
 def run_diarize_grid(session: dict, config: dict, run_dir: Path) -> dict:
@@ -408,36 +422,35 @@ def run_diarize_grid(session: dict, config: dict, run_dir: Path) -> dict:
     run_dir = Path(run_dir)
     stage_dir = run_dir / "diarize" / session["session_id"]
     dc = config["diarize"]
+    entries = session.get("embeddings", [])
+    # the first file the manifest lists for each (channel, VAD source, variant)
+    emb_paths = {_labels(e): e["path"] for e in reversed(entries)}
     selected_path = run_dir / "preprocess" / session["session_id"] / "selected.json"
     if selected_path.exists():
         channels = json.loads(selected_path.read_text())
     else:
-        channels = sorted({e.get("channel", 0) for e in session.get("embeddings", [])})
-
-    inputs = [p["path"] for p in session.get("embeddings", [])]
-    key = content_hash(inputs, {"stage": "diarize", **dc, "seed": config["seed"],
-                                "code": code_digest()})
+        channels = sorted({ch for ch, _, _ in emb_paths})
+    key = content_hash([e["path"] for e in entries], {
+        "diarize": dc, "seed": config["seed"], "channels": channels,
+        "entries": [_labels(e) for e in entries]})
     fused_paths = {ch: stage_dir / f"fused_ch{ch}.rttm" for ch in channels}
-    cached = _cache_valid(stage_dir, key) and all(p.exists() for p in fused_paths.values())
+    cached = _cache_hit(stage_dir, key, fused_paths.values())
     if not cached:
-        _cache_drop(stage_dir)
         cfgs = stage_configs(config).diarize  # one per threshold, otherwise equal
         thresholds = [cfg.reject_thr for cfg in cfgs]
+        # grid streams: activity-segment source x recording variant; each
+        # stream gives one cell per rejection threshold
+        streams = list(itertools.product(sorted({v for _, v, _ in emb_paths}), dc["variants"]))
         for ch in channels:
             hypotheses = []
-            for vad_source, variant in _grid_streams(session, config):
-                emb_path = _find_embedding(session, ch, vad_source, variant)
+            for vad_source, variant in streams:
+                emb_path = emb_paths.get((ch, vad_source, variant))
                 if emb_path is None:
-                    warnings.warn(
-                        f"no embeddings for channel {ch} / {vad_source} / {variant}; "
-                        f"{len(thresholds)} cells skipped",
-                        stacklevel=2,
-                    )
+                    warnings.warn(f"no embeddings for channel {ch} / {vad_source} / {variant}; "
+                                  f"{len(thresholds)} cells skipped", stacklevel=2)
                     continue
-                cells = diarize_thresholds(
-                    read_embeddings(emb_path), cfgs[0], thresholds, seed=config["seed"],
-                    session_id=session["session_id"],
-                )
+                cells = diarize_thresholds(read_embeddings(emb_path), cfgs[0], thresholds,
+                                           seed=config["seed"], session_id=session["session_id"])
                 stage_dir.mkdir(parents=True, exist_ok=True)
                 for thr, (seg, _, _) in zip(thresholds, cells):
                     write_rttm(stage_dir / f"ch{ch}_{vad_source}_{variant}_thr{thr:g}.rttm", seg)
@@ -455,20 +468,6 @@ def run_diarize_grid(session: dict, config: dict, run_dir: Path) -> dict:
     return {"fused": fused_paths, "per_channel": per_channel, "cached": cached}
 
 
-def _channel_activities(session: dict, channel) -> list:
-    acts = []
-    for item in session.get("soft_activities", []):
-        if item.get("channel", channel) == channel:
-            acts.append(
-                read_activity(
-                    item["path"],
-                    session_id=session["session_id"],
-                    source_tag=item.get("tag", item["path"]),
-                )
-            )
-    return acts
-
-
 def run_fusion(session: dict, config: dict, run_dir: Path, per_channel: dict) -> dict:
     """Per-channel soft fusion of ND activities, then cross-channel hard fusion."""
     run_dir = Path(run_dir)
@@ -477,7 +476,8 @@ def run_fusion(session: dict, config: dict, run_dir: Path, per_channel: dict) ->
     fc = config["fusion"]
     channel_segs, channel_acts = [], []
     for ch, clustering_seg in sorted(per_channel.items()):
-        activities = _channel_activities(session, ch)
+        activities = [read_activity(a["path"], session["session_id"], a.get("tag", a["path"]))
+                      for a in session.get("soft_activities", []) if a.get("channel", ch) == ch]
         if activities:
             fused_act = soft_fuse(activities, clustering_seg, fc["count_match_threshold"])
             seg = binarize(fused_act, fc["binarize_threshold"])
@@ -503,8 +503,7 @@ def run_gss(session: dict, config: dict, run_dir: Path, seg: Segmentation,
     have run into the same run_dir. The stage is cached like preprocess and
     diarize: its key covers the bytes of wpe.wav, the turns and speakers, the
     guiding activity (None when GSS derives it from the turns), the gss and
-    stft config sections and the code digest. A miss removes every WAV of the
-    stage directory, so it holds exactly the outputs of the stored key.
+    stft config sections and the code digest.
     """
     run_dir = Path(run_dir)
     sid = session["session_id"]
@@ -517,17 +516,13 @@ def run_gss(session: dict, config: dict, run_dir: Path, seg: Segmentation,
         guide = {"sha256": hashlib.sha256(probs.tobytes()).hexdigest(),
                  "shape": list(probs.shape), "frame_step": activity.frame_step}
     key = content_hash([wpe_path], {
-        "stage": "gss", "turns": [[t.speaker, t.start, t.end] for t in turns],
-        "speakers": speakers, "activity": guide, "gss": config["gss"],
-        "stft": config["stft"], "code": code_digest(),
+        "turns": [[t.speaker, t.start, t.end] for t in turns], "speakers": speakers,
+        "activity": guide, "gss": config["gss"], "stft": config["stft"],
     })
     outputs = [stage_dir / (f"{sid}-{t.speaker}-{int(round(t.start * 1000))}-"
                             f"{int(round(t.end * 1000))}.wav") for t in turns]
-    if _cache_valid(stage_dir, key) and all(p.exists() for p in outputs):
+    if _cache_hit(stage_dir, key, outputs):
         return {"outputs": outputs, "cached": True}
-    _cache_drop(stage_dir)
-    for stale in stage_dir.glob("*.wav"):
-        stale.unlink()
 
     cfgs = stage_configs(config)
     gss_cfg, params = cfgs.gss, cfgs.stft

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import re
+import shutil
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -80,6 +84,11 @@ def _write_then_interrupt(write):
 def _files(root: Path) -> dict:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
             if p.is_file()}
+
+
+def _outputs(root: Path) -> dict:
+    """_files of a run dir without report/, whose files name the run dir."""
+    return {name: data for name, data in _files(root).items() if not name.startswith("report/")}
 
 
 class TestConfig:
@@ -204,11 +213,12 @@ class TestCaching:
             content_hash([tmp_path / "gone"], {})
 
     def test_content_hash_equals_whole_file_formula(self, tmp_path):
-        # the formula of the hash that read each file whole, which earlier keys used
+        # the code digest, then the blob's JSON, then each file's sha256 in the
+        # given order, with every file read whole
         def whole_file_hash(paths, blob):
-            digest = hashlib.sha256(json.dumps(blob, sort_keys=True, default=str).encode())
-            for p in sorted(str(p) for p in paths):
-                digest.update(p.encode())
+            digest = hashlib.sha256(farfield.pipeline.code_digest().encode())
+            digest.update(json.dumps(blob, sort_keys=True, default=str).encode())
+            for p in paths:
                 digest.update(hashlib.sha256(Path(p).read_bytes()).digest())
             return digest.hexdigest()
 
@@ -221,6 +231,11 @@ class TestCaching:
             blob = {"stage": name, "values": [1, 2.5, None]}
             assert content_hash([paths[-1]], blob) == whole_file_hash([paths[-1]], blob)
         assert content_hash(paths, {}) == whole_file_hash(paths, {})
+        # two orders of the same files give two keys; a file's path counts for nothing
+        assert content_hash(paths[::-1], {}) != content_hash(paths, {})
+        moved = tmp_path / "moved"
+        moved.write_bytes(paths[-1].read_bytes())
+        assert content_hash([moved], {}) == content_hash([paths[-1]], {})
 
     def test_code_change_misses_cache(self, demo_manifest, tmp_path, monkeypatch):
         sessions = load_manifest(demo_manifest)
@@ -275,6 +290,55 @@ class TestCaching:
         changed = load_config(None, overrides={"preprocess.percentile": 0.9})
         third = run_preprocess(sessions[0], changed, run_dir)
         assert third["cached"] is False
+
+    def test_reversed_channels_miss(self, demo_manifest, tmp_path):
+        session = load_manifest(demo_manifest)[0]
+        config = load_config(None, overrides={"preprocess.wpe": False})
+        run_preprocess(session, config, tmp_path / "run")
+        written = _files(tmp_path / "run")
+        session["channels"].reverse()
+        assert run_preprocess(session, config, tmp_path / "run")["cached"] is False
+        run_preprocess(session, config, tmp_path / "fresh")
+        rerun = _files(tmp_path / "run")
+        assert rerun == _files(tmp_path / "fresh")
+        name = "preprocess/demo/normalized.wav"
+        assert rerun[name] != written[name]
+
+    def test_relabelled_embeddings_miss(self, demo_manifest, offgrid_manifest, tmp_path):
+        session = load_manifest(demo_manifest)[0]
+        offgrid = load_manifest(offgrid_manifest)[0]["embeddings"]
+        # channel 1 reads the off-grid session's files, so the channels' turns differ
+        session["embeddings"] = [other if mine["channel"] == 1 else mine
+                                 for mine, other in zip(session["embeddings"], offgrid)]
+        config = load_config(None)
+        run_diarize_grid(session, config, tmp_path / "run")
+        written = _files(tmp_path / "run")
+        for entry in session["embeddings"]:
+            entry["channel"] = 1 - entry["channel"]
+        assert run_diarize_grid(session, config, tmp_path / "run")["cached"] is False
+        run_diarize_grid(session, config, tmp_path / "fresh")
+        rerun = _files(tmp_path / "run")
+        assert rerun == _files(tmp_path / "fresh")
+        assert rerun != written
+
+    def test_deleted_wpe_output_reruns_preprocess_only(self, demo_manifest, tmp_path):
+        session = load_manifest(demo_manifest)[0]
+        config = load_config(None, overrides={"gss.iterations": 1})
+        run_dir = tmp_path / "run"
+        run_full(session, config, run_dir)
+        written = _outputs(run_dir)
+        (run_dir / "preprocess" / "demo" / "wpe.wav").unlink()
+        report = run_full(session, config, run_dir)
+        assert report["cached"] == {"preprocess": False, "diarize": True, "gss": True}
+        assert _outputs(run_dir) == written
+
+    def test_variants_change_keeps_only_new_outputs(self, demo_manifest, tmp_path):
+        session = load_manifest(demo_manifest)[0]
+        run_diarize_grid(session, load_config(None), tmp_path / "run")
+        config = load_config(None, overrides={"diarize.variants": ["wpe"]})
+        assert run_diarize_grid(session, config, tmp_path / "run")["cached"] is False
+        run_diarize_grid(session, config, tmp_path / "fresh")
+        assert _files(tmp_path / "run") == _files(tmp_path / "fresh")
 
 
 # two turns of the demo session, and an activity of 3,200 values that guides them
@@ -673,12 +737,8 @@ class TestCli:
         assert seen == [(2, 1), (2, 1), (2, 2), (2, 2)]
         assert len([name for name in written[0]
                     if name.startswith("gss/demo2/") and name.endswith(".wav")]) == 5
-        # a GSS key hashes the path of its wpe.wav, and so differs between run dirs
-        gss_keys = {"gss/demo/.cache-key", "gss/demo2/.cache-key"}
-        for files in written:
-            assert gss_keys <= files.keys()
-        assert ({k: v for k, v in written[0].items() if k not in gss_keys}
-                == {k: v for k, v in written[1].items() if k not in gss_keys})
+        assert {"gss/demo/.cache-key", "gss/demo2/.cache-key"} <= written[0].keys()
+        assert written[0] == written[1]
 
     def test_fuse_command(self, demo_manifest, tmp_path, capsys):
         base = Path(demo_manifest).parent
@@ -746,6 +806,53 @@ class TestCli:
         assert code == 3
         err = capsys.readouterr().err
         assert "diarize.variants" in err and "wpee" in err and "demo" in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda s: [dict(s, session_id=5)],
+        lambda s: [dict(s, session_id="../../escaped")],
+        lambda s: [dict(s, session_id="")],
+        lambda s: [dict(s, session_id="..")],
+        lambda s: [s, s],
+        lambda s: [dict(s, channels=[])],
+        lambda s: [dict(s, sample_rate="16000")],
+        lambda s: [dict(s, sample_rate=0)],
+        lambda s: [dict(s, embeddings=[dict(e, channel=str(e["channel"]))
+                                       for e in s["embeddings"]])],
+        lambda s: [dict(s, embeddings=[{"path": "x.emb", "vad_source": 1}])],
+        lambda s: [dict(s, soft_activities=[{"path": "x.act", "channel": True}])],
+    ], ids=["id-int", "id-escapes", "id-empty", "id-dotdot", "id-twice", "channels-empty",
+            "rate-string", "rate-zero", "emb-channel-string", "emb-vad-source-int",
+            "act-channel-bool"])
+    def test_invalid_manifest_exits_3(self, demo_manifest, tmp_path, capsys, edit):
+        sessions = edit(load_manifest(demo_manifest)[0])  # absolute paths
+        manifest = tmp_path / "in" / "manifest.json"
+        manifest.parent.mkdir()
+        manifest.write_text(json.dumps({"sessions": sessions}))
+        code = main(["run", "--manifest", str(manifest), "--set", "gss.iterations=1",
+                     "--run-dir", str(tmp_path / "out" / "run")])
+        assert code == 3
+        assert str(manifest) in capsys.readouterr().err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [manifest]
+
+    def test_run_is_deterministic_across_processes(self, demo_manifest, tmp_path, capsys):
+        argv = ["run", "--manifest", str(demo_manifest), "--set", "gss.iterations=1"]
+        src = str(Path(farfield.cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = [tmp_path / "hashseed1", tmp_path / "hashseed2"]
+        for seed, run_dir in enumerate(runs, start=1):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+            done = subprocess.run([sys.executable, "-m", "farfield.cli", *argv,
+                                   "--run-dir", str(run_dir)], env=env, capture_output=True,
+                                  text=True, timeout=600)
+            assert done.returncode == 0, done.stderr
+        assert "gss/demo/.cache-key" in _outputs(runs[0])
+        assert _outputs(runs[0]) == _outputs(runs[1])
+        # no key names a path, so a copied run dir reuses every stage
+        copy = tmp_path / "copy"
+        shutil.copytree(runs[0], copy)
+        assert main([*argv, "--run-dir", str(copy)]) == 0
+        assert "cached: preprocess, diarize, gss" in capsys.readouterr().out
+        assert _outputs(copy) == _outputs(runs[0])
 
     def test_run_command_end_to_end(self, demo_manifest, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
