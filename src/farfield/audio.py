@@ -72,17 +72,9 @@ def read_wav(path) -> MultichannelAudio:
     return MultichannelAudio(samples.T, int(rate))
 
 
-def write_wav(path, audio: MultichannelAudio, dtype: str = "float32") -> None:
-    """Write audio to WAV; dtype is 'float32' or 'int16'."""
-    data = audio.samples.T
-    if dtype == "int16":
-        data = np.clip(data, -1.0, 1.0)
-        data = (data * 32767.0).astype(np.int16)
-    elif dtype == "float32":
-        data = data.astype(np.float32)
-    else:
-        raise DataError(f"unsupported output dtype {dtype}")
-    wavfile.write(path, audio.sample_rate, data)
+def write_wav(path, audio: MultichannelAudio) -> None:
+    """Write audio to a float32 WAV file."""
+    wavfile.write(path, audio.sample_rate, audio.samples.T.astype(np.float32))
 
 
 def stack_channel_files(paths, expected_rate: int | None = None) -> MultichannelAudio:
@@ -98,6 +90,8 @@ def stack_channel_files(paths, expected_rate: int | None = None) -> Multichannel
                 f"sample rate mismatch in {path}: {audio.sample_rate} != {rate}"
             )
         channels.append(audio.samples)
+    if not channels:
+        raise DataError("no channel files to stack")
     lengths = {c.shape[1] for c in channels}
     if len(lengths) > 1:
         raise DataError(f"channel lengths differ across files: {sorted(lengths)}")

@@ -151,7 +151,7 @@ def cmd_simulate(args):
     import numpy as np
 
     from farfield.audio import read_wav, write_wav
-    from farfield.pipeline import atomic_write_bytes, objects_with, read_json
+    from farfield.pipeline import _check_type, atomic_write_bytes, objects_with, read_json
     from farfield.segments import write_rttm
     from farfield.simulate import (
         MixtureSpec,
@@ -167,22 +167,23 @@ def cmd_simulate(args):
             and objects_with(spec["dry_corpus"], "ref", "path")):
         raise ConfigError(f"simulation config {args.config}: 'dry_corpus' must be a "
                           "non-empty list of objects with ref and path")
+    defaults = {"sample_rate": 16000, "num_sessions": 1, "speakers": 4, "channels": 10,
+                "duration": 60.0, "snr_db": None, "noise_ref": None}
     try:
+        for key, default in defaults.items():
+            _check_type(key, spec.get(key, default), default)
         ranges = RoomRanges(**spec.get("room_ranges", {}))
         stats = OverlapStats(**spec.get("overlap_stats", {}))
-        sample_rate, num_sessions, n_spk, channels = (
-            int(spec.get(key, default)) for key, default in
-            (("sample_rate", 16000), ("num_sessions", 1), ("speakers", 4), ("channels", 10))
-        )
-        duration = float(spec.get("duration", 60.0))
-    except (TypeError, ValueError, DataError) as exc:
+    except (TypeError, ValueError, DataError, ConfigError) as exc:
         raise ConfigError(f"simulation config {args.config}: {exc}") from exc
+    sample_rate, num_sessions, n_spk, channels, duration, snr_db, noise_ref = (
+        spec.get(key, default) for key, default in defaults.items())
     base = Path(args.config).parent
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dry_store = {item["ref"]: read_wav(base / item["path"]).samples[0]
                  for item in spec["dry_corpus"]}
-    speech_refs = [r for r in dry_store if r != spec.get("noise_ref")]
+    speech_refs = [r for r in dry_store if r != noise_ref]
     if not speech_refs:
         raise ConfigError(f"simulation config {args.config}: 'dry_corpus' has only the noise_ref")
     rng = np.random.default_rng(args.seed)
@@ -199,8 +200,8 @@ def cmd_simulate(args):
             utterances=utterances,
             duration=duration,
             channels=channels,
-            noise_ref=spec.get("noise_ref"),
-            snr_db=spec.get("snr_db"),
+            noise_ref=noise_ref,
+            snr_db=snr_db,
         )
         audio, seg = simulate_mixture(mix_spec, room, dry_store, sample_rate, noise_seed=index)
         seg = type(seg)(session_id, seg.turns)
@@ -215,7 +216,7 @@ def cmd_simulate(args):
                 "receivers": room.receiver_positions.tolist(),
             },
             "seed": args.seed * 1000 + index,
-            "snr_db": spec.get("snr_db"),
+            "snr_db": snr_db,
             "schedule": [(u.speaker, u.start, u.duration) for u in schedule],
         }
         atomic_write_bytes(

@@ -19,6 +19,9 @@ from farfield.segments import Segmentation, Turn, merge_intervals
 UNASSIGNED = -1
 
 _VAR_FLOOR = 1e-6
+# GMM EM sweeps at most, and the least gain in mean log-likelihood per sweep
+_GMM_ITERATIONS = 100
+_GMM_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -83,10 +86,7 @@ def select_single_speaker_frames(emb: EmbeddingSet, threshold: float):
             single.append(EmbeddingEntry(entry.time_start, entry.time_end, mean[None, :]))
         else:
             mixed.append(entry)
-    return (
-        EmbeddingSet(tuple(single), source_tag=emb.source_tag),
-        EmbeddingSet(tuple(mixed), source_tag=emb.source_tag),
-    )
+    return EmbeddingSet(tuple(single)), EmbeddingSet(tuple(mixed))
 
 
 def reduce_dim(vectors: np.ndarray, target_dim: int, method: str = "linear"):
@@ -135,13 +135,7 @@ def _kmeans_pp_init(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np
     return means
 
 
-def gmm_cluster(
-    vectors: np.ndarray,
-    cfg: DiarizeConfig,
-    seed: int,
-    max_iterations: int = 100,
-    tol: float = 1e-7,
-) -> ClusterSet:
+def gmm_cluster(vectors: np.ndarray, cfg: DiarizeConfig, seed: int) -> ClusterSet:
     """Fit a diagonal-covariance Gaussian mixture by EM and hard-assign points."""
     vectors = np.asarray(vectors, dtype=np.float64)
     n, dim = vectors.shape
@@ -153,7 +147,7 @@ def gmm_cluster(
     variances = np.full((k, dim), max(vectors.var(axis=0).mean(), _VAR_FLOOR))
     weights = np.full(k, 1.0 / k)
     ll_history = []
-    for _ in range(max_iterations):
+    for _ in range(_GMM_ITERATIONS):
         # E-step in log domain
         log_prob = -0.5 * (
             np.sum(np.log(2.0 * np.pi * variances), axis=1)[None, :]
@@ -166,7 +160,7 @@ def gmm_cluster(
         resp = np.exp(log_joint - log_norm[:, None])
         if ll_history and ll < ll_history[-1] - 1e-9:
             raise NumericalError("EM log-likelihood decreased")
-        converged = bool(ll_history) and ll - ll_history[-1] < tol
+        converged = bool(ll_history) and ll - ll_history[-1] < _GMM_TOL
         ll_history.append(ll)
         if converged:
             break
@@ -329,8 +323,7 @@ def diarize_thresholds(
     merged = merge_clusters(gmm_cluster(reduced, cfg, seed), cfg)
     # mixed vectors projected into the clustering space by the same reduction
     mixed = EmbeddingSet(
-        tuple(EmbeddingEntry(e.time_start, e.time_end, project(e.vectors)) for e in mixed.entries),
-        source_tag=mixed.source_tag,
+        tuple(EmbeddingEntry(e.time_start, e.time_end, project(e.vectors)) for e in mixed.entries)
     )
     results = []
     for thr in reject_thrs:

@@ -35,7 +35,6 @@ class EmbeddingSet:
     """Entries sorted by start time; multiple vectors per entry mark mixed speech."""
 
     entries: tuple = field(default_factory=tuple)
-    source_tag: str = ""
 
     def __post_init__(self):
         entries = tuple(self.entries)
@@ -69,20 +68,25 @@ def write_embeddings(path, emb: EmbeddingSet) -> None:
             fh.write(entry.vectors.astype("<f4").tobytes(order="C"))
 
 
-def read_embeddings(path, source_tag: str = "") -> EmbeddingSet:
+def read_embeddings(path) -> EmbeddingSet:
+    """Read an EMB1 file; its vectors must all be finite."""
     with open_input(path, "embedding file", "rb") as fh:
         magic = fh.read(4)
         if magic != _EMB_MAGIC:
             raise DataError(f"{path}: not an embedding file (bad magic {magic!r})")
         dim, count = struct.unpack("<II", read_exact(fh, 8, path, "embedding file header"))
-        records = []
+        headers, payloads = [], []
         for _ in range(count):
-            header = read_exact(fh, 20, path, "embedding record header")
-            t0, t1, n_vec = struct.unpack("<ddI", header)
-            payload = read_exact(fh, 4 * dim * n_vec, path, "embedding vectors")
-            records.append((t0, t1, np.frombuffer(payload, dtype="<f4").reshape(n_vec, dim)))
+            headers.append(struct.unpack("<ddI", read_exact(fh, 20, path, "embedding record header")))
+            payloads.append(read_exact(fh, 4 * dim * headers[-1][2], path, "embedding vectors"))
+    values = np.frombuffer(b"".join(payloads), dtype="<f4").astype(np.float64)
+    if not np.isfinite(values).all():  # once per file, not once per entry
+        raise DataError(f"{path}: embedding vectors must be finite")
+    entries, lo = [], 0
     try:
-        entries = tuple(EmbeddingEntry(t0, t1, v.astype(np.float64)) for t0, t1, v in records)
-        return EmbeddingSet(entries, source_tag=source_tag or str(path))
+        for t0, t1, n_vec in headers:
+            entries.append(EmbeddingEntry(t0, t1, values[lo : lo + n_vec * dim].reshape(n_vec, dim)))
+            lo += n_vec * dim
+        return EmbeddingSet(tuple(entries))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

@@ -25,8 +25,8 @@ class FusionInput:
         weights = tuple(self.weights) if self.weights else (1.0,) * len(hypotheses)
         if len(weights) != len(hypotheses):
             raise DataError("one weight per hypothesis required")
-        if any(w <= 0 for w in weights):
-            raise DataError("weights must be positive")
+        if not all(0 < w < math.inf for w in weights):
+            raise DataError(f"weights must be positive and finite, got {weights}")
         sessions = {h.session_id for h in hypotheses}
         if len(sessions) > 1:
             raise DataError(f"hypotheses span multiple sessions: {sorted(sessions)}")
@@ -138,9 +138,12 @@ def soft_fuse(activities, reference: Segmentation, threshold: float = 0.5) -> So
     activities = list(activities)
     if not activities:
         raise DataError("need at least one soft activity")
+    steps = sorted({a.frame_step for a in activities})
+    if len(steps) > 1:
+        raise DataError(f"soft activities have different frame steps {steps}")
+    step = steps[0]
     ref_count = reference.num_speakers
     survivors = [a for a in activities if a.active_speaker_count(threshold) == ref_count]
-    step = survivors[0].frame_step if survivors else activities[0].frame_step
     if not survivors:
         warnings.warn(
             "all soft activities filtered out by speaker count; "
@@ -156,7 +159,7 @@ def soft_fuse(activities, reference: Segmentation, threshold: float = 0.5) -> So
         probs = act.probs
         if act.num_frames < n_frames:
             probs = np.pad(probs, ((0, 0), (0, n_frames - act.num_frames)))
-        padded = SoftActivity(act.session_id, probs, step, act.source_tag)
+        padded = SoftActivity(act.session_id, probs, step)
         perm = best_permutation(ref_act, padded)
         aligned = np.zeros((max(ref_count, 1), n_frames))
         for s in range(ref_count):
@@ -164,6 +167,4 @@ def soft_fuse(activities, reference: Segmentation, threshold: float = 0.5) -> So
             if src < padded.num_speakers:
                 aligned[s] = padded.probs[src]
         accumulated += aligned
-    return SoftActivity(
-        reference.session_id, accumulated / len(survivors), step, source_tag="soft-fusion"
-    )
+    return SoftActivity(reference.session_id, accumulated / len(survivors), step)

@@ -288,7 +288,6 @@ def extract_speaker_segment(
         activities.session_id,
         resample_activities(activities, tensor, ext_start),
         tensor.frame_step_seconds,
-        activities.source_tag,
     )
     masks = cacgmm_em(tensor, window_act, cfg)
     beamformed = mvdr_beamform(tensor, masks, target)

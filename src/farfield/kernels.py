@@ -3,16 +3,17 @@
 import numpy as np
 
 BACKEND = "numpy"
+SINC_HALF_WIDTH = 40  # 81-tap windowed-sinc fractional delays
 
 _CHUNK = 4096  # images per block: 4096 x 81 float64 taps is 2.7 MB per array
 
 
-def accumulate_sinc_taps(rir, delays, amps, half_width):
+def accumulate_sinc_taps(rir, delays, amps):
     """Add a Hann-windowed sinc at each fractional delay into the buffer.
 
     For a delay d with base b = floor(d) and fraction f = d - b, the tap at
-    b + j (|j| <= half_width) gets amp * sinc(j - f) * w(j - f), where
-    w(x) = 0.5 * (1 + cos(pi * x / (half_width + 1))). Two identities leave
+    b + j (|j| <= SINC_HALF_WIDTH) gets amp * sinc(j - f) * w(j - f), where
+    w(x) = 0.5 * (1 + cos(pi * x / (SINC_HALF_WIDTH + 1))). Two identities leave
     three transcendental calls per image instead of two per tap:
     sin(pi * (j - f)) = -(-1)^j * sin(pi * f), and cos(c*j - c*f) expanded
     over a per-offset table of cos(c*j) and sin(c*j). j - f is zero only at
@@ -20,8 +21,8 @@ def accumulate_sinc_taps(rir, delays, amps, half_width):
     outside the buffer are dropped. Adds into rir in place and returns it.
     """
     n = len(rir)
-    offsets = np.arange(-half_width, half_width + 1)
-    scale = np.pi / (half_width + 1)
+    offsets = np.arange(-SINC_HALF_WIDTH, SINC_HALF_WIDTH + 1)
+    scale = np.pi / (SINC_HALF_WIDTH + 1)
     sign = np.where(offsets % 2 == 0, -1.0, 1.0) / np.pi  # -(-1)^j / pi
     half_cos = 0.5 * np.cos(scale * offsets)
     half_sin = 0.5 * np.sin(scale * offsets)
@@ -34,13 +35,13 @@ def accumulate_sinc_taps(rir, delays, amps, half_width):
         coef = a * np.sin(np.pi * np.minimum(frac, 1.0 - frac))
         arg = offsets - frac[:, None]
         integer = frac == 0.0
-        arg[integer, half_width] = 1.0  # avoids 0 / 0; the tap is set below
+        arg[integer, SINC_HALF_WIDTH] = 1.0  # avoids 0 / 0; the tap is set below
         vals = np.outer(coef, sign)
         vals /= arg
         cos_f = np.cos(scale * frac)[:, None]
         sin_f = np.sin(scale * frac)[:, None]
         vals *= 0.5 + half_cos * cos_f + half_sin * sin_f
-        vals[integer, half_width] = a[integer]
+        vals[integer, SINC_HALF_WIDTH] = a[integer]
         pos = base.astype(np.int64)[:, None] + offsets
         if pos[:, 0].min() < 0 or pos[:, -1].max() >= n:
             inside = (pos >= 0) & (pos < n)

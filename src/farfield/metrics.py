@@ -60,8 +60,8 @@ def optimal_speaker_mapping(ref: Segmentation, hyp: Segmentation, collar: float 
 
 def compute_der(ref: Segmentation, hyp: Segmentation, collar: float = 0.0) -> DerBreakdown:
     """Overlap-aware diarization error rate with optimal label mapping."""
-    if collar < 0:
-        raise DataError("collar must be >= 0")
+    if not 0 <= collar < np.inf:  # NaN fails too
+        raise DataError(f"collar must be finite and >= 0, got {collar}")
     if not ref.turns:
         raise DataError("empty reference: DER undefined")
     regions = _scored_regions(ref, hyp, collar)

@@ -7,6 +7,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -58,9 +59,8 @@ _STAGES = {
 }
 
 # dataclass fields that no config key sets, so a run always takes their
-# defaults: the stages place STFT frame i at i * frame_shift, which holds only
-# with centre padding, and GSS always models residual noise
-_UNKEYED = {(StftParams, "padding"), (GssConfig, "add_noise_source")}
+# defaults: GSS always models residual noise
+_UNKEYED = {(GssConfig, "add_noise_source")}
 
 
 def _stage_defaults(stage: str) -> dict:
@@ -86,8 +86,9 @@ DEFAULT_CONFIG = {
 }
 
 
-# keys whose default is null, and the JSON type of their other values
-_NULL_DEFAULT_TYPES = {"gss.chunk_frames": "integer"}
+# keys whose default is null, and the JSON type of their other values; the
+# last two are keys of the simulation config that `farfield simulate` reads
+_NULL_DEFAULT_TYPES = {"gss.chunk_frames": "integer", "snr_db": "number", "noise_ref": "string"}
 
 
 def _json_type(value) -> str:
@@ -99,6 +100,8 @@ def _json_type(value) -> str:
 
 
 def _has_type(value, want: str) -> bool:
+    if isinstance(value, float) and not math.isfinite(value):  # json reads NaN, Infinity
+        return False
     got = _json_type(value)
     return got == want or (want, got) == ("number", "integer")
 
@@ -474,12 +477,21 @@ def run_fusion(session: dict, config: dict, run_dir: Path, per_channel: dict) ->
     stage_dir = run_dir / "fusion" / session["session_id"]
     stage_dir.mkdir(parents=True, exist_ok=True)
     fc = config["fusion"]
+    entries = session.get("soft_activities", [])
+
+    def fuse(activities, reference):
+        try:
+            return soft_fuse(activities, reference, fc["count_match_threshold"])
+        except DataError as exc:
+            raise DataError(f"session {session['session_id']}, soft activities "
+                            f"{', '.join(a['path'] for a in entries)}: {exc}") from exc
+
     channel_segs, channel_acts = [], []
     for ch, clustering_seg in sorted(per_channel.items()):
-        activities = [read_activity(a["path"], session["session_id"], a.get("tag", a["path"]))
-                      for a in session.get("soft_activities", []) if a.get("channel", ch) == ch]
+        activities = [read_activity(a["path"], session["session_id"])
+                      for a in entries if a.get("channel", ch) == ch]
         if activities:
-            fused_act = soft_fuse(activities, clustering_seg, fc["count_match_threshold"])
+            fused_act = fuse(activities, clustering_seg)
             seg = binarize(fused_act, fc["binarize_threshold"])
             seg = Segmentation(session["session_id"], seg.turns)
             channel_acts.append(fused_act)
@@ -491,7 +503,7 @@ def run_fusion(session: dict, config: dict, run_dir: Path, per_channel: dict) ->
     write_rttm(final_path, final)
     final_act = None
     if channel_acts:
-        final_act = soft_fuse(channel_acts, final, fc["count_match_threshold"])
+        final_act = fuse(channel_acts, final)
     return {"final": final, "final_path": final_path, "activity": final_act}
 
 

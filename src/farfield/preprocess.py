@@ -150,6 +150,10 @@ def wpe_dereverberate(tensor: SpectralTensor, cfg: WpeConfig = WpeConfig()) -> S
 # ---------------------------------------------------------------------------
 # envelope-variance channel ranking
 
+# ranking's own framing, and its mel bands: how many, and their range in Hz
+_RANK_STFT = StftParams(frame_length=512, frame_shift=256)
+_RANK_BANDS, _MEL_FMIN, _MEL_FMAX = 40, 20.0, 7600.0
+
 
 def _hz_to_mel(hz):
     return 2595.0 * np.log10(1.0 + np.asarray(hz) / 700.0)
@@ -159,11 +163,10 @@ def _mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel) / 2595.0) - 1.0)
 
 
-def mel_filterbank(num_bands: int, num_bins: int, sample_rate: int,
-                   fmin: float = 20.0, fmax: float = 7600.0) -> np.ndarray:
-    """Triangular mel filters, (bands, bins)."""
-    fmax = min(fmax, sample_rate / 2.0)
-    edges = _mel_to_hz(np.linspace(_hz_to_mel(fmin), _hz_to_mel(fmax), num_bands + 2))
+def mel_filterbank(num_bands: int, num_bins: int, sample_rate: int) -> np.ndarray:
+    """Triangular mel filters from _MEL_FMIN to _MEL_FMAX or Nyquist, (bands, bins)."""
+    fmax = min(_MEL_FMAX, sample_rate / 2.0)
+    edges = _mel_to_hz(np.linspace(_hz_to_mel(_MEL_FMIN), _hz_to_mel(fmax), num_bands + 2))
     freqs = np.linspace(0.0, sample_rate / 2.0, num_bins)
     bank = np.zeros((num_bands, num_bins))
     for b in range(num_bands):
@@ -174,7 +177,7 @@ def mel_filterbank(num_bands: int, num_bins: int, sample_rate: int,
     return bank
 
 
-def envelope_variance_rank(audio: MultichannelAudio, num_bands: int = 40) -> ChannelRanking:
+def envelope_variance_rank(audio: MultichannelAudio) -> ChannelRanking:
     """Rank channels by subband log-envelope variance (higher = cleaner).
 
     Reverberation and noise smear temporal envelopes, lowering the variance
@@ -183,10 +186,9 @@ def envelope_variance_rank(audio: MultichannelAudio, num_bands: int = 40) -> Cha
     """
     if audio.num_channels < 1:
         raise DataError("need at least one channel")
-    params = StftParams(frame_length=512, frame_shift=256, window="hann", padding="center")
-    spec = stft(audio, params)
+    spec = stft(audio, _RANK_STFT)
     power = np.abs(spec.values) ** 2  # (C, T, F)
-    bank = mel_filterbank(num_bands, spec.num_bins, audio.sample_rate)
+    bank = mel_filterbank(_RANK_BANDS, spec.num_bins, audio.sample_rate)
     envelopes = np.log(power @ bank.T + _EPS)  # (C, T, B)
     envelopes -= envelopes.mean(axis=1, keepdims=True)
     band_var = envelopes.var(axis=1)  # (C, B)

@@ -89,7 +89,6 @@ class SoftActivity:
     session_id: str
     probs: np.ndarray  # (speakers, frames)
     frame_step: float
-    source_tag: str = ""
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=np.float64)
@@ -200,7 +199,7 @@ def segmentation_to_activity(
         i0 = int(np.floor(t.start / frame_step + 0.5))
         i1 = int(np.floor(t.end / frame_step + 0.5))
         probs[index[t.speaker], max(0, i0) : min(num_frames, max(i1, i0 + 1))] = 1.0
-    return SoftActivity(seg.session_id, probs, frame_step, source_tag="binarized")
+    return SoftActivity(seg.session_id, probs, frame_step)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +274,7 @@ def write_activity(path, activity: SoftActivity) -> None:
         fh.write(activity.probs.astype("<f4").tobytes(order="C"))
 
 
-def read_activity(path, session_id: str = "", source_tag: str = "") -> SoftActivity:
+def read_activity(path, session_id: str = "") -> SoftActivity:
     with open_input(path, "soft-activity file", "rb") as fh:
         magic = fh.read(4)
         if magic != _ACT_MAGIC:
@@ -285,7 +284,6 @@ def read_activity(path, session_id: str = "", source_tag: str = "") -> SoftActiv
         payload = read_exact(fh, 4 * n_spk * n_frames, path, "soft-activity payload")
         probs = np.frombuffer(payload, dtype="<f4").reshape(n_spk, n_frames).astype(np.float64)
     try:
-        return SoftActivity(session_id or str(path), probs, step,
-                            source_tag=source_tag or str(path))
+        return SoftActivity(session_id or str(path), probs, step)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

@@ -11,11 +11,9 @@ from scipy.signal import butter, fftconvolve, lfilter
 
 from farfield.audio import MultichannelAudio
 from farfield.errors import DataError
-from farfield.kernels import accumulate_sinc_taps
+from farfield.kernels import SINC_HALF_WIDTH, accumulate_sinc_taps
 from farfield.preprocess import envelope_variance_rank, select_top_channels
 from farfield.segments import Segmentation, Turn
-
-SINC_HALF_WIDTH = 40  # 81-tap windowed-sinc fractional delays
 
 
 @dataclass(frozen=True)
@@ -80,6 +78,9 @@ class RoomRanges:
     min_spacing: float = 0.5
 
     def __post_init__(self):
+        if not np.all(np.isfinite([*self.dim_min, *self.dim_max, self.t60_min, self.t60_max,
+                                   self.wall_clearance, self.min_spacing])):
+            raise DataError("room ranges must be finite")
         if any(a >= b for a, b in zip(self.dim_min, self.dim_max)):
             raise DataError("dimension minima must be below maxima")
         if not 0 < self.t60_min < self.t60_max:
@@ -161,7 +162,7 @@ def generate_rir(
         else:
             amp_keep = np.exp(exponent[keep] * log_beta) / (4.0 * np.pi * dist[keep])
         accumulate_sinc_taps(rir, np.ascontiguousarray(delays[keep]),
-                             np.ascontiguousarray(amp_keep), SINC_HALF_WIDTH)
+                             np.ascontiguousarray(amp_keep))
     if highpass_hz > 0:
         b, a = butter(2, highpass_hz / (sample_rate / 2.0), btype="highpass")
         rir = lfilter(b, a, rir)
@@ -243,7 +244,6 @@ class MixtureSpec:
     channels: int
     noise_ref: str | None = None
     snr_db: float | None = None  # None means no noise scaling target (clean)
-    overlap_stats: OverlapStats = field(default_factory=OverlapStats)
 
     def __post_init__(self):
         for spk, _, start in self.utterances:

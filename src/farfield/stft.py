@@ -26,15 +26,12 @@ class StftParams:
     frame_length: int = 1024
     frame_shift: int = 256
     window: str = "hann"
-    padding: str = "center"
 
     def __post_init__(self):
         if not 0 < self.frame_shift <= self.frame_length:
             raise DataError("require 0 < frame_shift <= frame_length")
         if self.window not in ("hann", "sqrt_hann"):
             raise DataError(f"unknown window {self.window!r}")
-        if self.padding not in ("none", "center"):
-            raise DataError(f"unknown padding {self.padding!r}")
 
     @property
     def num_bins(self) -> int:
@@ -103,16 +100,15 @@ def _check_cola(window: np.ndarray, shift: int) -> np.ndarray:
 
 
 def stft(audio: MultichannelAudio, params: StftParams = StftParams()) -> SpectralTensor:
-    """Analyze audio into a (channels, frames, bins) complex tensor."""
+    """Analyze audio into a (channels, frames, bins) complex tensor; half a
+    frame of padding on each side centres frame i on sample i * frame_shift."""
     if audio.num_samples == 0:
         raise DataError("empty audio")
     window = _analysis_window(params)
     length, shift = params.frame_length, params.frame_shift
-    pad = length // 2 if params.padding == "center" else 0
+    pad = length // 2
     padded = audio.num_samples + 2 * pad
-    if padded < length:
-        raise DataError("signal shorter than frame_length with padding='none'")
-    n_frames = max(1, int(np.ceil((padded - length) / shift)) + 1)
+    n_frames = int(np.ceil((padded - length) / shift)) + 1
     total = (n_frames - 1) * shift + length
     x = np.pad(audio.samples, ((0, 0), (pad, total - padded + pad)))
     framed = np.lib.stride_tricks.sliding_window_view(x, length, axis=-1)[:, ::shift]
@@ -147,9 +143,7 @@ def istft(tensor: SpectralTensor, params: StftParams = StftParams()) -> Multicha
             out[:, t : t + length] += frames[:, i]
             norm[t : t + length] += wsq
     out /= np.maximum(norm, 1e-12)
-    if params.padding == "center":
-        pad = length // 2
-        out = out[:, pad:]
+    out = out[:, length // 2 :]  # the centre padding of stft
     if tensor.num_samples is not None:
         out = out[:, : tensor.num_samples]
     return MultichannelAudio(out, tensor.sample_rate)

@@ -208,7 +208,7 @@ def test_c04_gss_numeric_suite():
         t60_min=0.29, t60_max=0.31, num_sources=2, num_receivers=4,
     )
     rooms = [sample_room(ranges, seed=r) for r in range(20)]
-    params = StftParams(1024, 256, "hann", "center")
+    params = StftParams(1024, 256, "hann")
     cfg = GssConfig(iterations=5)
     step = params.frame_step_seconds(FS)
     improved = 0
@@ -562,7 +562,7 @@ def test_c12_wpe():
     rng = np.random.default_rng(12)
     # anechoic: output nearly identical
     x = MultichannelAudio(rng.standard_normal((2, 60 * FS)), FS)
-    params = StftParams(256, 128, "hann", "center")
+    params = StftParams(256, 128, "hann")
     tensor = stft(x, params)
     out = wpe_dereverberate(tensor, WpeConfig(taps=2, delay=2, iterations=2))
     assert out.values.shape == tensor.values.shape
@@ -580,7 +580,7 @@ def test_c12_wpe():
     wet = MultichannelAudio(
         np.vstack([np.convolve(dry, np.roll(rir, c))[: len(dry)] for c in range(3)]), FS
     )
-    params = StftParams(512, 128, "hann", "center")
+    params = StftParams(512, 128, "hann")
     tensor = stft(wet, params)
     processed = istft(wpe_dereverberate(tensor, WpeConfig(taps=10, delay=2, iterations=3)), params)
     assert processed.samples.shape == wet.samples.shape
@@ -604,12 +604,12 @@ def test_c13_stft_round_trip():
     rng = np.random.default_rng(13)
     x = MultichannelAudio(rng.standard_normal((3, 20000)), FS)
     configs = [
-        StftParams(1024, 256, "hann", "center"),
-        StftParams(1024, 512, "hann", "center"),
-        StftParams(1024, 256, "sqrt_hann", "center"),
-        StftParams(1024, 512, "sqrt_hann", "center"),
-        StftParams(512, 128, "hann", "center"),
-        StftParams(512, 256, "sqrt_hann", "center"),
+        StftParams(1024, 256, "hann"),
+        StftParams(1024, 512, "hann"),
+        StftParams(1024, 256, "sqrt_hann"),
+        StftParams(1024, 512, "sqrt_hann"),
+        StftParams(512, 128, "hann"),
+        StftParams(512, 256, "sqrt_hann"),
     ]
     for params in configs:
         y = istft(stft(x, params), params)

@@ -32,6 +32,11 @@ class TestFusionInput:
         with pytest.raises(DataError):
             FusionInput((_seg([("a", 0, 1)], "s1"), _seg([("a", 0, 1)], "s2")))
 
+    @pytest.mark.parametrize("weight", [float("inf"), float("nan")])
+    def test_weight_not_positive_and_finite_rejected(self, weight):
+        with pytest.raises(DataError, match="positive and finite"):
+            FusionInput((_seg([("a", 0, 1)]), _seg([("b", 0, 1)])), (weight, 1.0))
+
     def test_default_weights_uniform(self):
         fi = FusionInput((_seg([("a", 0, 1)]), _seg([("b", 0, 1)])))
         assert fi.weights == (1.0, 1.0)
@@ -213,6 +218,14 @@ class TestSoftFuse:
         swapped = _act(base.probs[::-1].copy())
         fused = soft_fuse([base, swapped], ref)
         np.testing.assert_allclose(fused.probs, base.probs)
+
+    def test_mixed_frame_steps_rejected(self):
+        # one 4 s speech at 0.5 s and at 0.25 s steps: averaging the rows
+        # would describe 8 s of activity
+        ref = _seg([("a", 0.0, 4.0)])
+        coarse, fine = (segmentation_to_activity(ref, step) for step in (0.5, 0.25))
+        with pytest.raises(DataError, match=r"different frame steps \[0.25, 0.5\]"):
+            soft_fuse([coarse, fine], ref)
 
     def test_fallback_warns_and_uses_reference(self):
         ref = self._ref()

@@ -234,7 +234,6 @@ def _reference_chunked_cacgmm(tensor, activities, cfg):
             activities.session_id,
             speaker_probs[:, start:stop],
             tensor.frame_step_seconds,
-            activities.source_tag,
         )
         mask = cacgmm_em(sub, sub_act, replace(cfg, chunk_frames=None))
         pieces.append(mask.gammas)

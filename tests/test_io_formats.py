@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.io import wavfile
 
 from farfield.audio import MultichannelAudio, read_wav, stack_channel_files, write_wav
 from farfield.embeddings import EmbeddingEntry, EmbeddingSet, read_embeddings, write_embeddings
 from farfield.errors import DataError
-from farfield.pipeline import load_manifest
+from farfield.pipeline import load_config, load_manifest, run_preprocess
 from farfield.segments import (
     Segmentation,
     SoftActivity,
@@ -39,10 +40,11 @@ class TestWav:
         np.testing.assert_allclose(back.samples, audio.samples, atol=1e-7)
 
     def test_int16_round_trip_quantized(self, tmp_path):
+        # write_wav writes float32 only; read_wav still reads PCM16 input
         rng = np.random.default_rng(1)
         audio = MultichannelAudio(np.clip(0.3 * rng.standard_normal((2, 1000)), -1, 1), FS)
         path = tmp_path / "a.wav"
-        write_wav(path, audio, dtype="int16")
+        wavfile.write(path, FS, (audio.samples.T * 32767.0).astype(np.int16))
         back = read_wav(path)
         np.testing.assert_allclose(back.samples, audio.samples, atol=2.0 / 32767)
 
@@ -72,6 +74,14 @@ class TestWav:
     def test_missing_file_raises_data_error(self, tmp_path):
         with pytest.raises(DataError):
             read_wav(tmp_path / "nope.wav")
+
+    def test_stack_no_files_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="no channel files"):
+            stack_channel_files([])
+        # load_manifest accepts a session without channels, for diarize-only use
+        session = {"session_id": "s", "channels": []}
+        with pytest.raises(DataError, match="no channel files"):
+            run_preprocess(session, load_config(), tmp_path / "run")
 
 
 class TestRttm:

@@ -89,6 +89,9 @@ class TestDer:
             compute_der(_seg([("a", 0, 1)]), _seg([]), collar=-0.5)
         with pytest.raises(DataError):
             compute_der(_seg([("a", 0, 1)]), _seg([]), collar=5.0)
+        for collar in (float("nan"), float("inf")):
+            with pytest.raises(DataError, match="finite"):
+                compute_der(_seg([("a", 0, 1)]), _seg([("a", 0, 1)]), collar=collar)
 
     @given(shift=st.floats(-0.2, 0.2), data=st.data())
     @settings(max_examples=30, deadline=None)

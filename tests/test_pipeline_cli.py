@@ -25,13 +25,21 @@ from farfield.pipeline import (
     load_manifest,
     run_diarize_grid,
     run_full,
+    run_fusion,
     run_gss,
     run_preprocess,
     score_directories,
     stage_configs,
 )
 from farfield.preprocess import ClipNormConfig, WpeConfig
-from farfield.segments import Segmentation, Turn, read_rttm, segmentation_to_activity
+from farfield.embeddings import EmbeddingEntry, EmbeddingSet, write_embeddings
+from farfield.segments import (
+    Segmentation,
+    Turn,
+    read_rttm,
+    segmentation_to_activity,
+    write_activity,
+)
 from farfield.stft import StftParams
 
 # The defaults, key order included: run_full writes them to config.json.
@@ -98,7 +106,7 @@ class TestConfig:
         assert json.dumps(config, indent=2) == json.dumps(DEFAULTS, indent=2)
 
     def test_every_stage_field_has_a_key(self):
-        unkeyed = {(StftParams, "padding"), (GssConfig, "add_noise_source")}
+        unkeyed = {(GssConfig, "add_noise_source")}
         renamed = {(WpeConfig, "taps"): "wpe_taps", (WpeConfig, "delay"): "wpe_delay",
                    (WpeConfig, "iterations"): "wpe_iterations",
                    (WpeConfig, "block_length"): "block_seconds",
@@ -460,6 +468,18 @@ class TestFullPipeline:
         assert first["cached"] == {"preprocess": False, "diarize": False, "gss": False}
         assert second["cached"] == {"preprocess": True, "diarize": True, "gss": True}
 
+    def test_fusion_names_activity_files_of_mixed_steps(self, tmp_path):
+        seg = Segmentation("s", (Turn("a", 0.0, 4.0),))
+        entries = []
+        for step in (0.5, 0.25):
+            path = tmp_path / f"act_{step}.act"
+            write_activity(path, segmentation_to_activity(seg, step))
+            entries.append({"path": str(path), "channel": 0})
+        session = {"session_id": "s", "channels": [], "soft_activities": entries}
+        with pytest.raises(DataError, match="frame steps") as info:
+            run_fusion(session, load_config(None), tmp_path / "run", {0: seg})
+        assert all(e["path"] in str(info.value) for e in entries)
+
     def test_gss_reads_preprocess_output(self, demo_manifest, tmp_path):
         sessions = load_manifest(demo_manifest)
         seg = read_rttm(Path(demo_manifest).parent / "demo.rttm")["demo"]
@@ -548,6 +568,23 @@ def _write_malformed_inputs(root):
     (root / "sim_no_corpus.json").write_text(json.dumps({"speakers": 2}))
     (root / "sim_noise_only.json").write_text(json.dumps(
         {"dry_corpus": [{"ref": "n", "path": "ch0.wav"}], "noise_ref": "n"}))
+    (root / "sim_snr_word.json").write_text(json.dumps(
+        {"dry_corpus": [{"ref": "u", "path": "ch0.wav"}, {"ref": "n", "path": "ch0.wav"}],
+         "noise_ref": "n", "snr_db": "loud"}))
+    (root / "sim_speakers_float.json").write_text(json.dumps(
+        {"dry_corpus": [{"ref": "u", "path": "ch0.wav"}], "speakers": 2.7}))
+    (root / "sim_room_infinite.json").write_text(json.dumps(
+        {"dry_corpus": [{"ref": "u", "path": "ch0.wav"}],
+         "room_ranges": {"dim_max": [9.0, 7.0, float("inf")]}}))
+    # json writes an infinite float as Infinity, which json reads back
+    (root / "fuse_inf_weight.json").write_text(json.dumps(
+        {"hypotheses": [{"path": "ok.rttm", "weight": float("inf")}, {"path": "ok.rttm"}]}))
+    vectors = np.random.default_rng(1).standard_normal((20, 16))
+    vectors[7, 3] = np.nan
+    write_embeddings(root / "nan.emb", EmbeddingSet(tuple(
+        EmbeddingEntry(0.5 * i, 0.5 * i + 0.5, v) for i, v in enumerate(vectors))))
+    (root / "nan_emb.json").write_text(json.dumps(
+        {"sessions": [dict(session, embeddings=[{"path": "nan.emb", "channel": 0}])]}))
 
 
 class TestCli:
@@ -579,6 +616,10 @@ class TestCli:
             (["gss", "--manifest", "manifest.json", "--rttm", "ok.rttm",
               "--activity", "gone.act"], "gone.act"),
             (["run", "--manifest", "no_reference.json"], "gone.rttm"),
+            (["fuse", "--inputs", "fuse_inf_weight.json", "--output", "o.rttm"],
+             "fuse_inf_weight.json"),
+            (["diarize", "--manifest", "nan_emb.json", "--config", "no_wpe.json"],
+             "nan.emb: embedding vectors must be finite"),
         ],
         ids=["manifest-sessions", "emb-header", "act-header", "rttm-onset",
              "manifest-sessions-type", "manifest-entry-type", "rttm-negative-duration",
@@ -586,7 +627,7 @@ class TestCli:
              "fuse-missing", "fuse-bad-json", "fuse-no-hypotheses", "fuse-item-no-path",
              "fuse-multi-session", "fuse-missing-rttm", "fuse-bad-weight",
              "gss-rttm-session", "gss-missing-rttm", "gss-missing-activity",
-             "run-missing-reference"],
+             "run-missing-reference", "fuse-infinite-weight", "emb-nan-vector"],
     )
     def test_malformed_input_exits_3(self, tmp_path, monkeypatch, capsys, argv, named):
         _write_malformed_inputs(tmp_path)
@@ -618,13 +659,27 @@ class TestCli:
             (["run", "--set", "preprocess.percentile=1.5"], "preprocess.percentile"),
             (["gss", "--manifest", "manifest.json", "--rttm", "ok.rttm",
               "--vad-mask", "mask.npy"], "--vad-mask needs --activity"),
+            (["preprocess", "--manifest", "manifest.json",
+              "--set", "preprocess.block_seconds=Infinity"], "preprocess.block_seconds"),
+            (["run", "--set", "gss.context_margin=NaN"], "gss.context_margin"),
+            (["run", "--set", "gss.noise_floor=-Infinity"], "gss.noise_floor"),
+            (["run", "--set", "score.collar=NaN"], "score.collar"),
+            (["run", "--set", "diarize.reject_thrs=[NaN]"], "diarize.reject_thrs"),
+            (["simulate", "--config", "sim_snr_word.json", "--output-dir", "out"],
+             "sim_snr_word.json: snr_db"),
+            (["simulate", "--config", "sim_speakers_float.json", "--output-dir", "out"],
+             "sim_speakers_float.json: speakers"),
+            (["simulate", "--config", "sim_room_infinite.json", "--output-dir", "out"],
+             "sim_room_infinite.json: room ranges must be finite"),
         ],
         ids=["sim-missing", "sim-bad-json", "sim-room-key", "sim-no-corpus", "sim-noise-only",
              "set-no-value",
              "set-string-int", "set-string-float", "set-float-list", "set-string-seed",
              "set-zero-iterations", "set-string-list", "set-unknown-section",
              "set-unknown-key", "set-removed-gss-wpe", "set-percentile-range",
-             "gss-vad-mask-without-activity"],
+             "gss-vad-mask-without-activity", "set-infinite-block", "set-nan-margin",
+             "set-minus-infinite-floor", "set-nan-collar", "set-nan-in-list",
+             "sim-snr-string", "sim-speakers-float", "sim-room-infinite"],
     )
     def test_config_error_exits_2(self, tmp_path, monkeypatch, capsys, argv, named):
         _write_malformed_inputs(tmp_path)

@@ -125,7 +125,7 @@ class TestWpe:
         # long signal keeps the regression from fitting noise correlations
         rng = np.random.default_rng(6)
         x = MultichannelAudio(rng.standard_normal((2, 60 * FS)), FS)
-        params = StftParams(256, 128, "hann", "center")
+        params = StftParams(256, 128, "hann")
         tensor = stft(x, params)
         out = wpe_dereverberate(tensor, WpeConfig(taps=2, delay=2, iterations=2))
         num = np.linalg.norm(out.values - tensor.values, axis=(0, 1))
@@ -147,7 +147,7 @@ class TestWpe:
             shift_rir = np.roll(rir, c)  # slightly different paths per channel
             channels.append(np.convolve(dry, shift_rir)[: len(dry)])
         wet = MultichannelAudio(np.vstack(channels), FS)
-        params = StftParams(512, 128, "hann", "center")
+        params = StftParams(512, 128, "hann")
         tensor = stft(wet, params)
         out = wpe_dereverberate(tensor, WpeConfig(taps=10, delay=2, iterations=3))
         from farfield.stft import istft
@@ -176,7 +176,7 @@ class TestWpe:
         # fewer frames than taps + delay: prediction impossible, identity
         rng = np.random.default_rng(8)
         x = MultichannelAudio(rng.standard_normal((2, 2048)), FS)
-        tensor = stft(x, StftParams(1024, 512, "hann", "none"))
+        tensor = stft(x, StftParams(1024, 512, "hann"))
         out = wpe_dereverberate(tensor, WpeConfig(taps=10, delay=2))
         np.testing.assert_array_equal(out.values, tensor.values)
 

@@ -151,7 +151,7 @@ class TestKernels:
         from farfield.kernels import accumulate_sinc_taps
 
         amps = np.random.default_rng(0).standard_normal(len(delays))
-        got = accumulate_sinc_taps(np.zeros(_N_TAPS), delays, amps, SINC_HALF_WIDTH)
+        got = accumulate_sinc_taps(np.zeros(_N_TAPS), delays, amps)
         want = _per_tap_sinc_taps(np.zeros(_N_TAPS), delays, amps, SINC_HALF_WIDTH)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -159,7 +159,7 @@ class TestKernels:
         from farfield.kernels import accumulate_sinc_taps
 
         rir = np.zeros(200)
-        accumulate_sinc_taps(rir, np.array([100.0]), np.array([0.5]), SINC_HALF_WIDTH)
+        accumulate_sinc_taps(rir, np.array([100.0]), np.array([0.5]))
         assert rir[100] == pytest.approx(0.5)
         mask = np.ones(200, dtype=bool)
         mask[100] = False

@@ -29,7 +29,7 @@ def test_linearity():
 
 def test_sinusoid_energy_concentrates_in_bin():
     # bin-center frequency: k * fs / frame_length, frame >= 4 periods
-    params = StftParams(1024, 256, "hann", "center")
+    params = StftParams(1024, 256, "hann")
     k = 32
     freq = k * FS / params.frame_length
     t = np.arange(FS) / FS
@@ -50,7 +50,7 @@ def test_sinusoid_energy_concentrates_in_bin():
 @pytest.mark.parametrize("window", ["hann", "sqrt_hann"])
 @pytest.mark.parametrize("shift", [256, 512])
 def test_round_trip_all_cola_configs(window, shift):
-    params = StftParams(1024, shift, window, "center")
+    params = StftParams(1024, shift, window)
     rng = np.random.default_rng(7)
     x = _audio(rng.standard_normal((3, 12345)))
     y = istft(stft(x, params), params)
@@ -60,7 +60,7 @@ def test_round_trip_all_cola_configs(window, shift):
 
 
 def test_round_trip_sqrt_hann_half_overlap_multichannel():
-    params = StftParams(512, 256, "sqrt_hann", "center")
+    params = StftParams(512, 256, "sqrt_hann")
     rng = np.random.default_rng(3)
     x = _audio(rng.standard_normal((3, 8000)))
     y = istft(stft(x, params), params)
@@ -75,7 +75,7 @@ def test_zero_tensor_inverts_to_zero():
 
 
 def test_parseval_per_frame():
-    params = StftParams(512, 128, "hann", "center")
+    params = StftParams(512, 128, "hann")
     rng = np.random.default_rng(11)
     x = _audio(rng.standard_normal(4000))
     tensor = stft(x, params)
@@ -104,11 +104,9 @@ def test_errors():
     with pytest.raises(DataError):
         stft(MultichannelAudio(np.empty((1, 0)), FS))
     with pytest.raises(DataError):
-        stft(_audio(np.ones(100)), StftParams(1024, 256, "hann", "none"))
-    with pytest.raises(DataError):
         StftParams(256, 512)
     # non-invertible overlap: hann with shift == frame_length
-    params = StftParams(512, 512, "hann", "center")
+    params = StftParams(512, 512, "hann")
     tensor = stft(_audio(np.ones(4000)), params)
     with pytest.raises(DataError):
         istft(tensor, params)
@@ -122,9 +120,7 @@ def _window(params):
 def _stft_one_shot(samples, params):
     """Reference: every frame gathered, windowed and transformed in one call."""
     length, shift = params.frame_length, params.frame_shift
-    x = samples
-    if params.padding == "center":
-        x = np.pad(x, ((0, 0), (length // 2, length // 2)))
+    x = np.pad(samples, ((0, 0), (length // 2, length // 2)))
     n_frames = max(1, int(np.ceil((x.shape[1] - length) / shift)) + 1)
     x = np.pad(x, ((0, 0), (0, (n_frames - 1) * shift + length - x.shape[1])))
     idx = np.arange(length)[None, :] + shift * np.arange(n_frames)[:, None]
@@ -143,18 +139,15 @@ def _istft_one_shot(values, params, num_samples):
         out[:, t * shift : t * shift + length] += frames[:, t]
         norm[t * shift : t * shift + length] += window * window
     out /= np.maximum(norm, 1e-12)
-    if params.padding == "center":
-        out = out[:, length // 2 :]
-    return out[:, :num_samples]
+    return out[:, length // 2 : length // 2 + num_samples]
 
 
 @pytest.mark.parametrize("window", ["hann", "sqrt_hann"])
-@pytest.mark.parametrize("padding", ["center", "none"])
-def test_frame_slices_equal_one_shot(window, padding):
+def test_frame_slices_equal_one_shot(window):
     # more frames than one slice and not a multiple of it
-    params = StftParams(64, 16, window, padding)
+    params = StftParams(64, 16, window)
     frames = 2 * _FRAMES + 37
-    n = (frames - 1) * 16 + (0 if padding == "center" else 64) - 5
+    n = (frames - 1) * 16 - 5
     x = np.random.default_rng(13).standard_normal((3, n))
     tensor = stft(_audio(x), params)
     assert tensor.num_frames == frames
