@@ -86,7 +86,7 @@ def cmd_diarize(args):
 
 def cmd_fuse(args):
     from farfield.fusion import FusionInput, doverlap_fuse
-    from farfield.pipeline import objects_with, read_json
+    from farfield.pipeline import _has_type, objects_with, read_json
     from farfield.segments import read_rttm, write_rttm
 
     spec = read_json(args.inputs, DataError, "fusion inputs")
@@ -101,10 +101,12 @@ def cmd_fuse(args):
         if len(segs) != 1:
             raise DataError(f"{base / item['path']}: expected exactly one session per file")
         hypotheses.append(next(iter(segs.values())))
+    weights = tuple(item.get("weight", 1.0) for item in items)
     try:
-        weights = tuple(float(item.get("weight", 1.0)) for item in items)
-        fusion_input = FusionInput(tuple(hypotheses), weights)
-    except (TypeError, ValueError, DataError) as exc:
+        if not all(_has_type(w, "number") for w in weights):
+            raise DataError(f"weights must be JSON numbers, got {weights}")
+        fusion_input = FusionInput(tuple(hypotheses), tuple(map(float, weights)))
+    except DataError as exc:
         raise DataError(f"fusion inputs {args.inputs}: {exc}") from exc
     fused = doverlap_fuse(fusion_input)
     write_rttm(args.output, fused)
@@ -151,7 +153,8 @@ def cmd_simulate(args):
     import numpy as np
 
     from farfield.audio import read_wav, write_wav
-    from farfield.pipeline import _check_type, atomic_write_bytes, objects_with, read_json
+    from farfield.pipeline import (_build, _dataclass_defaults, _validate, atomic_write_bytes,
+                                   objects_with, read_json)
     from farfield.segments import write_rttm
     from farfield.simulate import (
         MixtureSpec,
@@ -163,26 +166,31 @@ def cmd_simulate(args):
     )
 
     spec = read_json(args.config, ConfigError, "simulation config")
-    if not (isinstance(spec, dict) and spec.get("dry_corpus")
-            and objects_with(spec["dry_corpus"], "ref", "path")):
+    corpus = spec.pop("dry_corpus", None) if isinstance(spec, dict) else None
+    if not (corpus and objects_with(corpus, "ref", "path")):
         raise ConfigError(f"simulation config {args.config}: 'dry_corpus' must be a "
                           "non-empty list of objects with ref and path")
     defaults = {"sample_rate": 16000, "num_sessions": 1, "speakers": 4, "channels": 10,
-                "duration": 60.0, "snr_db": None, "noise_ref": None}
+                "duration": 60.0, "snr_db": None, "noise_ref": None,
+                "room_ranges": _dataclass_defaults(RoomRanges, {}),
+                "overlap_stats": _dataclass_defaults(OverlapStats, {})}
     try:
-        for key, default in defaults.items():
-            _check_type(key, spec.get(key, default), default)
-        ranges = RoomRanges(**spec.get("room_ranges", {}))
-        stats = OverlapStats(**spec.get("overlap_stats", {}))
-    except (TypeError, ValueError, DataError, ConfigError) as exc:
+        config = _validate(spec, defaults)
+        ranges = _build(RoomRanges, "room_ranges", config.pop("room_ranges"))
+        stats = _build(OverlapStats, "overlap_stats", config.pop("overlap_stats"))
+        for key in ("sample_rate", "num_sessions", "speakers", "channels", "duration"):
+            if not config[key] > 0:
+                raise ConfigError(f"{key} must be positive, got {config[key]}")
+        if config["channels"] > ranges.num_receivers:
+            raise ConfigError(f"channels {config['channels']} exceed "
+                              f"room_ranges.num_receivers {ranges.num_receivers}")
+    except ConfigError as exc:
         raise ConfigError(f"simulation config {args.config}: {exc}") from exc
-    sample_rate, num_sessions, n_spk, channels, duration, snr_db, noise_ref = (
-        spec.get(key, default) for key, default in defaults.items())
+    sample_rate, num_sessions, n_spk, channels, duration, snr_db, noise_ref = config.values()
     base = Path(args.config).parent
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dry_store = {item["ref"]: read_wav(base / item["path"]).samples[0]
-                 for item in spec["dry_corpus"]}
+    dry_store = {item["ref"]: read_wav(base / item["path"]).samples[0] for item in corpus}
     speech_refs = [r for r in dry_store if r != noise_ref]
     if not speech_refs:
         raise ConfigError(f"simulation config {args.config}: 'dry_corpus' has only the noise_ref")

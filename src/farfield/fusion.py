@@ -10,7 +10,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from farfield.errors import DataError
-from farfield.segments import Segmentation, SoftActivity, Turn, segmentation_to_activity, sweep
+from farfield.segments import (Segmentation, SoftActivity, Turn, coactivity_matrix,
+                               positive_matching, segmentation_to_activity, sweep)
 
 
 @dataclass(frozen=True)
@@ -40,14 +41,8 @@ def overlap_duration_matrix(a: Segmentation, b: Segmentation):
     A speaker's overlapping turns count once, as in the DER and the vote.
     """
     spk_a, spk_b = a.speakers, b.speakers
-    matrix = np.zeros((len(spk_a), len(spk_b)))
-    ia = {s: i for i, s in enumerate(spk_a)}
-    ib = {s: i for i, s in enumerate(spk_b)}
-    for left, right, (active_a, active_b) in sweep(a, b):
-        for sa in active_a:
-            for sb in active_b:
-                matrix[ia[sa], ib[sb]] += right - left
-    return matrix, spk_a, spk_b
+    regions = ((right - left, *active) for left, right, active in sweep(a, b))
+    return coactivity_matrix(regions, spk_a, spk_b), spk_a, spk_b
 
 
 def map_labels_to_anchor(hyp: Segmentation, anchor: Segmentation, tag: str) -> Segmentation:
@@ -57,11 +52,7 @@ def map_labels_to_anchor(hyp: Segmentation, anchor: Segmentation, tag: str) -> S
     overlap stay unmapped and keep a unique label.
     """
     matrix, spk_h, spk_a = overlap_duration_matrix(hyp, anchor)
-    rows, cols = linear_sum_assignment(-matrix)
-    mapping = {}
-    for r, c in zip(rows, cols):
-        if matrix[r, c] > 0:
-            mapping[spk_h[r]] = spk_a[c]
+    mapping = positive_matching(matrix, spk_h, spk_a)
     for s in spk_h:
         mapping.setdefault(s, f"{tag}:{s}")
     return hyp.relabeled(mapping)

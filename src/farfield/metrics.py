@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from farfield.errors import DataError
-from farfield.segments import Segmentation, sweep
+from farfield.segments import Segmentation, coactivity_matrix, positive_matching, sweep
 
 SI_SDR_CAP_DB = 60.0
 
@@ -42,15 +41,8 @@ def _scored_regions(ref: Segmentation, hyp: Segmentation, collar: float) -> list
 
 def _mapping(regions: list, ref: Segmentation, hyp: Segmentation) -> dict:
     ref_spk, hyp_spk = ref.speakers, hyp.speakers
-    matrix = np.zeros((len(hyp_spk), len(ref_spk)))
-    ih = {s: i for i, s in enumerate(hyp_spk)}
-    ir = {s: i for i, s in enumerate(ref_spk)}
-    for dur, ref_active, hyp_active in regions:
-        for h in hyp_active:
-            for r in ref_active:
-                matrix[ih[h], ir[r]] += dur
-    rows, cols = linear_sum_assignment(-matrix)
-    return {hyp_spk[r]: ref_spk[c] for r, c in zip(rows, cols) if matrix[r, c] > 0}
+    matrix = coactivity_matrix(((d, h, r) for d, r, h in regions), hyp_spk, ref_spk)
+    return positive_matching(matrix, hyp_spk, ref_spk)
 
 
 def optimal_speaker_mapping(ref: Segmentation, hyp: Segmentation, collar: float = 0.0) -> dict:

@@ -63,25 +63,26 @@ _STAGES = {
 _UNKEYED = {(GssConfig, "add_noise_source")}
 
 
-def _stage_defaults(stage: str) -> dict:
-    """The stage dataclass's defaults under their config keys, in field order."""
-    _, cls, rename = _STAGES[stage]
+def _dataclass_defaults(cls, rename: dict) -> dict:
+    """A config dataclass's defaults under their config keys (rename maps a key to its
+    field where they differ), in field order; a tuple default reads as a JSON array."""
     key_of = {f: k for k, f in rename.items()}
-    return {key_of.get(f.name, f.name): f.default for f in fields(cls)
-            if (cls, f.name) not in _UNKEYED}
+    return {key_of.get(f.name, f.name): list(f.default) if isinstance(f.default, tuple)
+            else f.default for f in fields(cls) if (cls, f.name) not in _UNKEYED}
 
+
+_KEYED = {stage: _dataclass_defaults(cls, rename) for stage, (_, cls, rename) in _STAGES.items()}
 
 # the stage defaults live in the dataclasses; written out here are only the
 # keys that no dataclass field has, and the list that replaces reject_thr
 DEFAULT_CONFIG = {
     "seed": 0,
-    "stft": _stage_defaults("stft"),
-    "preprocess": {**_stage_defaults("clip"), "wpe": True, **_stage_defaults("wpe"),
-                   "selection_fraction": 0.8},
-    "diarize": {**_stage_defaults("diarize"), "reject_thrs": [8.0, 10.0, 14.0],
+    "stft": _KEYED["stft"],
+    "preprocess": {**_KEYED["clip"], "wpe": True, **_KEYED["wpe"], "selection_fraction": 0.8},
+    "diarize": {**_KEYED["diarize"], "reject_thrs": [8.0, 10.0, 14.0],
                 "variants": ["orig", "wpe"]},
     "fusion": {"binarize_threshold": 0.5, "count_match_threshold": 0.5},
-    "gss": _stage_defaults("gss"),
+    "gss": _KEYED["gss"],
     "score": {"collar": 0.0},
 }
 
@@ -211,7 +212,7 @@ def stage_configs(config: dict) -> StageConfigs:
 
     def build(stage: str, **values):
         section, cls, rename = _STAGES[stage]
-        keyed = {key: config[section][key] for key in _stage_defaults(stage)}
+        keyed = {key: config[section][key] for key in _KEYED[stage]}
         return _build(cls, section, {**keyed, **values}, rename)
 
     return StageConfigs(

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from farfield.errors import DataError
 
@@ -141,6 +142,26 @@ def sweep(*segmentations):
             del counts[speaker]
         if following[0] != time:
             yield time, following[0], tuple(map(frozenset, open_turns))
+
+
+def coactivity_matrix(regions, rows: list, cols: list) -> np.ndarray:
+    """Total duration that each (row label, column label) pair is active together,
+    summed over (duration, active row labels, active column labels) regions."""
+    matrix = np.zeros((len(rows), len(cols)))
+    row_of = {s: i for i, s in enumerate(rows)}
+    col_of = {s: i for i, s in enumerate(cols)}
+    for duration, active_rows, active_cols in regions:
+        for r in active_rows:
+            for c in active_cols:
+                matrix[row_of[r], col_of[c]] += duration
+    return matrix
+
+
+def positive_matching(matrix: np.ndarray, rows: list, cols: list) -> dict:
+    """Row label -> column label of a max-weight one-to-one matching (Hungarian
+    method); pairs of zero weight stay unmatched."""
+    picked = zip(*linear_sum_assignment(-matrix))
+    return {rows[r]: cols[c] for r, c in picked if matrix[r, c] > 0}
 
 
 def erode_bounds(seg: Segmentation, margin: float) -> Segmentation:

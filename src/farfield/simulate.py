@@ -13,7 +13,7 @@ from farfield.audio import MultichannelAudio
 from farfield.errors import DataError
 from farfield.kernels import SINC_HALF_WIDTH, accumulate_sinc_taps
 from farfield.preprocess import envelope_variance_rank, select_top_channels
-from farfield.segments import Segmentation, Turn
+from farfield.segments import Segmentation, Turn, sweep
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,8 @@ class RoomRanges:
     min_spacing: float = 0.5
 
     def __post_init__(self):
+        if not len(self.dim_min) == len(self.dim_max) == 3:
+            raise DataError("room dimension ranges need three values each")
         if not np.all(np.isfinite([*self.dim_min, *self.dim_max, self.t60_min, self.t60_max,
                                    self.wall_clearance, self.min_spacing])):
             raise DataError("room ranges must be finite")
@@ -85,6 +87,10 @@ class RoomRanges:
             raise DataError("dimension minima must be below maxima")
         if not 0 < self.t60_min < self.t60_max:
             raise DataError("invalid t60 range")
+        if self.num_sources < 1 or self.num_receivers < 1:
+            raise DataError("a room needs at least one source and one receiver")
+        if self.wall_clearance < 0 or self.min_spacing < 0:
+            raise DataError("wall clearance and source-receiver spacing must be >= 0")
 
 
 def sample_room(ranges: RoomRanges, seed: int) -> RoomSpec:
@@ -184,6 +190,14 @@ class OverlapStats:
     overlap_mean: float = 0.7  # exponential mean, seconds
     utterance_log_median: float = 2.0
     utterance_log_sigma: float = 0.5
+
+    def __post_init__(self):
+        if not 0 <= self.p_overlap <= 1:  # NaN fails too
+            raise DataError(f"p_overlap must lie in [0, 1], got {self.p_overlap}")
+        for name in ("pause_log_median", "pause_log_sigma", "overlap_mean",
+                     "utterance_log_median", "utterance_log_sigma"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise DataError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -301,10 +315,8 @@ def simulate_mixture(
             raise DataError(f"noise audio {spec.noise_ref!r} missing from store")
         noise = np.asarray(dry_store[spec.noise_ref], dtype=np.float64)
         noise = _tile_noise(noise, mix.shape[1], spec.channels, noise_seed)
-        gain = _snr_gain(mix, noise, spec.snr_db)
-        if gain is not None:
-            noise_image = gain * noise
-            mix = mix + noise_image
+        noise_image = _snr_gain(mix, noise, spec.snr_db) * noise
+        mix = mix + noise_image
     segmentation = Segmentation("sim", tuple(sorted(turns, key=lambda t: (t.start, t.speaker))))
     audio = MultichannelAudio(mix, sample_rate)
     if return_components:
@@ -312,13 +324,13 @@ def simulate_mixture(
     return audio, segmentation
 
 
-def _snr_gain(speech: np.ndarray, noise: np.ndarray, snr_db: float):
-    """Gain that puts noise snr_db below speech in power; None if either is silent."""
+def _snr_gain(speech: np.ndarray, noise: np.ndarray, snr_db: float) -> float:
+    """Gain that puts noise snr_db below speech in power; 1.0 if either is silent."""
     speech_power = np.mean(speech**2)
     noise_power = np.mean(noise**2)
     if noise_power > 0 and speech_power > 0:
         return math.sqrt(speech_power / (noise_power * 10.0 ** (snr_db / 10.0)))
-    return None
+    return 1.0
 
 
 def _tile_noise(noise: np.ndarray, n_samples: int, channels: int, seed: int) -> np.ndarray:
@@ -349,19 +361,16 @@ class SeparationExampleConfig:
     ranges: RoomRanges = field(default_factory=RoomRanges)
 
 
-def _pairwise_overlap_starts(durations, total, rng, max_tries=200):
+_OVERLAP_TRIES = 200  # random layouts drawn before the non-overlapping fallback
+
+
+def _pairwise_overlap_starts(durations, total, rng):
     """Start times such that no time instant has three active utterances."""
-    for _ in range(max_tries):
+    for _ in range(_OVERLAP_TRIES):
         starts = [float(rng.uniform(0.0, max(total - d, 0.0))) for d in durations]
-        events = []
-        for s, d in zip(starts, durations):
-            events.append((s, 1))
-            events.append((min(s + d, total), -1))
-        depth = peak = 0
-        for _, delta in sorted(events):
-            depth += delta
-            peak = max(peak, depth)
-        if peak <= 2:
+        layout = Segmentation("layout", [Turn(str(i), s, min(s + d, total))
+                                         for i, (s, d) in enumerate(zip(starts, durations)) if d])
+        if all(len(active) <= 2 for _, _, (active,) in sweep(layout)):
             return starts
     # fall back to a non-overlapping layout
     starts, t = [], 0.0
@@ -398,19 +407,8 @@ def simulate_separation_examples(cfg: SeparationExampleConfig, dry_store: dict, 
             noise_ref=cfg.noise_ref,
             snr_db=cfg.snr_db,
         )
-        images, turns = render_speaker_images(spec, room, dry_store, cfg.sample_rate)
-        mix = sum(images.values())
-        noise_img = np.zeros_like(mix)
-        if cfg.noise_ref is not None and cfg.noise_ref in dry_store:
-            noise = _tile_noise(
-                np.asarray(dry_store[cfg.noise_ref], dtype=np.float64),
-                mix.shape[1],
-                cfg.render_channels,
-                seed=index,
-            )
-            gain = _snr_gain(mix, noise, cfg.snr_db)
-            noise_img = (1.0 if gain is None else gain) * noise
-        mixture = MultichannelAudio(mix + noise_img, cfg.sample_rate)
+        mixture, segmentation, images, noise_img = simulate_mixture(
+            spec, room, dry_store, cfg.sample_rate, noise_seed=index, return_components=True)
         ranking = envelope_variance_rank(mixture)
         selected = select_top_channels(
             ranking, cfg.keep_channels / cfg.render_channels
@@ -426,7 +424,7 @@ def simulate_separation_examples(cfg: SeparationExampleConfig, dry_store: dict, 
             "room_dimensions": room.dimensions.tolist(),
             "t60": room.t60,
             "channels": selected,
-            "turns": [(t.speaker, t.start, t.end) for t in turns],
+            "turns": [(t.speaker, t.start, t.end) for t in segmentation.turns],
             "noise_image": MultichannelAudio(noise_img[selected], cfg.sample_rate),
         }
         examples.append((mixture.select_channels(selected), targets, metadata))

@@ -529,6 +529,31 @@ class TestScoring:
         assert result["sessions"] == [] and np.isnan(result["count_accuracy"])
 
 
+# simulation configs that are valid JSON but that the checker rejects: each
+# adds its entries to a one-utterance corpus, and the error names the key
+_SIM_CONFIG_ERRORS = {
+    "sim_unknown_key": ({"durration": 5.0}, "unknown config key durration"),
+    "sim_log_median_infinite": ({"overlap_stats": {"utterance_log_median": float("inf")}},
+                                "overlap_stats.utterance_log_median"),
+    "sim_sources_float": ({"room_ranges": {"num_sources": 2.5}}, "room_ranges.num_sources"),
+    "sim_receivers_string": ({"room_ranges": {"num_receivers": "3"}},
+                             "room_ranges.num_receivers"),
+    "sim_p_overlap_string": ({"overlap_stats": {"p_overlap": "x"}}, "overlap_stats.p_overlap"),
+    "sim_overlap_nan": ({"overlap_stats": {"overlap_mean": float("nan")}},
+                        "overlap_stats.overlap_mean"),
+    "sim_p_overlap_above_1": ({"overlap_stats": {"p_overlap": 1.5}}, "overlap_stats.p_overlap"),
+    "sim_sample_rate_zero": ({"sample_rate": 0}, "sample_rate"),
+    "sim_duration_negative": ({"duration": -1.0}, "duration"),
+    "sim_dim_min_short": ({"room_ranges": {"dim_min": [4.0, 3.0]}}, "room_ranges.dim_min"),
+    "sim_channels_zero": ({"channels": 0}, "channels"),
+    "sim_sessions_negative": ({"num_sessions": -1}, "num_sessions"),
+    "sim_spacing_negative": ({"room_ranges": {"min_spacing": -1.0}}, "room_ranges.min_spacing"),
+    "sim_speakers_zero": ({"speakers": 0}, "speakers"),
+    "sim_channels_above_receivers": ({"channels": 3, "room_ranges": {"num_receivers": 2}},
+                                     "channels"),
+}
+
+
 def _write_malformed_inputs(root):
     """A tiny session whose embedding, activity, manifest and RTTM files are broken."""
     noise = 0.1 * np.random.default_rng(0).standard_normal(8000)
@@ -579,6 +604,12 @@ def _write_malformed_inputs(root):
     # json writes an infinite float as Infinity, which json reads back
     (root / "fuse_inf_weight.json").write_text(json.dumps(
         {"hypotheses": [{"path": "ok.rttm", "weight": float("inf")}, {"path": "ok.rttm"}]}))
+    for name, weight in (("fuse_string_weight", "3"), ("fuse_bool_weight", True)):
+        (root / f"{name}.json").write_text(json.dumps(
+            {"hypotheses": [{"path": "ok.rttm", "weight": weight}, {"path": "ok.rttm"}]}))
+    for name, (entries, _) in _SIM_CONFIG_ERRORS.items():
+        (root / f"{name}.json").write_text(json.dumps(
+            {"dry_corpus": [{"ref": "u", "path": "ch0.wav"}], **entries}))
     vectors = np.random.default_rng(1).standard_normal((20, 16))
     vectors[7, 3] = np.nan
     write_embeddings(root / "nan.emb", EmbeddingSet(tuple(
@@ -620,6 +651,10 @@ class TestCli:
              "fuse_inf_weight.json"),
             (["diarize", "--manifest", "nan_emb.json", "--config", "no_wpe.json"],
              "nan.emb: embedding vectors must be finite"),
+            (["fuse", "--inputs", "fuse_string_weight.json", "--output", "o.rttm"],
+             "fuse_string_weight.json"),
+            (["fuse", "--inputs", "fuse_bool_weight.json", "--output", "o.rttm"],
+             "fuse_bool_weight.json"),
         ],
         ids=["manifest-sessions", "emb-header", "act-header", "rttm-onset",
              "manifest-sessions-type", "manifest-entry-type", "rttm-negative-duration",
@@ -627,7 +662,8 @@ class TestCli:
              "fuse-missing", "fuse-bad-json", "fuse-no-hypotheses", "fuse-item-no-path",
              "fuse-multi-session", "fuse-missing-rttm", "fuse-bad-weight",
              "gss-rttm-session", "gss-missing-rttm", "gss-missing-activity",
-             "run-missing-reference", "fuse-infinite-weight", "emb-nan-vector"],
+             "run-missing-reference", "fuse-infinite-weight", "emb-nan-vector",
+             "fuse-string-weight", "fuse-bool-weight"],
     )
     def test_malformed_input_exits_3(self, tmp_path, monkeypatch, capsys, argv, named):
         _write_malformed_inputs(tmp_path)
@@ -670,7 +706,10 @@ class TestCli:
             (["simulate", "--config", "sim_speakers_float.json", "--output-dir", "out"],
              "sim_speakers_float.json: speakers"),
             (["simulate", "--config", "sim_room_infinite.json", "--output-dir", "out"],
-             "sim_room_infinite.json: room ranges must be finite"),
+             "sim_room_infinite.json: room_ranges.dim_max"),
+            *((["simulate", "--config", f"{name}.json", "--output-dir", "out"],
+               f"simulation config {name}.json: {named}")
+              for name, (_, named) in _SIM_CONFIG_ERRORS.items()),
         ],
         ids=["sim-missing", "sim-bad-json", "sim-room-key", "sim-no-corpus", "sim-noise-only",
              "set-no-value",
@@ -679,7 +718,8 @@ class TestCli:
              "set-unknown-key", "set-removed-gss-wpe", "set-percentile-range",
              "gss-vad-mask-without-activity", "set-infinite-block", "set-nan-margin",
              "set-minus-infinite-floor", "set-nan-collar", "set-nan-in-list",
-             "sim-snr-string", "sim-speakers-float", "sim-room-infinite"],
+             "sim-snr-string", "sim-speakers-float", "sim-room-infinite",
+             *(name.replace("_", "-") for name in _SIM_CONFIG_ERRORS)],
     )
     def test_config_error_exits_2(self, tmp_path, monkeypatch, capsys, argv, named):
         _write_malformed_inputs(tmp_path)

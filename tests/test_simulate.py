@@ -11,6 +11,7 @@ from farfield.simulate import (
     RoomRanges,
     RoomSpec,
     SeparationExampleConfig,
+    _pairwise_overlap_starts,
     generate_rir,
     sample_conversation,
     sample_room,
@@ -201,6 +202,30 @@ class TestSampleRoom:
         assert dists.min() >= ranges.min_spacing
 
 
+class TestRangeChecks:
+    @pytest.mark.parametrize("values", [
+        {"dim_min": (4.0, 3.0)}, {"dim_max": (9.0, 7.0, math.inf)}, {"num_sources": 0},
+        {"num_receivers": 0}, {"wall_clearance": -0.1}, {"min_spacing": -1.0},
+    ])
+    def test_room_ranges_rejected(self, values):
+        with pytest.raises(DataError):
+            RoomRanges(**values)
+
+    @pytest.mark.parametrize("values", [
+        {"p_overlap": 1.5}, {"p_overlap": -0.1}, {"p_overlap": math.nan},
+        {"overlap_mean": 0.0}, {"overlap_mean": math.nan}, {"pause_log_sigma": -1.0},
+        {"utterance_log_median": math.inf}, {"pause_log_median": 0.0},
+        {"utterance_log_sigma": 0.0},
+    ])
+    def test_overlap_stats_rejected(self, values):
+        with pytest.raises(DataError):
+            OverlapStats(**values)
+
+    def test_overlap_stats_bounds_accepted(self):
+        OverlapStats(p_overlap=0.0)
+        OverlapStats(p_overlap=1.0)
+
+
 class TestSampleConversation:
     def test_deterministic(self):
         a = sample_conversation(OverlapStats(), 4, 60.0, seed=5)
@@ -291,13 +316,57 @@ class TestSimulateMixture:
         with pytest.raises(DataError):
             simulate_mixture(spec, room, dry, FS)
 
+    def test_silent_speech_gets_noise_at_unit_gain(self):
+        _, room, dry = self._setup()
+        spec = MixtureSpec(1, (), 2.0, channels=2, noise_ref="noise", snr_db=10.0)
+        audio, seg, images, noise = simulate_mixture(spec, room, dry, FS, return_components=True)
+        # 2 s of mono noise fill the 2 s session once: tiled over channels, no offset
+        expected = np.tile(dry["noise"], (2, 1))
+        np.testing.assert_array_equal(noise, expected)
+        np.testing.assert_array_equal(audio.samples, expected)
+        assert not seg.turns and not np.any(images[0])
+
+
+def _event_loop_starts(durations, total, rng):
+    """The pairwise layout as it was drawn with its own event loop, for comparison."""
+    for _ in range(200):
+        starts = [float(rng.uniform(0.0, max(total - d, 0.0))) for d in durations]
+        events = []
+        for s, d in zip(starts, durations):
+            events.append((s, 1))
+            events.append((min(s + d, total), -1))
+        depth = peak = 0
+        for _, delta in sorted(events):
+            depth += delta
+            peak = max(peak, depth)
+        if peak <= 2:
+            return starts
+    starts, t = [], 0.0
+    for d in durations:
+        starts.append(min(t, max(total - d, 0.0)))
+        t += d
+    return starts
+
+
+class TestPairwiseOverlapStarts:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_event_loop(self, seed):
+        draw = np.random.default_rng(1000 + seed)
+        durations = [float(d) for d in draw.uniform(0.0, 2.5, size=draw.integers(0, 6))]
+        if seed % 4 == 0 and durations:
+            durations[0] = 0.0  # an empty utterance takes no part in the overlap count
+        got = _pairwise_overlap_starts(durations, 2.0, np.random.default_rng(seed))
+        assert got == _event_loop_starts(durations, 2.0, np.random.default_rng(seed))
+
+
+def _separation_dry():
+    rng = np.random.default_rng(13)
+    return {f"s{i}": 0.1 * rng.standard_normal(int(0.6 * FS)) for i in range(3)}
+
 
 class TestSeparationExamples:
     def test_shapes_counts_and_overlap_bound(self):
-        rng = np.random.default_rng(13)
-        dry = {
-            f"s{i}": 0.1 * rng.standard_normal(int(0.6 * FS)) for i in range(3)
-        }
+        dry = _separation_dry()
         cfg = SeparationExampleConfig(
             count=3, duration=1.0, max_speakers=2, render_channels=4,
             keep_channels=2, ranges=_FAST_RANGES,
@@ -323,6 +392,21 @@ class TestSeparationExamples:
                 peak = max(peak, depth)
             assert peak <= 2
 
+    def test_turns_listed_in_time_order(self):
+        cfg = SeparationExampleConfig(count=1, duration=1.0, max_speakers=3, render_channels=4,
+                                      keep_channels=2, ranges=_FAST_RANGES)
+        # seed 0 draws two speakers, the second of whom starts first
+        ((_, _, meta),) = simulate_separation_examples(cfg, _separation_dry(), seed=0)
+        assert [t[0] for t in meta["turns"]] == ["spk01", "spk00"]
+        assert meta["turns"] == sorted(meta["turns"], key=lambda t: (t[1], t[0]))
+
     def test_empty_store_rejected(self):
         with pytest.raises(DataError):
             simulate_separation_examples(SeparationExampleConfig(), {}, seed=0)
+
+    def test_missing_noise_ref_rejected(self):
+        dry = {"s0": 0.1 * np.random.default_rng(0).standard_normal(FS // 2)}
+        cfg = SeparationExampleConfig(count=1, duration=1.0, render_channels=4,
+                                      keep_channels=2, noise_ref="noise", ranges=_FAST_RANGES)
+        with pytest.raises(DataError, match="noise audio 'noise' missing"):
+            simulate_separation_examples(cfg, dry, seed=0)

@@ -1,0 +1,66 @@
+"""Hash every file that the benchmark workloads write, to show that a change keeps bytes.
+
+For meeting and hypotheses seeds 1-3 it writes the workload inputs with this
+checkout's perfbench/inputs.py, runs run_full on each meeting session and the
+diarize grid plus fusion on each hypotheses session, with the default config.
+It prints one JSON object that maps every input and output file, outside
+report/ and .cache-key, to its sha256. Run it in two checkouts and diff the
+two maps:
+
+    PYTHONPATH=src python3 tools/same_bytes.py > same_bytes.json
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import inputs  # noqa: E402  (the checkout's perfbench/inputs.py)
+
+import farfield.pipeline as pipeline  # noqa: E402
+
+SEEDS = (1, 2, 3)
+
+
+def _meeting(session: dict, config: dict, run_dir: Path) -> None:
+    pipeline.run_full(session, config, run_dir)
+
+
+def _hypotheses(session: dict, config: dict, run_dir: Path) -> None:
+    grid = pipeline.run_diarize_grid(session, config, run_dir)
+    pipeline.run_fusion(session, config, run_dir, grid["per_channel"])
+
+
+RUNS = {"meeting": _meeting, "hypotheses": _hypotheses}
+
+
+def _hashes(root: Path) -> dict:
+    return {
+        str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.name != ".cache-key"
+        and "report" not in path.relative_to(root).parts
+    }
+
+
+def main() -> None:
+    config = pipeline.load_config()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for workload, run in RUNS.items():
+            for seed in SEEDS:
+                data = root / f"{workload}-{seed}" / "inputs"
+                data.mkdir(parents=True)
+                inputs.MAKERS[workload](data, seed)
+                session = pipeline.load_manifest(data / "manifest.json")[0]
+                run(session, config, data.parent / "run")
+        print(json.dumps(_hashes(root), indent=1, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()
