@@ -184,13 +184,21 @@ def cmd_simulate(args):
         if config["channels"] > ranges.num_receivers:
             raise ConfigError(f"channels {config['channels']} exceed "
                               f"room_ranges.num_receivers {ranges.num_receivers}")
+        if config["noise_ref"] is not None and config["snr_db"] is None:
+            raise ConfigError(f"snr_db must be set to mix noise_ref {config['noise_ref']!r}")
     except ConfigError as exc:
         raise ConfigError(f"simulation config {args.config}: {exc}") from exc
     sample_rate, num_sessions, n_spk, channels, duration, snr_db, noise_ref = config.values()
     base = Path(args.config).parent
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dry_store = {item["ref"]: read_wav(base / item["path"]).samples[0] for item in corpus}
+    dry_store = {}
+    for item in corpus:
+        dry = read_wav(base / item["path"])
+        if dry.sample_rate != sample_rate or dry.num_channels != 1:
+            raise DataError(f"dry WAV {base / item['path']}: {dry.num_channels} channels at "
+                            f"{dry.sample_rate} Hz, need 1 channel at {sample_rate} Hz")
+        dry_store[item["ref"]] = dry.samples[0]
     speech_refs = [r for r in dry_store if r != noise_ref]
     if not speech_refs:
         raise ConfigError(f"simulation config {args.config}: 'dry_corpus' has only the noise_ref")
@@ -238,6 +246,9 @@ def cmd_simulate(args):
 def cmd_score(args):
     from farfield.pipeline import format_score_report, score_directories
 
+    for directory in (args.ref_dir, args.hyp_dir):
+        if not any(Path(directory).glob("*.rttm")):
+            raise DataError(f"{directory}: not a directory that holds *.rttm files")
     result = score_directories(args.ref_dir, args.hyp_dir, args.collar)
     print(format_score_report(result))
     return 0

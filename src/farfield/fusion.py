@@ -7,11 +7,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from farfield.errors import DataError
 from farfield.segments import (Segmentation, SoftActivity, Turn, coactivity_matrix,
-                               positive_matching, segmentation_to_activity, sweep)
+                               linear_sum_assignment, positive_matching,
+                               segmentation_to_activity, sweep)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,8 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from farfield.errors import DataError
+from farfield.errors import DataError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -155,6 +154,71 @@ def coactivity_matrix(regions, rows: list, cols: list) -> np.ndarray:
             for c in active_cols:
                 matrix[row_of[r], col_of[c]] += duration
     return matrix
+
+
+def linear_sum_assignment(cost) -> tuple:
+    """Minimum-cost one-to-one assignment of rows to columns: (rows, cols) index arrays.
+
+    The shortest augmenting path method of scipy.optimize.linear_sum_assignment
+    (Crouse, IEEE TAES 2016), ported step for step so that ties resolve the
+    same way: the columns are scanned from a reversed list, an unassigned
+    column wins at equal path cost, and a tall matrix is solved transposed and
+    its pairs sorted by column. A cost that is not finite is a NumericalError.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2:
+        raise DataError(f"cost matrix must be 2-D, got shape {cost.shape}")
+    if not np.all(np.isfinite(cost)):
+        raise NumericalError("assignment cost matrix holds a non-finite value")
+    transpose = cost.shape[1] < cost.shape[0]
+    rows = (cost.T if transpose else cost).tolist()
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    u, v = [0.0] * nr, [0.0] * nc
+    col4row, row4col = [-1] * nr, [-1] * nc
+    path = [-1] * nc
+    for cur_row in range(nr):
+        remaining = list(range(nc - 1, -1, -1))
+        shortest = [math.inf] * nc
+        rows_seen, cols_seen = {cur_row}, []
+        i, min_val, sink = cur_row, 0.0, -1
+        while sink == -1:
+            index, lowest = -1, math.inf
+            row, u_i = rows[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    lowest, index = shortest[j], it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+                rows_seen.add(i)
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # dual update, then augment along the path back to cur_row
+        u[cur_row] += min_val
+        for i in rows_seen - {cur_row}:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    if transpose:
+        order = sorted(range(nr), key=col4row.__getitem__)
+        return (np.array([col4row[c] for c in order], dtype=np.intp),
+                np.array(order, dtype=np.intp))
+    return np.arange(nr, dtype=np.intp), np.array(col4row, dtype=np.intp)
 
 
 def positive_matching(matrix: np.ndarray, rows: list, cols: list) -> dict:

@@ -7,7 +7,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import butter, fftconvolve, lfilter
 
 from farfield.audio import MultichannelAudio
 from farfield.errors import DataError
@@ -170,6 +169,8 @@ def generate_rir(
         accumulate_sinc_taps(rir, np.ascontiguousarray(delays[keep]),
                              np.ascontiguousarray(amp_keep))
     if highpass_hz > 0:
+        from scipy.signal import butter, lfilter  # only a rendered room needs scipy.signal
+
         b, a = butter(2, highpass_hz / (sample_rate / 2.0), btype="highpass")
         rir = lfilter(b, a, rir)
     direct = int(round(np.linalg.norm(src - rec) * sample_rate / c))
@@ -257,14 +258,24 @@ class MixtureSpec:
     duration: float
     channels: int
     noise_ref: str | None = None
-    snr_db: float | None = None  # None means no noise scaling target (clean)
+    snr_db: float | None = None  # None only without noise_ref; infinite: clean
 
     def __post_init__(self):
+        if self.noise_ref is not None and self.snr_db is None:
+            raise DataError(f"noise {self.noise_ref!r} needs an snr_db to be mixed at")
         for spk, _, start in self.utterances:
             if not 0 <= start < self.duration:
                 raise DataError(f"utterance start {start} outside [0, {self.duration})")
             if not 0 <= spk < self.speakers:
                 raise DataError(f"speaker index {spk} out of range")
+
+
+def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution: scipy.signal.fftconvolve, imported on first use, so
+    that importing farfield loads no scipy module."""
+    from scipy.signal import fftconvolve as scipy_fftconvolve
+
+    return scipy_fftconvolve(a, b)
 
 
 def render_speaker_images(spec: MixtureSpec, room: RoomSpec, dry_store, sample_rate: int):
@@ -310,7 +321,7 @@ def simulate_mixture(
     for img in images.values():
         mix += img
     noise_image = np.zeros_like(mix)
-    if spec.noise_ref is not None and spec.snr_db is not None and np.isfinite(spec.snr_db):
+    if spec.noise_ref is not None and np.isfinite(spec.snr_db):
         if spec.noise_ref not in dry_store:
             raise DataError(f"noise audio {spec.noise_ref!r} missing from store")
         noise = np.asarray(dry_store[spec.noise_ref], dtype=np.float64)

@@ -1,5 +1,7 @@
+import io
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
-from farfield.audio import MultichannelAudio, read_wav, stack_channel_files, write_wav
+from farfield.audio import (MultichannelAudio, read_wav, stack_channel_files, wav_header,
+                            write_wav)
 from farfield.embeddings import EmbeddingEntry, EmbeddingSet, read_embeddings, write_embeddings
 from farfield.errors import DataError
 from farfield.pipeline import load_config, load_manifest, run_preprocess
@@ -82,6 +85,132 @@ class TestWav:
         session = {"session_id": "s", "channels": []}
         with pytest.raises(DataError, match="no channel files"):
             run_preprocess(session, load_config(), tmp_path / "run")
+
+
+def _chunk(chunk_id: bytes, body: bytes) -> bytes:
+    return chunk_id + struct.pack("<I", len(body)) + body + b"\0" * (len(body) % 2)
+
+
+def _fmt(tag, channels, width, bits=None, extensible=False):
+    """A fmt chunk body; extensible wraps tag in a WAVE_FORMAT_EXTENSIBLE subformat."""
+    bits = bits or 8 * width
+    head = (0xFFFE if extensible else tag, channels, FS, FS * channels * width,
+            channels * width, bits)
+    if not extensible:
+        return struct.pack("<HHIIHH", *head)
+    guid = struct.pack("<I", tag) + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+    return struct.pack("<HHIIHHHHI", *head, 22, bits, 0) + guid
+
+
+def _wav(fmt, data, before_data=(), rf64=False):
+    """A hand-built WAV file: fmt, then the extra chunks, then data."""
+    body = _chunk(b"fmt ", fmt) + b"".join(before_data)
+    if not rf64:
+        body += _chunk(b"data", data)
+        return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+    body += b"data" + struct.pack("<I", 0xFFFFFFFF) + data
+    ds64 = struct.pack("<QQQI", 4 + 36 + len(body), len(data), 0, 0)
+    return b"RF64\xff\xff\xff\xffWAVE" + _chunk(b"ds64", ds64) + body
+
+
+def _scipy_read(path):
+    """What read_wav returned when it read through scipy.io.wavfile."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", wavfile.WavFileWarning)  # unknown chunk ids
+        rate, data = wavfile.read(path)
+    data = data[:, None] if data.ndim == 1 else data
+    scale = {np.dtype(np.int16): 32768.0, np.dtype(np.int32): 2147483648.0}.get(data.dtype, 1.0)
+    return rate, (data.astype(np.float64) / scale).T
+
+
+_RNG = np.random.default_rng(11)
+_PCM16 = _RNG.integers(-2**15, 2**15, size=24).astype("<i2").tobytes()
+_PCM24 = _RNG.integers(0, 256, size=36).astype(np.uint8).tobytes()
+_PCM32 = _RNG.integers(-2**31, 2**31, size=24).astype("<i4").tobytes()
+_F32 = _RNG.uniform(-1, 1, size=24).astype("<f4").tobytes()
+_F64 = _RNG.uniform(-1, 1, size=24).astype("<f8").tobytes()
+
+
+class TestWavAgainstScipy:
+    """read_wav and write_wav against scipy.io.wavfile, which farfield used before."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            _wav(_fmt(1, 2, 2), _PCM16),
+            _wav(_fmt(1, 3, 3), _PCM24),
+            _wav(_fmt(1, 1, 4), _PCM32),
+            _wav(_fmt(1, 2, 4, bits=24), _PCM32),
+            _wav(_fmt(3, 3, 4), _F32),
+            _wav(_fmt(3, 2, 8), _F64),
+            _wav(_fmt(1, 4, 3, extensible=True), _PCM24),
+            _wav(_fmt(3, 2, 4, extensible=True), _F32),
+            _wav(_fmt(1, 2, 2), _PCM16, rf64=True),
+            _wav(_fmt(3, 1, 4), _F32, rf64=True),
+            _wav(_fmt(1, 2, 2), _PCM16, [_chunk(b"LIST", b"INFOISFT\x04\0\0\0abc\0")]),
+            _wav(_fmt(3, 2, 4), _F32, [_chunk(b"junk", b"odd"), _chunk(b"fact", b"\0" * 4)]),
+            _wav(_fmt(3, 1, 4), b""),
+        ],
+        ids=["pcm16", "pcm24", "pcm32", "pcm24-in-32", "float32", "float64",
+             "extensible-pcm24", "extensible-float32", "rf64-pcm16", "rf64-float32",
+             "list-chunk", "odd-chunk-pad-byte", "no-samples"],
+    )
+    def test_read_equals_scipy(self, tmp_path, payload):
+        path = tmp_path / "hand.wav"
+        path.write_bytes(payload)
+        rate, samples = _scipy_read(path)
+        audio = read_wav(path)
+        assert audio.sample_rate == rate
+        np.testing.assert_array_equal(audio.samples, samples)
+
+    @pytest.mark.parametrize(
+        "payload, reason",
+        [
+            (b"", "not a RIFF WAVE file"),
+            (_F32, "not a RIFF WAVE file"),
+            (_wav(_fmt(3, 2, 4), _F32)[:30], "truncated fmt chunk"),
+            (_wav(_fmt(3, 2, 4), _F32)[:60], "truncated data chunk"),
+            (_wav(_fmt(3, 2, 4), _F32)[:40], "no data chunk"),
+            (_wav(_fmt(3, 2, 4), _F32[:-4]), "not whole frames"),
+            (_wav(_fmt(1, 1, 1), b"\x80" * 8), "unsupported WAV sample format"),
+            (_wav(_fmt(6, 1, 1), b"\x80" * 8), "unsupported WAV sample format"),
+            (_wav(_fmt(3, 1, 2, bits=16), b"\0" * 8), "unsupported WAV sample format"),
+            (_wav(_fmt(3, 0, 4), b""), "0 channels"),
+            (b"RIFF\0\0\0\0WAVE" + _chunk(b"data", _F32), "no fmt chunk"),
+            (b"RF64\xff\xff\xff\xffWAVE" + _chunk(b"fmt ", _fmt(3, 1, 4)), "ds64"),
+            (_wav(_fmt(3, 1, 4), np.array([0.0, np.nan], "<f4").tobytes()), "non-finite"),
+        ],
+        ids=["empty", "headerless", "cut-in-fmt", "cut-in-data", "cut-before-data",
+             "partial-frame", "pcm8", "alaw", "float16", "no-channels", "data-before-fmt",
+             "rf64-without-ds64", "nan-sample"],
+    )
+    def test_malformed_is_data_error_naming_file(self, tmp_path, payload, reason):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(payload)
+        with pytest.raises(DataError, match=re.escape(str(path)) + ".*" + reason):
+            read_wav(path)
+
+    @pytest.mark.parametrize("channels", [1, 4])
+    def test_write_bytes_equal_scipy(self, tmp_path, channels):
+        audio = MultichannelAudio(0.3 * np.random.default_rng(12).standard_normal((channels, 1001)),
+                                  FS)
+        ours, theirs = tmp_path / "ours.wav", tmp_path / "theirs.wav"
+        write_wav(ours, audio)
+        wavfile.write(theirs, FS, audio.samples.T.astype(np.float32))
+        assert ours.read_bytes() == theirs.read_bytes()
+
+    @pytest.mark.parametrize(
+        "frames, channels",
+        [(2**30 - 1, 4), (2**30, 4), (3 * 2**30, 1), (2**30 - 13, 1)],
+        ids=["rf64-4ch-one-frame-under-4gib", "rf64-4ch-4gib", "rf64-12gib",
+             "riff-largest-mono"],
+    )
+    def test_large_header_equals_scipy(self, monkeypatch, frames, channels):
+        # scipy writes the header, then skips over the samples instead of writing them
+        monkeypatch.setattr(wavfile, "_array_tofile", lambda fid, data: fid.seek(data.nbytes, 1))
+        buffer = io.BytesIO()
+        wavfile.write(buffer, FS, np.broadcast_to(np.float32(0), (frames, channels)))
+        assert wav_header(frames, channels, FS) == buffer.getvalue()
 
 
 class TestRttm:
@@ -299,14 +428,15 @@ def valid_files(tmp_path_factory):
     write_embeddings(root / "valid.emb", emb)
     write_activity(root / "valid.act", SoftActivity("s", np.array([[0.1, 0.9], [1.0, 0.0]]), 0.5))
     write_rttm(root / "valid.rttm", Segmentation("s", (Turn("a", 0.0, 1.5), Turn("b", 1.0, 2.0))))
-    readers = {"emb": read_embeddings, "act": read_activity, "rttm": read_rttm}
+    write_wav(root / "valid.wav", MultichannelAudio(np.linspace(-0.5, 0.5, 40).reshape(2, 20), FS))
+    readers = {"emb": read_embeddings, "act": read_activity, "rttm": read_rttm, "wav": read_wav}
     return root, {k: ((root / f"valid.{k}").read_bytes(), r) for k, r in readers.items()}
 
 
 class TestCorruptFiles:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(
-        kind=st.sampled_from(["emb", "act", "rttm"]),
+        kind=st.sampled_from(["emb", "act", "rttm", "wav"]),
         cut=st.none() | st.integers(min_value=0, max_value=200),
         flips=st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)), max_size=3),
     )

@@ -551,6 +551,7 @@ _SIM_CONFIG_ERRORS = {
     "sim_speakers_zero": ({"speakers": 0}, "speakers"),
     "sim_channels_above_receivers": ({"channels": 3, "room_ranges": {"num_receivers": 2}},
                                      "channels"),
+    "sim_noise_without_snr": ({"noise_ref": "u"}, "snr_db"),
 }
 
 
@@ -563,6 +564,12 @@ def _write_malformed_inputs(root):
     (root / "ok.rttm").write_text("SPEAKER s 1 0.0 0.5 <NA> <NA> a <NA> <NA>\n")
     (root / "refs").mkdir()
     (root / "refs" / "bad.rttm").write_text("SPEAKER s 1 0.0 half <NA> <NA> a <NA> <NA>\n")
+    (root / "empty").mkdir()
+    write_wav(root / "ch0_8k.wav", MultichannelAudio(noise, 8000))
+    write_wav(root / "stereo.wav", MultichannelAudio(np.stack([noise, noise]), 16000))
+    for name, wav in (("sim_rate_8k", "ch0_8k.wav"), ("sim_stereo", "stereo.wav")):
+        (root / f"{name}.json").write_text(json.dumps(
+            {"dry_corpus": [{"ref": "u", "path": "ch0.wav"}, {"ref": "v", "path": wav}]}))
     (root / "negative").mkdir()
     (root / "negative" / "neg.rttm").write_text("SPEAKER s 1 2.0 -1.0 <NA> <NA> a <NA> <NA>\n")
     session = {"session_id": "s", "channels": ["ch0.wav"],
@@ -655,6 +662,14 @@ class TestCli:
              "fuse_string_weight.json"),
             (["fuse", "--inputs", "fuse_bool_weight.json", "--output", "o.rttm"],
              "fuse_bool_weight.json"),
+            (["score", "--ref-dir", "ok.rttm", "--hyp-dir", "refs"], "ok.rttm"),
+            (["score", "--ref-dir", "refs", "--hyp-dir", "two.rttm"], "two.rttm"),
+            (["score", "--ref-dir", "refs", "--hyp-dir", "empty"], "empty"),
+            (["score", "--ref-dir", "gone", "--hyp-dir", "refs"], "gone"),
+            (["simulate", "--config", "sim_rate_8k.json", "--output-dir", "out"],
+             "dry WAV ch0_8k.wav"),
+            (["simulate", "--config", "sim_stereo.json", "--output-dir", "out"],
+             "dry WAV stereo.wav"),
         ],
         ids=["manifest-sessions", "emb-header", "act-header", "rttm-onset",
              "manifest-sessions-type", "manifest-entry-type", "rttm-negative-duration",
@@ -663,7 +678,9 @@ class TestCli:
              "fuse-multi-session", "fuse-missing-rttm", "fuse-bad-weight",
              "gss-rttm-session", "gss-missing-rttm", "gss-missing-activity",
              "run-missing-reference", "fuse-infinite-weight", "emb-nan-vector",
-             "fuse-string-weight", "fuse-bool-weight"],
+             "fuse-string-weight", "fuse-bool-weight", "score-ref-is-file",
+             "score-hyp-is-file", "score-hyp-no-rttm", "score-ref-missing",
+             "sim-dry-8khz", "sim-dry-stereo"],
     )
     def test_malformed_input_exits_3(self, tmp_path, monkeypatch, capsys, argv, named):
         _write_malformed_inputs(tmp_path)
@@ -948,6 +965,26 @@ class TestCli:
         assert main([*argv, "--run-dir", str(copy)]) == 0
         assert "cached: preprocess, diarize, gss" in capsys.readouterr().out
         assert _outputs(copy) == _outputs(runs[0])
+
+    def test_pipeline_loads_no_scipy(self, demo_manifest, tmp_path):
+        # scipy is loaded only to render a room; every pipeline stage runs on numpy
+        script = (
+            "import sys\n"
+            "import farfield, farfield.cli, farfield.pipeline, farfield.metrics, "
+            "farfield.simulate\n"
+            f"code = farfield.cli.main(['run', '--manifest', {str(demo_manifest)!r}, "
+            f"'--run-dir', {str(tmp_path / 'run')!r}, '--set', 'gss.iterations=1'])\n"
+            "assert code == 0, code\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(farfield.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "run" / "report" / "demo.json").is_file()
 
     def test_run_command_end_to_end(self, demo_manifest, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

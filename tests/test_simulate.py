@@ -316,6 +316,12 @@ class TestSimulateMixture:
         with pytest.raises(DataError):
             simulate_mixture(spec, room, dry, FS)
 
+    def test_noise_ref_without_snr_rejected(self):
+        # a named noise with no level to mix it at would give a clean session
+        with pytest.raises(DataError, match="snr_db"):
+            MixtureSpec(1, ((0, "u0", 0.0),), 1.0, channels=2, noise_ref="noise")
+        assert MixtureSpec(1, (), 1.0, channels=2, noise_ref="noise", snr_db=np.inf)
+
     def test_silent_speech_gets_noise_at_unit_gain(self):
         _, room, dry = self._setup()
         spec = MixtureSpec(1, (), 2.0, channels=2, noise_ref="noise", snr_db=10.0)
