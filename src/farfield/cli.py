@@ -8,7 +8,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from farfield.errors import ConfigError, DataError, FarfieldError
+from farfield.errors import ConfigError, DataError, FarfieldError, check_seed
 
 
 def _add_common(parser):
@@ -154,7 +154,7 @@ def cmd_simulate(args):
 
     from farfield.audio import read_wav, write_wav
     from farfield.pipeline import (_build, _dataclass_defaults, _validate, atomic_write_bytes,
-                                   objects_with, read_json)
+                                   check_value, objects_with, read_json)
     from farfield.segments import write_rttm
     from farfield.simulate import (
         MixtureSpec,
@@ -165,6 +165,7 @@ def cmd_simulate(args):
         simulate_mixture,
     )
 
+    check_value("--seed", check_seed, args.seed)
     spec = read_json(args.config, ConfigError, "simulation config")
     corpus = spec.pop("dry_corpus", None) if isinstance(spec, dict) else None
     if not (corpus and objects_with(corpus, "ref", "path")):
@@ -244,12 +245,17 @@ def cmd_simulate(args):
 
 
 def cmd_score(args):
-    from farfield.pipeline import format_score_report, score_directories
+    from farfield.metrics import check_collar
+    from farfield.pipeline import check_value, format_score_report, score_directories
 
+    check_value("--collar", check_collar, args.collar)
     for directory in (args.ref_dir, args.hyp_dir):
         if not any(Path(directory).glob("*.rttm")):
             raise DataError(f"{directory}: not a directory that holds *.rttm files")
     result = score_directories(args.ref_dir, args.hyp_dir, args.collar)
+    if all(row["der"] is None for row in result["sessions"]):
+        raise DataError(f"{args.ref_dir}: no reference session has a hypothesis in "
+                        f"{args.hyp_dir}")
     print(format_score_report(result))
     return 0
 

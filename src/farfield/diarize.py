@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from farfield.embeddings import EmbeddingEntry, EmbeddingSet
-from farfield.errors import DataError, NumericalError
+from farfield.errors import DataError, NumericalError, check_seed
 from farfield.segments import Segmentation, Turn, merge_intervals
 
 UNASSIGNED = -1
@@ -27,7 +27,7 @@ _GMM_TOL = 1e-7
 @dataclass(frozen=True)
 class DiarizeConfig:
     merge_cos_threshold: float = 0.75
-    reject_thr: float = 10.0
+    reject_thrs: tuple = (8.0, 10.0, 14.0)  # one grid cell per entry
     max_clusters: int = 8
     reduced_dim: int = 12
     frame_step: float = 0.5
@@ -37,8 +37,10 @@ class DiarizeConfig:
     def __post_init__(self):
         if not -1.0 < self.merge_cos_threshold < 1.0:
             raise DataError("merge_cos_threshold must be in (-1, 1)")
-        if self.reject_thr <= 0:
-            raise DataError("reject_thr must be positive")
+        object.__setattr__(self, "reject_thrs", tuple(map(float, self.reject_thrs)))
+        if not self.reject_thrs or not all(thr > 0 for thr in self.reject_thrs):
+            raise DataError(f"reject_thrs must be a non-empty list of positive numbers, "
+                            f"got {list(self.reject_thrs)}")
         if self.max_clusters < 1 or self.reduced_dim < 1:
             raise DataError("max_clusters and reduced_dim must be >= 1")
         if self.reduction not in ("linear", "external"):
@@ -142,6 +144,7 @@ def gmm_cluster(vectors: np.ndarray, cfg: DiarizeConfig, seed: int) -> ClusterSe
     k = cfg.max_clusters
     if n < k:
         raise DataError(f"need at least {k} points for {k}-component clustering")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     means = _kmeans_pp_init(vectors, k, rng)
     variances = np.full((k, dim), max(vectors.var(axis=0).mean(), _VAR_FLOOR))
@@ -248,9 +251,10 @@ def reject_clusters(clusters: ClusterSet, reject_thr: float) -> ClusterSet:
     return _compact(clusters, clusters.assignments, clusters.centroids, sizes, keep)
 
 
-def merge_reject_clusters(clusters: ClusterSet, cfg: DiarizeConfig) -> ClusterSet:
+def merge_reject_clusters(clusters: ClusterSet, cfg: DiarizeConfig,
+                          reject_thr: float) -> ClusterSet:
     """Merge centroids by cosine similarity, then reject undersized clusters."""
-    return reject_clusters(merge_clusters(clusters, cfg), cfg.reject_thr)
+    return reject_clusters(merge_clusters(clusters, cfg), reject_thr)
 
 
 def count_speakers(clusters: ClusterSet) -> int:
@@ -298,19 +302,19 @@ def assign_mixed_frames(
     return Segmentation(session_id, tuple(sorted(turns, key=lambda t: (t.start, t.speaker))))
 
 
-def diarize_thresholds(
+def diarize_embeddings(
     emb: EmbeddingSet,
     cfg: DiarizeConfig,
-    reject_thrs,
     seed: int,
     session_id: str = "session",
 ) -> list:
-    """diarize_embeddings once per entry of reject_thrs, with one fit.
+    """Full clustering pipeline over one embedding stream, one cell per entry
+    of cfg.reject_thrs.
 
-    Selection, reduction, GMM and merge do not read reject_thr, so they run
-    once; rejection and frame attraction run per threshold, and cfg's own
-    reject_thr is not read. Returns one (Segmentation, speaker_count,
-    ClusterSet) per entry of reject_thrs, in its order.
+    Selection, reduction, GMM and merge do not read the threshold, so they
+    run once; rejection and frame attraction run per threshold. Returns one
+    (Segmentation, speaker_count, ClusterSet) per entry of cfg.reject_thrs,
+    in its order.
     """
     single, mixed = select_single_speaker_frames(emb, cfg.single_speaker_cos_threshold)
     if len(single) < cfg.max_clusters:
@@ -326,23 +330,10 @@ def diarize_thresholds(
         tuple(EmbeddingEntry(e.time_start, e.time_end, project(e.vectors)) for e in mixed.entries)
     )
     results = []
-    for thr in reject_thrs:
+    for thr in cfg.reject_thrs:
         clusters = reject_clusters(merged, thr)
         seg = assign_mixed_frames(
             clusters, single, mixed, cfg, session_id, reduced_single=reduced
         )
         results.append((seg, count_speakers(clusters), clusters))
     return results
-
-
-def diarize_embeddings(
-    emb: EmbeddingSet,
-    cfg: DiarizeConfig,
-    seed: int,
-    session_id: str = "session",
-):
-    """Full clustering pipeline over one embedding stream.
-
-    Returns (Segmentation, speaker_count, ClusterSet).
-    """
-    return diarize_thresholds(emb, cfg, [cfg.reject_thr], seed, session_id)[0]

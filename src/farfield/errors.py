@@ -23,3 +23,9 @@ class NumericalError(FarfieldError):
     """Numerical failure that regularization could not recover from."""
 
     exit_code = 4
+
+
+def check_seed(seed: int) -> None:
+    """A random seed is a non-negative integer, as numpy's default_rng takes it."""
+    if not seed >= 0:
+        raise DataError(f"seed must be a non-negative integer, got {seed}")

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from farfield.errors import DataError
-from farfield.segments import (Segmentation, SoftActivity, Turn, coactivity_matrix,
-                               linear_sum_assignment, positive_matching,
+from farfield.segments import (Segmentation, SoftActivity, Turn, check_threshold,
+                               coactivity_matrix, linear_sum_assignment, positive_matching,
                                segmentation_to_activity, sweep)
 
 
@@ -126,6 +126,7 @@ def soft_fuse(activities, reference: Segmentation, threshold: float = 0.5) -> So
     Falls back to the reference's own binary activity when every candidate
     is filtered out.
     """
+    check_threshold(threshold)
     activities = list(activities)
     if not activities:
         raise DataError("need at least one soft activity")

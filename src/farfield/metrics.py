@@ -50,10 +50,15 @@ def optimal_speaker_mapping(ref: Segmentation, hyp: Segmentation, collar: float 
     return _mapping(_scored_regions(ref, hyp, collar), ref, hyp)
 
 
-def compute_der(ref: Segmentation, hyp: Segmentation, collar: float = 0.0) -> DerBreakdown:
-    """Overlap-aware diarization error rate with optimal label mapping."""
+def check_collar(collar: float) -> None:
+    """A scoring collar is finite and at least 0."""
     if not 0 <= collar < np.inf:  # NaN fails too
         raise DataError(f"collar must be finite and >= 0, got {collar}")
+
+
+def compute_der(ref: Segmentation, hyp: Segmentation, collar: float = 0.0) -> DerBreakdown:
+    """Overlap-aware diarization error rate with optimal label mapping."""
+    check_collar(collar)
     if not ref.turns:
         raise DataError("empty reference: DER undefined")
     regions = _scored_regions(ref, hyp, collar)

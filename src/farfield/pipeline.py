@@ -18,18 +18,16 @@ from typing import NamedTuple
 import numpy as np
 
 from farfield.audio import read_wav, stack_channel_files, write_wav
-from farfield.diarize import DiarizeConfig, diarize_thresholds
-# not called here (the grid calls diarize_thresholds); the binding stays
-# because the benchmark's tracer wraps farfield.pipeline.diarize_embeddings
-from farfield.diarize import diarize_embeddings  # noqa: F401
+from farfield.diarize import DiarizeConfig, diarize_embeddings
 from farfield.embeddings import read_embeddings
-from farfield.errors import ConfigError, DataError
+from farfield.errors import ConfigError, DataError, check_seed
 from farfield.fusion import FusionInput, doverlap_fuse, soft_fuse
 from farfield.gss import GssConfig, extract_speaker_segment
-from farfield.metrics import compute_der, speaker_count_accuracy
+from farfield.metrics import check_collar, compute_der, speaker_count_accuracy
 from farfield.preprocess import (
     ClipNormConfig,
     WpeConfig,
+    check_fraction,
     clip_normalize,
     envelope_variance_rank,
     select_top_channels,
@@ -39,6 +37,7 @@ from farfield.segments import (
     Segmentation,
     SoftActivity,
     binarize,
+    check_threshold,
     read_activity,
     read_rttm,
     segmentation_to_activity,
@@ -54,7 +53,7 @@ _STAGES = {
     "wpe": ("preprocess", WpeConfig, {"wpe_taps": "taps", "wpe_delay": "delay",
                                       "wpe_iterations": "iterations",
                                       "block_seconds": "block_length"}),
-    "diarize": ("diarize", DiarizeConfig, {"reject_thrs": "reject_thr"}),
+    "diarize": ("diarize", DiarizeConfig, {}),
     "gss": ("gss", GssConfig, {}),
 }
 
@@ -74,16 +73,25 @@ def _dataclass_defaults(cls, rename: dict) -> dict:
 _KEYED = {stage: _dataclass_defaults(cls, rename) for stage, (_, cls, rename) in _STAGES.items()}
 
 # the stage defaults live in the dataclasses; written out here are only the
-# keys that no dataclass field has, and the list that replaces reject_thr
+# keys that no dataclass field has
 DEFAULT_CONFIG = {
     "seed": 0,
     "stft": _KEYED["stft"],
     "preprocess": {**_KEYED["clip"], "wpe": True, **_KEYED["wpe"], "selection_fraction": 0.8},
-    "diarize": {**_KEYED["diarize"], "reject_thrs": [8.0, 10.0, 14.0],
-                "variants": ["orig", "wpe"]},
+    "diarize": {**_KEYED["diarize"], "variants": ["orig", "wpe"]},
     "fusion": {"binarize_threshold": 0.5, "count_match_threshold": 0.5},
     "gss": _KEYED["gss"],
     "score": {"collar": 0.0},
+}
+
+# the numeric keys that no dataclass field has, each with the range check of
+# the function that reads its value
+_RANGE_CHECKS = {
+    "seed": check_seed,  # diarize.gmm_cluster
+    "preprocess.selection_fraction": check_fraction,  # preprocess.select_top_channels
+    "fusion.binarize_threshold": check_threshold,  # segments.binarize
+    "fusion.count_match_threshold": check_threshold,  # fusion.soft_fuse
+    "score.collar": check_collar,  # metrics.compute_der
 }
 
 
@@ -143,6 +151,14 @@ def _validate(config: dict, defaults: dict, path: str = "") -> dict:
     return merged
 
 
+def check_value(where: str, check, value) -> None:
+    """check(value); the DataError that it raises becomes a ConfigError naming where."""
+    try:
+        check(value)
+    except DataError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def read_json(path, error: type = DataError, what: str = "file"):
     """Parse the JSON file at path; any failure raises `error` naming the file."""
     try:
@@ -156,8 +172,9 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
 
     overrides map dotted keys ("seed", "gss.iterations") to values. The
     merged config is checked before it is returned: an unknown key, a value
-    of another JSON type than the default's, or a value a stage config
-    rejects raises a ConfigError naming section.key.
+    of another JSON type than the default's, or a value that a stage config
+    or the range check of the function reading it rejects raises a
+    ConfigError naming section.key.
     """
     raw = {} if path is None else read_json(path, ConfigError, "config")
     if not isinstance(raw, dict):
@@ -172,6 +189,8 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
         node[key] = value
     config = _validate(raw, DEFAULT_CONFIG)
     stage_configs(config)
+    for dotted, check in _RANGE_CHECKS.items():
+        check_value(dotted, check, functools.reduce(dict.get, dotted.split("."), config))
     return config
 
 
@@ -179,7 +198,7 @@ class StageConfigs(NamedTuple):
     stft: StftParams
     clip: ClipNormConfig
     wpe: WpeConfig
-    diarize: tuple  # one DiarizeConfig per diarize.reject_thrs entry
+    diarize: DiarizeConfig
     gss: GssConfig
 
 
@@ -210,19 +229,11 @@ def _build(cls, section: str, values: dict, rename: dict | None = None):
 def stage_configs(config: dict) -> StageConfigs:
     """The stages' config objects, built from a config that load_config returned."""
 
-    def build(stage: str, **values):
+    def build(stage: str):
         section, cls, rename = _STAGES[stage]
-        keyed = {key: config[section][key] for key in _KEYED[stage]}
-        return _build(cls, section, {**keyed, **values}, rename)
+        return _build(cls, section, {key: config[section][key] for key in _KEYED[stage]}, rename)
 
-    return StageConfigs(
-        stft=build("stft"),
-        clip=build("clip"),
-        wpe=build("wpe"),
-        diarize=tuple(build("diarize", reject_thrs=float(thr))
-                      for thr in config["diarize"]["reject_thrs"]),
-        gss=build("gss"),
-    )
+    return StageConfigs(**{stage: build(stage) for stage in _STAGES})
 
 
 def read_session_rttm(path, session_id: str) -> Segmentation:
@@ -440,8 +451,7 @@ def run_diarize_grid(session: dict, config: dict, run_dir: Path) -> dict:
     fused_paths = {ch: stage_dir / f"fused_ch{ch}.rttm" for ch in channels}
     cached = _cache_hit(stage_dir, key, fused_paths.values())
     if not cached:
-        cfgs = stage_configs(config).diarize  # one per threshold, otherwise equal
-        thresholds = [cfg.reject_thr for cfg in cfgs]
+        cfg = stage_configs(config).diarize
         # grid streams: activity-segment source x recording variant; each
         # stream gives one cell per rejection threshold
         streams = list(itertools.product(sorted({v for _, v, _ in emb_paths}), dc["variants"]))
@@ -451,12 +461,12 @@ def run_diarize_grid(session: dict, config: dict, run_dir: Path) -> dict:
                 emb_path = emb_paths.get((ch, vad_source, variant))
                 if emb_path is None:
                     warnings.warn(f"no embeddings for channel {ch} / {vad_source} / {variant}; "
-                                  f"{len(thresholds)} cells skipped", stacklevel=2)
+                                  f"{len(cfg.reject_thrs)} cells skipped", stacklevel=2)
                     continue
-                cells = diarize_thresholds(read_embeddings(emb_path), cfgs[0], thresholds,
+                cells = diarize_embeddings(read_embeddings(emb_path), cfg,
                                            seed=config["seed"], session_id=session["session_id"])
                 stage_dir.mkdir(parents=True, exist_ok=True)
-                for thr, (seg, _, _) in zip(thresholds, cells):
+                for thr, (seg, _, _) in zip(cfg.reject_thrs, cells):
                     write_rttm(stage_dir / f"ch{ch}_{vad_source}_{variant}_thr{thr:g}.rttm", seg)
                     hypotheses.append(seg)
             if not hypotheses:

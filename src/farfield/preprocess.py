@@ -204,9 +204,14 @@ def envelope_variance_rank(audio: MultichannelAudio) -> ChannelRanking:
     return ChannelRanking(scores=scores, order=order)
 
 
+def check_fraction(fraction: float) -> None:
+    """A channel selection fraction lies in (0, 1]."""
+    if not 0.0 < fraction <= 1.0:
+        raise DataError(f"fraction must be in (0, 1], got {fraction}")
+
+
 def select_top_channels(ranking: ChannelRanking, fraction: float) -> list:
     """Keep the ceil(fraction * C) best channels, original indices preserved."""
-    if not 0.0 < fraction <= 1.0:
-        raise DataError("fraction must be in (0, 1]")
+    check_fraction(fraction)
     count = math.ceil(fraction * len(ranking.scores))
     return sorted(int(c) for c in ranking.order[:count])

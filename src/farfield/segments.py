@@ -251,10 +251,15 @@ def extend_segments(seg: Segmentation, margin: float, session_end: float) -> Seg
     return Segmentation(seg.session_id, tuple(turns))
 
 
+def check_threshold(threshold: float) -> None:
+    """A threshold on speech-activity probabilities lies in (0, 1)."""
+    if not 0.0 < threshold < 1.0:
+        raise DataError(f"threshold must be in (0, 1), got {threshold}")
+
+
 def binarize(activity: SoftActivity, threshold: float = 0.5) -> Segmentation:
     """Threshold a soft activity into turns, one per run of active frames."""
-    if not 0.0 < threshold < 1.0:
-        raise DataError("threshold must be in (0, 1)")
+    check_threshold(threshold)
     turns = []
     step = activity.frame_step
     for s in range(activity.num_speakers):

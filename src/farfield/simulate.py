@@ -263,6 +263,8 @@ class MixtureSpec:
     def __post_init__(self):
         if self.noise_ref is not None and self.snr_db is None:
             raise DataError(f"noise {self.noise_ref!r} needs an snr_db to be mixed at")
+        if self.snr_db is not None and math.isnan(self.snr_db):
+            raise DataError("snr_db is NaN: no level to mix the noise at")
         for spk, _, start in self.utterances:
             if not 0 <= start < self.duration:
                 raise DataError(f"utterance start {start} outside [0, {self.duration})")

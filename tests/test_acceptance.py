@@ -111,14 +111,14 @@ def _blob_embeddings(rng, turns, duration, dim=32, std=0.04, step=0.5):
 def test_c02_synthetic_diarization_end_to_end():
     """20 seeded 4-speaker 10-minute sessions: count accuracy 1.0, DER <= 5%."""
     t_start = time.monotonic()
-    cfg = DiarizeConfig()
+    cfg = DiarizeConfig(reject_thrs=(10.0,))
     ders, counts = [], []
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         turns = _grid_schedule(seed)
         ref = _seg(turns)
         emb = _blob_embeddings(rng, turns, duration=600.0)
-        hyp, count, _ = diarize_embeddings(emb, cfg, seed=seed, session_id="s")
+        [(hyp, count, _)] = diarize_embeddings(emb, cfg, seed=seed, session_id="s")
         counts.append(count)
         ders.append(compute_der(ref, hyp, collar=0.0).der)
     assert counts == [4] * 20, f"speaker counts off: {counts}"
@@ -144,18 +144,18 @@ def _clusters(centroids, sizes):
 def test_c03_cluster_rejection_rule():
     """{100, 100, 4} with thr 10 rejects exactly the size-4 cluster; exhaustive
     small cases match the direct rule oracle."""
-    cfg = DiarizeConfig(merge_cos_threshold=0.99, reject_thr=10.0)
+    cfg, thr = DiarizeConfig(merge_cos_threshold=0.99), 10.0
     out = merge_reject_clusters(
-        _clusters(np.eye(3), [100, 100, 4]), cfg
+        _clusters(np.eye(3), [100, 100, 4]), cfg, thr
     )
     assert sorted(out.sizes.tolist()) == [100, 100]
 
     alphabet = [1, 4, 9, 10, 11, 40, 100]
     for n in range(1, 6):
         for sizes in itertools.product(alphabet, repeat=n):
-            out = merge_reject_clusters(_clusters(np.eye(max(n, 2))[:n], list(sizes)), cfg)
+            out = merge_reject_clusters(_clusters(np.eye(max(n, 2))[:n], list(sizes)), cfg, thr)
             n_max = max(sizes)
-            expected = sorted(s for s in sizes if not s < n_max / cfg.reject_thr)
+            expected = sorted(s for s in sizes if not s < n_max / thr)
             assert sorted(out.sizes.tolist()) == expected, sizes
 
 

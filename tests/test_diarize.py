@@ -15,7 +15,6 @@ from farfield.diarize import (
     assign_mixed_frames,
     count_speakers,
     diarize_embeddings,
-    diarize_thresholds,
     gmm_cluster,
     merge_clusters,
     merge_reject_clusters,
@@ -39,6 +38,18 @@ def _blobs(rng, centers, counts, std):
         points.append(c + std * rng.standard_normal((n, len(c))))
         labels += [i] * n
     return np.vstack(points), np.array(labels)
+
+
+class TestDiarizeConfig:
+    def test_thresholds_stored_as_float_tuple(self):
+        assert DiarizeConfig(reject_thrs=[8, 10.5]).reject_thrs == (8.0, 10.5)
+        assert DiarizeConfig().reject_thrs == (8.0, 10.0, 14.0)
+
+    @pytest.mark.parametrize("thresholds", [(), (0.0,), (8.0, -1.0)],
+                             ids=["empty", "zero", "negative"])
+    def test_bad_thresholds_rejected(self, thresholds):
+        with pytest.raises(DataError, match="reject_thrs"):
+            DiarizeConfig(reject_thrs=thresholds)
 
 
 class TestSingleSpeakerSelection:
@@ -139,7 +150,7 @@ class TestGmmCluster:
             rng, [10 * rng.standard_normal(12), 10 * rng.standard_normal(12)], [60, 60], 0.4
         )
         cfg = DiarizeConfig(max_clusters=8)
-        clusters = merge_reject_clusters(gmm_cluster(data, cfg, seed=2), cfg)
+        clusters = merge_reject_clusters(gmm_cluster(data, cfg, seed=2), cfg, 10.0)
         assert count_speakers(clusters) == 2
 
 
@@ -156,7 +167,7 @@ class TestMergeReject:
 
     def test_identical_centroids_merge(self):
         clusters = self._clusters([[1.0, 0.0], [1.0, 0.0]], [10, 20])
-        out = merge_reject_clusters(clusters, DiarizeConfig(merge_cos_threshold=0.9))
+        out = merge_reject_clusters(clusters, DiarizeConfig(merge_cos_threshold=0.9), 10.0)
         assert count_speakers(out) == 1
         assert out.sizes[0] == 30
 
@@ -164,35 +175,31 @@ class TestMergeReject:
         clusters = self._clusters(
             [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], [100, 100, 4]
         )
-        out = merge_reject_clusters(
-            clusters, DiarizeConfig(merge_cos_threshold=0.9, reject_thr=10.0)
-        )
+        out = merge_reject_clusters(clusters, DiarizeConfig(merge_cos_threshold=0.9), 10.0)
         assert count_speakers(out) == 2
         assert np.sum(out.assignments == UNASSIGNED) == 4
 
     def test_fixpoint_when_nothing_applies(self):
         clusters = self._clusters([[1.0, 0.0], [0.0, 1.0]], [50, 40])
-        out = merge_reject_clusters(
-            clusters, DiarizeConfig(merge_cos_threshold=0.9, reject_thr=10.0)
-        )
+        out = merge_reject_clusters(clusters, DiarizeConfig(merge_cos_threshold=0.9), 10.0)
         assert count_speakers(out) == 2
         np.testing.assert_array_equal(out.sizes, [50, 40])
         np.testing.assert_array_equal(out.assignments, clusters.assignments)
 
     def test_exhaustive_small_cases_match_rule_oracle(self):
         # all size vectors of up to 5 clusters over a small size alphabet
-        cfg = DiarizeConfig(merge_cos_threshold=0.99, reject_thr=10.0)
+        cfg, thr = DiarizeConfig(merge_cos_threshold=0.99), 10.0
         alphabet = [1, 4, 9, 10, 11, 100]
         for n in range(1, 6):
             for sizes in itertools.product(alphabet, repeat=n):
                 # orthogonal centroids so no merging interferes
                 centroids = np.eye(max(n, 2))[:n]
                 clusters = self._clusters(centroids, list(sizes))
-                out = merge_reject_clusters(clusters, cfg)
+                out = merge_reject_clusters(clusters, cfg, thr)
                 n_max = max(sizes)
-                expected = [s for s in sizes if not s < n_max / cfg.reject_thr]
+                expected = [s for s in sizes if not s < n_max / thr]
                 assert sorted(out.sizes.tolist()) == sorted(expected)
-                assert all(s >= n_max / cfg.reject_thr for s in out.sizes)
+                assert all(s >= n_max / thr for s in out.sizes)
 
 
 class TestAssignMixedAndPipeline:
@@ -239,9 +246,10 @@ class TestAssignMixedAndPipeline:
         mixed_schedule = [(s, e, spk) for s, e, spk in schedule]
         emb = self._speaker_embeddings(rng, mixed_schedule, centers)
         cfg = DiarizeConfig(
-            max_clusters=8, reduced_dim=12, frame_step=0.5, single_speaker_cos_threshold=0.6
+            max_clusters=8, reduced_dim=12, frame_step=0.5, single_speaker_cos_threshold=0.6,
+            reject_thrs=(10.0,),
         )
-        seg, count, _ = diarize_embeddings(emb, cfg, seed=0)
+        [(seg, count, _)] = diarize_embeddings(emb, cfg, seed=0)
         assert count == 3
         # each schedule interval matched by exactly one hypothesis speaker
         for s, e, spks in schedule:
@@ -256,9 +264,9 @@ class TestAssignMixedAndPipeline:
         data, labels = _blobs(rng, list(centers), [40] * 4, std=0.2)
         rotation = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
         cfg = DiarizeConfig(max_clusters=8, reduced_dim=8)
-        a = merge_reject_clusters(gmm_cluster(reduce_dim(data, 8)[0], cfg, 0), cfg)
+        a = merge_reject_clusters(gmm_cluster(reduce_dim(data, 8)[0], cfg, 0), cfg, 10.0)
         b = merge_reject_clusters(
-            gmm_cluster(reduce_dim(data @ rotation.T, 8)[0], cfg, 0), cfg
+            gmm_cluster(reduce_dim(data @ rotation.T, 8)[0], cfg, 0), cfg, 10.0
         )
         # identical up to label permutation
         mapping = {}
@@ -270,10 +278,10 @@ class TestAssignMixedAndPipeline:
         # the frames' turns merged by Segmentation.merged_per_speaker, as
         # assign_mixed_frames emitted them when it built one Turn per frame
         emb = _three_speaker_stream(np.random.default_rng(4))
-        cfg = DiarizeConfig(max_clusters=3, reduction="external", reject_thr=4.0)
+        cfg = DiarizeConfig(max_clusters=3, reduction="external")
         single, mixed = select_single_speaker_frames(emb, cfg.single_speaker_cos_threshold)
         reduced = np.vstack([e.vectors[0] for e in single.entries])
-        clusters = reject_clusters(gmm_cluster(reduced, cfg, 0), cfg.reject_thr)
+        clusters = reject_clusters(gmm_cluster(reduced, cfg, 0), 4.0)
         assert np.any(clusters.assignments == UNASSIGNED)
         seg = assign_mixed_frames(clusters, single, mixed, cfg, "s", reduced_single=reduced)
         frames = []
@@ -309,7 +317,7 @@ class TestAssignMixedAndPipeline:
         assert count_speakers(clusters) == 4
 
 
-def _reference_merge_reject_clusters(clusters, cfg):
+def _reference_merge_reject_clusters(clusters, cfg, reject_thr):
     """Merge and reject in one pass, as a single function did before the two
     steps were split: the oracle for reject_clusters(merge_clusters(...))."""
     centroids = [c.copy() for c in clusters.centroids]
@@ -333,7 +341,7 @@ def _reference_merge_reject_clusters(clusters, cfg):
     max_size = max((sizes[i] for i in active), default=0)
     rejected = set(range(len(sizes))) - set(active)
     for i in active:
-        if sizes[i] < max_size / cfg.reject_thr:
+        if sizes[i] < max_size / reject_thr:
             rejected.add(i)
             assignments[assignments == i] = UNASSIGNED
             sizes[i] = 0
@@ -375,12 +383,11 @@ class TestMergeThenReject:
             clusters = ClusterSet(rng.permutation(assignments),
                                   centroids.reshape(n_clusters, dim), sizes,
                                   ll_history=(float(trial),))
-            cfg = DiarizeConfig(merge_cos_threshold=float(rng.uniform(0.3, 0.95)),
-                                reject_thr=float(rng.choice([1.5, 4.0, 10.0])))
-            want = _reference_merge_reject_clusters(clusters, cfg)
-            _assert_same_clusters(reject_clusters(merge_clusters(clusters, cfg),
-                                                  cfg.reject_thr), want)
-            _assert_same_clusters(merge_reject_clusters(clusters, cfg), want)
+            cfg = DiarizeConfig(merge_cos_threshold=float(rng.uniform(0.3, 0.95)))
+            thr = float(rng.choice([1.5, 4.0, 10.0]))
+            want = _reference_merge_reject_clusters(clusters, cfg, thr)
+            _assert_same_clusters(reject_clusters(merge_clusters(clusters, cfg), thr), want)
+            _assert_same_clusters(merge_reject_clusters(clusters, cfg, thr), want)
 
     def test_size_at_the_bound_survives(self):
         clusters = ClusterSet(np.repeat([0, 1, 2], [40, 10, 9]), np.eye(3), [40, 10, 9])
@@ -409,16 +416,17 @@ class TestDiarizeThresholds:
     CFG = DiarizeConfig(max_clusters=3, reduction="external")
     # 40 / 4 = 10 keeps the 10-frame speaker at the bound; 40 / 2 = 20 rejects
     # it; 40 / 10 = 4 keeps the 5-frame speaker, which 4 and 2 reject
-    THRESHOLDS = [10.0, 4.0, 2.0, 4.0]
+    THRESHOLDS = (10.0, 4.0, 2.0, 4.0)
 
     def test_each_threshold_equals_diarize_embeddings(self):
         emb = _three_speaker_stream(np.random.default_rng(3))
-        cells = diarize_thresholds(emb, self.CFG, self.THRESHOLDS, seed=1, session_id="s")
+        cells = diarize_embeddings(emb, replace(self.CFG, reject_thrs=self.THRESHOLDS),
+                                   seed=1, session_id="s")
         assert [c[1] for c in cells] == [3, 2, 1, 2]
         assert sorted(cells[0][2].sizes.tolist()) == [5, 10, 40]
         for thr, (seg, count, clusters) in zip(self.THRESHOLDS, cells):
-            want_seg, want_count, want_clusters = diarize_embeddings(
-                emb, replace(self.CFG, reject_thr=thr), seed=1, session_id="s")
+            [(want_seg, want_count, want_clusters)] = diarize_embeddings(
+                emb, replace(self.CFG, reject_thrs=(thr,)), seed=1, session_id="s")
             assert seg == want_seg
             assert count == want_count
             _assert_same_clusters(clusters, want_clusters)
@@ -426,7 +434,7 @@ class TestDiarizeThresholds:
 
 class TestGridStreams:
     def test_one_read_and_fit_per_stream(self, demo_manifest, tmp_path, monkeypatch):
-        counts = {"gmm_cluster": 0, "read_embeddings": 0}
+        counts = {"gmm_cluster": 0, "read_embeddings": 0, "diarize_embeddings": 0}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -439,10 +447,14 @@ class TestGridStreams:
 
         counted(farfield.diarize, "gmm_cluster")
         counted(farfield.pipeline, "read_embeddings")
+        # the binding that the benchmark's diarize.cell span wraps
+        counted(farfield.pipeline, "diarize_embeddings")
         session = load_manifest(demo_manifest)[0]
         config = load_config()
         run_diarize_grid(session, config, tmp_path)
         streams = len(session["embeddings"])  # 2 channels x 2 VAD sources x 2 variants
-        assert counts == {"gmm_cluster": streams, "read_embeddings": streams}
+        assert streams == 8
+        assert counts == {"gmm_cluster": streams, "read_embeddings": streams,
+                          "diarize_embeddings": streams}
         cells = sorted(p.name for p in (tmp_path / "diarize" / "demo").glob("ch*.rttm"))
         assert len(cells) == streams * len(config["diarize"]["reject_thrs"])

@@ -109,8 +109,7 @@ class TestConfig:
         unkeyed = {(GssConfig, "add_noise_source")}
         renamed = {(WpeConfig, "taps"): "wpe_taps", (WpeConfig, "delay"): "wpe_delay",
                    (WpeConfig, "iterations"): "wpe_iterations",
-                   (WpeConfig, "block_length"): "block_seconds",
-                   (DiarizeConfig, "reject_thr"): "reject_thrs"}
+                   (WpeConfig, "block_length"): "block_seconds"}
         sections = {StftParams: "stft", ClipNormConfig: "preprocess", WpeConfig: "preprocess",
                     DiarizeConfig: "diarize", GssConfig: "gss"}
         config = load_config(None)
@@ -122,7 +121,7 @@ class TestConfig:
         built = stage_configs(config)
         assert (built.stft, built.clip, built.wpe, built.gss) == (
             StftParams(), ClipNormConfig(), WpeConfig(), GssConfig())
-        assert built.diarize == tuple(DiarizeConfig(reject_thr=t) for t in (8.0, 10.0, 14.0))
+        assert built.diarize == DiarizeConfig()
 
     def test_partial_file_merges_with_defaults(self, tmp_path):
         path = tmp_path / "c.json"
@@ -570,6 +569,10 @@ def _write_malformed_inputs(root):
     for name, wav in (("sim_rate_8k", "ch0_8k.wav"), ("sim_stereo", "stereo.wav")):
         (root / f"{name}.json").write_text(json.dumps(
             {"dry_corpus": [{"ref": "u", "path": "ch0.wav"}, {"ref": "v", "path": wav}]}))
+    for sid in ("s", "t"):  # a reference of session s, a hypothesis of session t
+        (root / f"only_{sid}").mkdir()
+        (root / f"only_{sid}" / f"{sid}.rttm").write_text(
+            f"SPEAKER {sid} 1 0.0 0.5 <NA> <NA> a <NA> <NA>\n")
     (root / "negative").mkdir()
     (root / "negative" / "neg.rttm").write_text("SPEAKER s 1 2.0 -1.0 <NA> <NA> a <NA> <NA>\n")
     session = {"session_id": "s", "channels": ["ch0.wav"],
@@ -598,6 +601,7 @@ def _write_malformed_inputs(root):
     (root / "sim_rooms.json").write_text(json.dumps(
         {"room_ranges": {"t60": 0.3}, "dry_corpus": [{"ref": "u", "path": "ch0.wav"}]}))
     (root / "sim_no_corpus.json").write_text(json.dumps({"speakers": 2}))
+    (root / "sim_ok.json").write_text(json.dumps({"dry_corpus": [{"ref": "u", "path": "ch0.wav"}]}))
     (root / "sim_noise_only.json").write_text(json.dumps(
         {"dry_corpus": [{"ref": "n", "path": "ch0.wav"}], "noise_ref": "n"}))
     (root / "sim_snr_word.json").write_text(json.dumps(
@@ -670,6 +674,8 @@ class TestCli:
              "dry WAV ch0_8k.wav"),
             (["simulate", "--config", "sim_stereo.json", "--output-dir", "out"],
              "dry WAV stereo.wav"),
+            (["score", "--ref-dir", "only_s", "--hyp-dir", "only_t"],
+             "only_s: no reference session has a hypothesis in only_t"),
         ],
         ids=["manifest-sessions", "emb-header", "act-header", "rttm-onset",
              "manifest-sessions-type", "manifest-entry-type", "rttm-negative-duration",
@@ -680,7 +686,7 @@ class TestCli:
              "run-missing-reference", "fuse-infinite-weight", "emb-nan-vector",
              "fuse-string-weight", "fuse-bool-weight", "score-ref-is-file",
              "score-hyp-is-file", "score-hyp-no-rttm", "score-ref-missing",
-             "sim-dry-8khz", "sim-dry-stereo"],
+             "sim-dry-8khz", "sim-dry-stereo", "score-nothing-scored"],
     )
     def test_malformed_input_exits_3(self, tmp_path, monkeypatch, capsys, argv, named):
         _write_malformed_inputs(tmp_path)
@@ -727,6 +733,19 @@ class TestCli:
             *((["simulate", "--config", f"{name}.json", "--output-dir", "out"],
                f"simulation config {name}.json: {named}")
               for name, (_, named) in _SIM_CONFIG_ERRORS.items()),
+            (["run", "--set", "seed=-1"], "seed"),
+            (["run", "--set", "preprocess.selection_fraction=0"],
+             "preprocess.selection_fraction"),
+            (["run", "--set", "preprocess.selection_fraction=1.5"],
+             "preprocess.selection_fraction"),
+            (["run", "--set", "fusion.binarize_threshold=1"], "fusion.binarize_threshold"),
+            (["run", "--set", "fusion.binarize_threshold=0"], "fusion.binarize_threshold"),
+            (["run", "--set", "score.collar=-0.25"], "score.collar"),
+            (["run", "--set", "fusion.count_match_threshold=-3"],
+             "fusion.count_match_threshold"),
+            (["simulate", "--config", "sim_ok.json", "--output-dir", "out", "--seed", "-1"],
+             "--seed"),
+            (["score", "--ref-dir", "refs", "--hyp-dir", "refs", "--collar", "-1"], "--collar"),
         ],
         ids=["sim-missing", "sim-bad-json", "sim-room-key", "sim-no-corpus", "sim-noise-only",
              "set-no-value",
@@ -736,7 +755,10 @@ class TestCli:
              "gss-vad-mask-without-activity", "set-infinite-block", "set-nan-margin",
              "set-minus-infinite-floor", "set-nan-collar", "set-nan-in-list",
              "sim-snr-string", "sim-speakers-float", "sim-room-infinite",
-             *(name.replace("_", "-") for name in _SIM_CONFIG_ERRORS)],
+             *(name.replace("_", "-") for name in _SIM_CONFIG_ERRORS),
+             "set-negative-seed", "set-zero-fraction", "set-fraction-above-1",
+             "set-binarize-at-1", "set-binarize-at-0", "set-negative-collar",
+             "set-negative-count-threshold", "sim-negative-seed", "score-negative-collar"],
     )
     def test_config_error_exits_2(self, tmp_path, monkeypatch, capsys, argv, named):
         _write_malformed_inputs(tmp_path)

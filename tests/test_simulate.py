@@ -322,6 +322,13 @@ class TestSimulateMixture:
             MixtureSpec(1, ((0, "u0", 0.0),), 1.0, channels=2, noise_ref="noise")
         assert MixtureSpec(1, (), 1.0, channels=2, noise_ref="noise", snr_db=np.inf)
 
+    def test_nan_snr_rejected(self):
+        # np.isfinite(nan) is False, which would mix no noise at all
+        for noise_ref in ("noise", None):
+            with pytest.raises(DataError, match="snr_db"):
+                MixtureSpec(1, ((0, "u0", 0.0),), 1.0, channels=2, noise_ref=noise_ref,
+                            snr_db=float("nan"))
+
     def test_silent_speech_gets_noise_at_unit_gain(self):
         _, room, dry = self._setup()
         spec = MixtureSpec(1, (), 2.0, channels=2, noise_ref="noise", snr_db=10.0)

@@ -3,9 +3,10 @@
 For meeting and hypotheses seeds 1-3 it writes the workload inputs with this
 checkout's perfbench/inputs.py, runs run_full on each meeting session and the
 diarize grid plus fusion on each hypotheses session, with the default config.
-It prints one JSON object that maps every input and output file, outside
-report/ and .cache-key, to its sha256. Run it in two checkouts and diff the
-two maps:
+It also builds tests/conftest.py's demo session (seed 0) with this checkout's
+code and runs run_full on it. It prints one JSON object that maps every input
+and output file, outside report/ and .cache-key, to its sha256. Run it in two
+checkouts and diff the two maps:
 
     PYTHONPATH=src python3 tools/same_bytes.py > same_bytes.json
 """
@@ -18,8 +19,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
 
+import conftest  # noqa: E402  (the checkout's tests/conftest.py)
 import inputs  # noqa: E402  (the checkout's perfbench/inputs.py)
 
 import farfield.pipeline as pipeline  # noqa: E402
@@ -37,6 +40,10 @@ def _hypotheses(session: dict, config: dict, run_dir: Path) -> None:
 
 
 RUNS = {"meeting": _meeting, "hypotheses": _hypotheses}
+# (name, seed, input writer, run) of each session
+JOBS = [(workload, seed, inputs.MAKERS[workload], run)
+        for workload, run in RUNS.items() for seed in SEEDS]
+JOBS.append(("demo", 0, conftest.build_demo_session, _meeting))
 
 
 def _hashes(root: Path) -> dict:
@@ -52,13 +59,12 @@ def main() -> None:
     config = pipeline.load_config()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for workload, run in RUNS.items():
-            for seed in SEEDS:
-                data = root / f"{workload}-{seed}" / "inputs"
-                data.mkdir(parents=True)
-                inputs.MAKERS[workload](data, seed)
-                session = pipeline.load_manifest(data / "manifest.json")[0]
-                run(session, config, data.parent / "run")
+        for name, seed, make, run in JOBS:
+            data = root / f"{name}-{seed}" / "inputs"
+            data.mkdir(parents=True)
+            make(data, seed)
+            session = pipeline.load_manifest(data / "manifest.json")[0]
+            run(session, config, data.parent / "run")
         print(json.dumps(_hashes(root), indent=1, sort_keys=True))
 
 
