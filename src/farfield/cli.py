@@ -8,7 +8,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from farfield.errors import ConfigError, DataError, FarfieldError, check_seed
+from farfield.errors import ConfigError, DataError, FarfieldError
 
 
 def _add_common(parser):
@@ -86,7 +86,8 @@ def cmd_diarize(args):
 
 def cmd_fuse(args):
     from farfield.fusion import FusionInput, doverlap_fuse
-    from farfield.pipeline import _has_type, objects_with, read_json
+    from farfield.config import has_type
+    from farfield.pipeline import objects_with, read_json
     from farfield.segments import read_rttm, write_rttm
 
     spec = read_json(args.inputs, DataError, "fusion inputs")
@@ -103,7 +104,7 @@ def cmd_fuse(args):
         hypotheses.append(next(iter(segs.values())))
     weights = tuple(item.get("weight", 1.0) for item in items)
     try:
-        if not all(_has_type(w, "number") for w in weights):
+        if not all(has_type(w, "number") for w in weights):
             raise DataError(f"weights must be JSON numbers, got {weights}")
         fusion_input = FusionInput(tuple(hypotheses), tuple(map(float, weights)))
     except DataError as exc:
@@ -153,74 +154,50 @@ def cmd_simulate(args):
     import numpy as np
 
     from farfield.audio import read_wav, write_wav
-    from farfield.pipeline import (_build, _dataclass_defaults, _validate, atomic_write_bytes,
-                                   check_value, objects_with, read_json)
+    from farfield.config import PipelineConfig, from_json
+    from farfield.pipeline import atomic_write_bytes, objects_with, read_json
     from farfield.segments import write_rttm
-    from farfield.simulate import (
-        MixtureSpec,
-        OverlapStats,
-        RoomRanges,
-        sample_conversation,
-        sample_room,
-        simulate_mixture,
-    )
+    from farfield.simulate import (MixtureSpec, SimulationConfig, sample_conversation,
+                                   sample_room, simulate_mixture)
 
-    check_value("--seed", check_seed, args.seed)
+    from_json(PipelineConfig, {"seed": args.seed}, "--")
     spec = read_json(args.config, ConfigError, "simulation config")
     corpus = spec.pop("dry_corpus", None) if isinstance(spec, dict) else None
     if not (corpus and objects_with(corpus, "ref", "path")):
         raise ConfigError(f"simulation config {args.config}: 'dry_corpus' must be a "
                           "non-empty list of objects with ref and path")
-    defaults = {"sample_rate": 16000, "num_sessions": 1, "speakers": 4, "channels": 10,
-                "duration": 60.0, "snr_db": None, "noise_ref": None,
-                "room_ranges": _dataclass_defaults(RoomRanges, {}),
-                "overlap_stats": _dataclass_defaults(OverlapStats, {})}
     try:
-        config = _validate(spec, defaults)
-        ranges = _build(RoomRanges, "room_ranges", config.pop("room_ranges"))
-        stats = _build(OverlapStats, "overlap_stats", config.pop("overlap_stats"))
-        for key in ("sample_rate", "num_sessions", "speakers", "channels", "duration"):
-            if not config[key] > 0:
-                raise ConfigError(f"{key} must be positive, got {config[key]}")
-        if config["channels"] > ranges.num_receivers:
-            raise ConfigError(f"channels {config['channels']} exceed "
-                              f"room_ranges.num_receivers {ranges.num_receivers}")
-        if config["noise_ref"] is not None and config["snr_db"] is None:
-            raise ConfigError(f"snr_db must be set to mix noise_ref {config['noise_ref']!r}")
+        config = from_json(SimulationConfig, spec)
     except ConfigError as exc:
         raise ConfigError(f"simulation config {args.config}: {exc}") from exc
-    sample_rate, num_sessions, n_spk, channels, duration, snr_db, noise_ref = config.values()
     base = Path(args.config).parent
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dry_store = {}
     for item in corpus:
         dry = read_wav(base / item["path"])
-        if dry.sample_rate != sample_rate or dry.num_channels != 1:
+        if dry.sample_rate != config.sample_rate or dry.num_channels != 1:
             raise DataError(f"dry WAV {base / item['path']}: {dry.num_channels} channels at "
-                            f"{dry.sample_rate} Hz, need 1 channel at {sample_rate} Hz")
+                            f"{dry.sample_rate} Hz, need 1 channel at {config.sample_rate} Hz")
         dry_store[item["ref"]] = dry.samples[0]
-    speech_refs = [r for r in dry_store if r != noise_ref]
+    speech_refs = [r for r in dry_store if r != config.noise_ref]
     if not speech_refs:
         raise ConfigError(f"simulation config {args.config}: 'dry_corpus' has only the noise_ref")
     rng = np.random.default_rng(args.seed)
-    for index in range(num_sessions):
-        session_id = f"sim{index:03d}"
-        room = sample_room(ranges, seed=args.seed * 1000 + index)
-        schedule = sample_conversation(stats, n_spk, duration, seed=args.seed * 1000 + index)
+    for index in range(config.num_sessions):
+        session_id, seed = f"sim{index:03d}", args.seed * 1000 + index
+        room = sample_room(config.room_ranges, seed=seed)
+        schedule = sample_conversation(config.overlap_stats, config.speakers, config.duration,
+                                       seed=seed)
         utterances = tuple(
             (u.speaker, speech_refs[int(rng.integers(len(speech_refs)))], u.start)
             for u in schedule
         )
-        mix_spec = MixtureSpec(
-            speakers=n_spk,
-            utterances=utterances,
-            duration=duration,
-            channels=channels,
-            noise_ref=noise_ref,
-            snr_db=snr_db,
-        )
-        audio, seg = simulate_mixture(mix_spec, room, dry_store, sample_rate, noise_seed=index)
+        mix_spec = MixtureSpec(speakers=config.speakers, utterances=utterances,
+                               duration=config.duration, channels=config.channels,
+                               noise_ref=config.noise_ref, snr_db=config.snr_db)
+        audio, seg = simulate_mixture(mix_spec, room, dry_store, config.sample_rate,
+                                      noise_seed=index)
         seg = type(seg)(session_id, seg.turns)
         write_wav(out_dir / f"{session_id}.wav", audio)
         write_rttm(out_dir / f"{session_id}.rttm", seg)
@@ -232,8 +209,8 @@ def cmd_simulate(args):
                 "sources": room.source_positions.tolist(),
                 "receivers": room.receiver_positions.tolist(),
             },
-            "seed": args.seed * 1000 + index,
-            "snr_db": snr_db,
+            "seed": seed,
+            "snr_db": config.snr_db,
             "schedule": [(u.speaker, u.start, u.duration) for u in schedule],
         }
         atomic_write_bytes(
@@ -245,10 +222,10 @@ def cmd_simulate(args):
 
 
 def cmd_score(args):
-    from farfield.metrics import check_collar
-    from farfield.pipeline import check_value, format_score_report, score_directories
+    from farfield.config import ScoreConfig, from_json
+    from farfield.pipeline import format_score_report, score_directories
 
-    check_value("--collar", check_collar, args.collar)
+    from_json(ScoreConfig, {"collar": args.collar}, "--")
     for directory in (args.ref_dir, args.hyp_dir):
         if not any(Path(directory).glob("*.rttm")):
             raise DataError(f"{directory}: not a directory that holds *.rttm files")

@@ -33,10 +33,14 @@ class DiarizeConfig:
     frame_step: float = 0.5
     single_speaker_cos_threshold: float = 0.6
     reduction: str = "linear"  # or "external" for pre-reduced vectors
+    variants: tuple = ("orig", "wpe")  # recording variants whose embeddings the grid reads
 
     def __post_init__(self):
-        if not -1.0 < self.merge_cos_threshold < 1.0:
-            raise DataError("merge_cos_threshold must be in (-1, 1)")
+        for name in ("merge_cos_threshold", "single_speaker_cos_threshold"):
+            if not -1.0 < getattr(self, name) < 1.0:
+                raise DataError(f"{name} must be in (-1, 1), got {getattr(self, name)}")
+        if not self.frame_step > 0:
+            raise DataError(f"frame_step must be positive, got {self.frame_step}")
         object.__setattr__(self, "reject_thrs", tuple(map(float, self.reject_thrs)))
         if not self.reject_thrs or not all(thr > 0 for thr in self.reject_thrs):
             raise DataError(f"reject_thrs must be a non-empty list of positive numbers, "

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +26,8 @@ class GssConfig:
     iterations: int = 5
     context_margin: float = 0.5
     chunk_frames: int | None = None
-    add_noise_source: bool = True
+    # no config key: a run always models residual noise; only a numeric test turns it off
+    add_noise_source: bool = field(default=True, metadata={"config_key": False})
     noise_floor: float = 0.01
 
     def __post_init__(self):
@@ -36,6 +37,8 @@ class GssConfig:
             raise DataError("context_margin must be >= 0")
         if self.chunk_frames is not None and self.chunk_frames < 2:
             raise DataError("chunk_frames must be >= 2")
+        if not 0 <= self.noise_floor <= 1:
+            raise DataError(f"noise_floor must be in [0, 1], got {self.noise_floor}")
 
 
 @dataclass(frozen=True)

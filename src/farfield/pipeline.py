@@ -2,161 +2,32 @@
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import itertools
 import json
-import math
 import os
 import tempfile
 import warnings
-from dataclasses import fields
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from farfield.audio import read_wav, stack_channel_files, write_wav
-from farfield.diarize import DiarizeConfig, diarize_embeddings
+from farfield.config import PipelineConfig, ScoreConfig, from_json, to_json
+from farfield.diarize import diarize_embeddings
 from farfield.embeddings import read_embeddings
-from farfield.errors import ConfigError, DataError, check_seed
+from farfield.errors import ConfigError, DataError
 from farfield.fusion import FusionInput, doverlap_fuse, soft_fuse
-from farfield.gss import GssConfig, extract_speaker_segment
-from farfield.metrics import check_collar, compute_der, speaker_count_accuracy
-from farfield.preprocess import (
-    ClipNormConfig,
-    WpeConfig,
-    check_fraction,
-    clip_normalize,
-    envelope_variance_rank,
-    select_top_channels,
-    wpe_dereverberate,
-)
-from farfield.segments import (
-    Segmentation,
-    SoftActivity,
-    binarize,
-    check_threshold,
-    read_activity,
-    read_rttm,
-    segmentation_to_activity,
-    write_rttm,
-)
-from farfield.stft import StftParams, istft, stft
+from farfield.gss import extract_speaker_segment
+from farfield.metrics import compute_der, speaker_count_accuracy
+from farfield.preprocess import (clip_normalize, envelope_variance_rank, select_top_channels,
+                                 wpe_dereverberate)
+from farfield.segments import (Segmentation, SoftActivity, binarize, read_activity, read_rttm,
+                               segmentation_to_activity, write_rttm)
+from farfield.stft import istft, stft
 
-# each stage config object: its config section, its dataclass, and the config
-# keys that name a field differently (config key -> field)
-_STAGES = {
-    "stft": ("stft", StftParams, {}),
-    "clip": ("preprocess", ClipNormConfig, {}),
-    "wpe": ("preprocess", WpeConfig, {"wpe_taps": "taps", "wpe_delay": "delay",
-                                      "wpe_iterations": "iterations",
-                                      "block_seconds": "block_length"}),
-    "diarize": ("diarize", DiarizeConfig, {}),
-    "gss": ("gss", GssConfig, {}),
-}
-
-# dataclass fields that no config key sets, so a run always takes their
-# defaults: GSS always models residual noise
-_UNKEYED = {(GssConfig, "add_noise_source")}
-
-
-def _dataclass_defaults(cls, rename: dict) -> dict:
-    """A config dataclass's defaults under their config keys (rename maps a key to its
-    field where they differ), in field order; a tuple default reads as a JSON array."""
-    key_of = {f: k for k, f in rename.items()}
-    return {key_of.get(f.name, f.name): list(f.default) if isinstance(f.default, tuple)
-            else f.default for f in fields(cls) if (cls, f.name) not in _UNKEYED}
-
-
-_KEYED = {stage: _dataclass_defaults(cls, rename) for stage, (_, cls, rename) in _STAGES.items()}
-
-# the stage defaults live in the dataclasses; written out here are only the
-# keys that no dataclass field has
-DEFAULT_CONFIG = {
-    "seed": 0,
-    "stft": _KEYED["stft"],
-    "preprocess": {**_KEYED["clip"], "wpe": True, **_KEYED["wpe"], "selection_fraction": 0.8},
-    "diarize": {**_KEYED["diarize"], "variants": ["orig", "wpe"]},
-    "fusion": {"binarize_threshold": 0.5, "count_match_threshold": 0.5},
-    "gss": _KEYED["gss"],
-    "score": {"collar": 0.0},
-}
-
-# the numeric keys that no dataclass field has, each with the range check of
-# the function that reads its value
-_RANGE_CHECKS = {
-    "seed": check_seed,  # diarize.gmm_cluster
-    "preprocess.selection_fraction": check_fraction,  # preprocess.select_top_channels
-    "fusion.binarize_threshold": check_threshold,  # segments.binarize
-    "fusion.count_match_threshold": check_threshold,  # fusion.soft_fuse
-    "score.collar": check_collar,  # metrics.compute_der
-}
-
-
-# keys whose default is null, and the JSON type of their other values; the
-# last two are keys of the simulation config that `farfield simulate` reads
-_NULL_DEFAULT_TYPES = {"gss.chunk_frames": "integer", "snr_db": "number", "noise_ref": "string"}
-
-
-def _json_type(value) -> str:
-    for name, kind in (("boolean", bool), ("integer", int), ("number", float),
-                       ("string", str), ("array", list), ("object", dict)):
-        if isinstance(value, kind):  # bool before int: True is an int in Python
-            return name
-    return "null" if value is None else type(value).__name__
-
-
-def _has_type(value, want: str) -> bool:
-    if isinstance(value, float) and not math.isfinite(value):  # json reads NaN, Infinity
-        return False
-    got = _json_type(value)
-    return got == want or (want, got) == ("number", "integer")
-
-
-def _check_type(where: str, value, default) -> None:
-    """Reject a value whose JSON type differs from its default's."""
-    if default is None:
-        want = f"null or {_NULL_DEFAULT_TYPES[where]}"
-        ok = value is None or _has_type(value, _NULL_DEFAULT_TYPES[where])
-    elif isinstance(default, list):
-        want = f"a non-empty array of {_json_type(default[0])}s"
-        ok = (isinstance(value, list) and bool(value)
-              and all(_has_type(v, _json_type(default[0])) for v in value))
-    else:
-        want = _json_type(default)
-        ok = _has_type(value, want)
-    if not ok:
-        raise ConfigError(f"{where}: expected {want}, got {value!r}")
-
-
-def _validate(config: dict, defaults: dict, path: str = "") -> dict:
-    """Recursively apply defaults; reject unknown keys and mistyped values."""
-    for key in config:
-        if key not in defaults:
-            raise ConfigError(f"unknown config key {path}{key}")
-    merged = {}
-    for key, default in defaults.items():
-        where = path + key
-        if key not in config:
-            merged[key] = copy.deepcopy(default)  # callers edit their config in place
-        elif isinstance(default, dict):
-            if not isinstance(config[key], dict):
-                raise ConfigError(f"{where}: expected a mapping")
-            merged[key] = _validate(config[key], default, where + ".")
-        else:
-            _check_type(where, config[key], default)
-            merged[key] = config[key]
-    return merged
-
-
-def check_value(where: str, check, value) -> None:
-    """check(value); the DataError that it raises becomes a ConfigError naming where."""
-    try:
-        check(value)
-    except DataError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+DEFAULT_CONFIG = to_json(PipelineConfig())
 
 
 def read_json(path, error: type = DataError, what: str = "file"):
@@ -168,13 +39,13 @@ def read_json(path, error: type = DataError, what: str = "file"):
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
-    """Defaults, overlaid by the JSON file at path, then by overrides.
+    """Defaults, overlaid by the JSON file at path, then by overrides, as the JSON
+    object of a PipelineConfig.
 
     overrides map dotted keys ("seed", "gss.iterations") to values. The
-    merged config is checked before it is returned: an unknown key, a value
-    of another JSON type than the default's, or a value that a stage config
-    or the range check of the function reading it rejects raises a
-    ConfigError naming section.key.
+    merged config is checked by config.from_json: an unknown key, a value of
+    another JSON type than its field's, or a value that its section's
+    dataclass rejects raises a ConfigError naming section.key.
     """
     raw = {} if path is None else read_json(path, ConfigError, "config")
     if not isinstance(raw, dict):
@@ -187,53 +58,7 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
             if not isinstance(node, dict):
                 raise ConfigError(f"{dotted}: {section} is not a mapping")
         node[key] = value
-    config = _validate(raw, DEFAULT_CONFIG)
-    stage_configs(config)
-    for dotted, check in _RANGE_CHECKS.items():
-        check_value(dotted, check, functools.reduce(dict.get, dotted.split("."), config))
-    return config
-
-
-class StageConfigs(NamedTuple):
-    stft: StftParams
-    clip: ClipNormConfig
-    wpe: WpeConfig
-    diarize: DiarizeConfig
-    gss: GssConfig
-
-
-def _build(cls, section: str, values: dict, rename: dict | None = None):
-    """cls from config values; rename maps a config key to its field where they differ.
-
-    A value that cls rejects raises a ConfigError naming section.key.
-    """
-    rename = rename or {}
-
-    def make(items):
-        return cls(**{rename.get(key, key): value for key, value in items})
-
-    def rejects(key) -> bool:
-        try:
-            make([(key, values[key])])
-        except (DataError, TypeError):
-            return True
-        return False
-
-    try:
-        return make(values.items())
-    except (DataError, TypeError) as exc:
-        keys = [key for key in values if rejects(key)] or list(values)  # else a combination
-        raise ConfigError(", ".join(f"{section}.{k}" for k in keys) + f": {exc}") from exc
-
-
-def stage_configs(config: dict) -> StageConfigs:
-    """The stages' config objects, built from a config that load_config returned."""
-
-    def build(stage: str):
-        section, cls, rename = _STAGES[stage]
-        return _build(cls, section, {key: config[section][key] for key in _KEYED[stage]}, rename)
-
-    return StageConfigs(**{stage: build(stage) for stage in _STAGES})
+    return to_json(from_json(PipelineConfig, raw))
 
 
 def read_session_rttm(path, session_id: str) -> Segmentation:
@@ -387,7 +212,6 @@ def run_preprocess(session: dict, config: dict, run_dir: Path) -> dict:
     """Normalize, dereverberate and rank channels; returns artifact paths."""
     stage_dir = Path(run_dir) / "preprocess" / session["session_id"]
     pc = config["preprocess"]
-    cfgs = stage_configs(config)
     key = content_hash(session["channels"], {"preprocess": pc, "stft": config["stft"],
                                              "sample_rate": session.get("sample_rate")})
     result = {
@@ -400,15 +224,18 @@ def run_preprocess(session: dict, config: dict, run_dir: Path) -> dict:
     if result["cached"]:
         return result
 
+    cfg = from_json(PipelineConfig, config)
     normalized = clip_normalize(
-        stack_channel_files(session["channels"], session.get("sample_rate")), cfgs.clip
+        stack_channel_files(session["channels"], session.get("sample_rate")),
+        cfg.preprocess.clip_config,
     )
-    if pc["wpe"]:
-        dereverbed = istft(wpe_dereverberate(stft(normalized, cfgs.stft), cfgs.wpe), cfgs.stft)
+    if cfg.preprocess.wpe:
+        dereverbed = istft(wpe_dereverberate(stft(normalized, cfg.stft),
+                                             cfg.preprocess.wpe_config), cfg.stft)
     else:
         dereverbed = normalized
     ranking = envelope_variance_rank(dereverbed)
-    selected = select_top_channels(ranking, pc["selection_fraction"])
+    selected = select_top_channels(ranking, cfg.preprocess.selection_fraction)
 
     stage_dir.mkdir(parents=True, exist_ok=True)
     write_wav(result["orig"], normalized)
@@ -451,10 +278,10 @@ def run_diarize_grid(session: dict, config: dict, run_dir: Path) -> dict:
     fused_paths = {ch: stage_dir / f"fused_ch{ch}.rttm" for ch in channels}
     cached = _cache_hit(stage_dir, key, fused_paths.values())
     if not cached:
-        cfg = stage_configs(config).diarize
+        cfg = from_json(PipelineConfig, config).diarize
         # grid streams: activity-segment source x recording variant; each
         # stream gives one cell per rejection threshold
-        streams = list(itertools.product(sorted({v for _, v, _ in emb_paths}), dc["variants"]))
+        streams = list(itertools.product(sorted({v for _, v, _ in emb_paths}), cfg.variants))
         for ch in channels:
             hypotheses = []
             for vad_source, variant in streams:
@@ -547,8 +374,8 @@ def run_gss(session: dict, config: dict, run_dir: Path, seg: Segmentation,
     if _cache_hit(stage_dir, key, outputs):
         return {"outputs": outputs, "cached": True}
 
-    cfgs = stage_configs(config)
-    gss_cfg, params = cfgs.gss, cfgs.stft
+    cfg = from_json(PipelineConfig, config)
+    gss_cfg, params = cfg.gss, cfg.stft
     audio = read_wav(wpe_path)
     stage_dir.mkdir(parents=True, exist_ok=True)
     if activity is None:
@@ -595,8 +422,7 @@ def run_full(session: dict, config: dict, run_dir) -> dict:
     return report
 
 
-def score_directories(ref_dir, hyp_dir,
-                      collar: float = DEFAULT_CONFIG["score"]["collar"]) -> dict:
+def score_directories(ref_dir, hyp_dir, collar: float = ScoreConfig.collar) -> dict:
     """Per-session DER/count table plus macro averages over two RTTM directories."""
     ref_dir, hyp_dir = Path(ref_dir), Path(hyp_dir)
     refs: dict = {}

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from farfield.audio import MultichannelAudio
-from farfield.errors import DataError
+from farfield.errors import ConfigError, DataError
 from farfield.kernels import SINC_HALF_WIDTH, accumulate_sinc_taps
 from farfield.preprocess import envelope_variance_rank, select_top_channels
 from farfield.segments import Segmentation, Turn, sweep
@@ -270,6 +270,32 @@ class MixtureSpec:
                 raise DataError(f"utterance start {start} outside [0, {self.duration})")
             if not 0 <= spk < self.speakers:
                 raise DataError(f"speaker index {spk} out of range")
+
+
+@dataclass(frozen=True)
+class SimulationConfig:
+    """`farfield simulate`'s config, apart from its dry_corpus list."""
+
+    sample_rate: int = 16000
+    num_sessions: int = 1
+    speakers: int = 4
+    channels: int = 10
+    duration: float = 60.0
+    snr_db: float | None = None
+    noise_ref: str | None = None
+    room_ranges: RoomRanges = RoomRanges()
+    overlap_stats: OverlapStats = OverlapStats()
+
+    def __post_init__(self):
+        for name in ("sample_rate", "num_sessions", "speakers", "channels", "duration"):
+            if not getattr(self, name) > 0:
+                raise DataError(f"{name} must be positive, got {getattr(self, name)}")
+        # checks across keys, which name the keys themselves
+        if self.channels > self.room_ranges.num_receivers:
+            raise ConfigError(f"channels {self.channels} exceed "
+                              f"room_ranges.num_receivers {self.room_ranges.num_receivers}")
+        if self.noise_ref is not None and self.snr_db is None:
+            raise ConfigError(f"snr_db must be set to mix noise_ref {self.noise_ref!r}")
 
 
 def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -14,6 +14,14 @@ import pytest
 from farfield.audio import MultichannelAudio, write_wav
 import farfield.cli
 from farfield.cli import build_parser, main
+from farfield.config import (
+    FusionConfig,
+    PipelineConfig,
+    PreprocessConfig,
+    ScoreConfig,
+    from_json,
+    to_json,
+)
 from farfield.diarize import DiarizeConfig
 from farfield.errors import ConfigError, DataError, FarfieldError, NumericalError
 from farfield.gss import GssConfig
@@ -29,7 +37,6 @@ from farfield.pipeline import (
     run_gss,
     run_preprocess,
     score_directories,
-    stage_configs,
 )
 from farfield.preprocess import ClipNormConfig, WpeConfig
 from farfield.embeddings import EmbeddingEntry, EmbeddingSet, write_embeddings
@@ -40,6 +47,7 @@ from farfield.segments import (
     segmentation_to_activity,
     write_activity,
 )
+from farfield.simulate import OverlapStats, RoomRanges, SimulationConfig
 from farfield.stft import StftParams
 
 # The defaults, key order included: run_full writes them to config.json.
@@ -106,22 +114,19 @@ class TestConfig:
         assert json.dumps(config, indent=2) == json.dumps(DEFAULTS, indent=2)
 
     def test_every_stage_field_has_a_key(self):
-        unkeyed = {(GssConfig, "add_noise_source")}
-        renamed = {(WpeConfig, "taps"): "wpe_taps", (WpeConfig, "delay"): "wpe_delay",
-                   (WpeConfig, "iterations"): "wpe_iterations",
-                   (WpeConfig, "block_length"): "block_seconds"}
-        sections = {StftParams: "stft", ClipNormConfig: "preprocess", WpeConfig: "preprocess",
-                    DiarizeConfig: "diarize", GssConfig: "gss"}
-        config = load_config(None)
-        for cls, section in sections.items():
-            for field in fields(cls):
-                if (cls, field.name) not in unkeyed:
-                    key = renamed.get((cls, field.name), field.name)
-                    assert key in config[section], f"{cls.__name__}.{field.name}"
-        built = stage_configs(config)
-        assert (built.stft, built.clip, built.wpe, built.gss) == (
-            StftParams(), ClipNormConfig(), WpeConfig(), GssConfig())
-        assert built.diarize == DiarizeConfig()
+        # every keyed field comes back through its key, and the defaults through the loader
+        sections = (PipelineConfig, StftParams, PreprocessConfig, DiarizeConfig, FusionConfig,
+                    GssConfig, ScoreConfig, SimulationConfig, RoomRanges, OverlapStats)
+        for cls in sections:
+            assert from_json(cls, to_json(cls())) == cls(), cls.__name__
+        assert [(cls, f.name) for cls in sections for f in fields(cls)
+                if f.name not in to_json(cls())] == [(GssConfig, "add_noise_source")]
+        config = load_config()
+        assert json.dumps(config) == json.dumps(DEFAULTS)  # key order included
+        built = from_json(PipelineConfig, config)
+        assert (built.stft, built.preprocess.clip_config, built.preprocess.wpe_config,
+                built.diarize, built.gss) == (StftParams(), ClipNormConfig(), WpeConfig(),
+                                              DiarizeConfig(), GssConfig())
 
     def test_partial_file_merges_with_defaults(self, tmp_path):
         path = tmp_path / "c.json"
@@ -746,6 +751,11 @@ class TestCli:
             (["simulate", "--config", "sim_ok.json", "--output-dir", "out", "--seed", "-1"],
              "--seed"),
             (["score", "--ref-dir", "refs", "--hyp-dir", "refs", "--collar", "-1"], "--collar"),
+            (["run", "--set", "diarize.frame_step=0"], "diarize.frame_step"),
+            (["run", "--set", "diarize.single_speaker_cos_threshold=5.0"],
+             "diarize.single_speaker_cos_threshold"),
+            (["run", "--set", "gss.noise_floor=-0.5"], "gss.noise_floor"),
+            (["run", "--set", "gss.noise_floor=2.0"], "gss.noise_floor"),
         ],
         ids=["sim-missing", "sim-bad-json", "sim-room-key", "sim-no-corpus", "sim-noise-only",
              "set-no-value",
@@ -758,7 +768,9 @@ class TestCli:
              *(name.replace("_", "-") for name in _SIM_CONFIG_ERRORS),
              "set-negative-seed", "set-zero-fraction", "set-fraction-above-1",
              "set-binarize-at-1", "set-binarize-at-0", "set-negative-collar",
-             "set-negative-count-threshold", "sim-negative-seed", "score-negative-collar"],
+             "set-negative-count-threshold", "sim-negative-seed", "score-negative-collar",
+             "set-zero-frame-step", "set-cos-threshold-above-1", "set-negative-noise-floor",
+             "set-noise-floor-above-1"],
     )
     def test_config_error_exits_2(self, tmp_path, monkeypatch, capsys, argv, named):
         _write_malformed_inputs(tmp_path)

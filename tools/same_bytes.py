@@ -15,9 +15,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
+
+# Fixed before numpy loads, as perfbench/run.py does: WPE's and GSS's WAV bytes
+# depend on the BLAS thread count, so every map is made at one thread.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
