@@ -179,6 +179,8 @@ def cmd_simulate(args):
         if dry.sample_rate != config.sample_rate or dry.num_channels != 1:
             raise DataError(f"dry WAV {base / item['path']}: {dry.num_channels} channels at "
                             f"{dry.sample_rate} Hz, need 1 channel at {config.sample_rate} Hz")
+        if dry.num_samples == 0:
+            raise DataError(f"dry WAV {base / item['path']}: no samples")
         dry_store[item["ref"]] = dry.samples[0]
     speech_refs = [r for r in dry_store if r != config.noise_ref]
     if not speech_refs:

@@ -169,12 +169,51 @@ def generate_rir(
         accumulate_sinc_taps(rir, np.ascontiguousarray(delays[keep]),
                              np.ascontiguousarray(amp_keep))
     if highpass_hz > 0:
-        from scipy.signal import butter, lfilter  # only a rendered room needs scipy.signal
-
-        b, a = butter(2, highpass_hz / (sample_rate / 2.0), btype="highpass")
-        rir = lfilter(b, a, rir)
+        rir = lfilter_biquad(*butter_highpass(highpass_hz, sample_rate), rir)
     direct = int(round(np.linalg.norm(src - rec) * sample_rate / c))
     return Rir(taps=rir, sample_rate=sample_rate, direct_path_delay=direct)
+
+
+def butter_highpass(cutoff_hz: float, sample_rate: int) -> tuple:
+    """b, a of scipy.signal.butter(2, cutoff_hz / (sample_rate / 2), "highpass").
+
+    Computed by scipy's own steps, so the coefficients have its bytes: the analog
+    prototype's poles (buttap), the high-pass transform at the pre-warped cut-off
+    (lp2hp_zpk), the bilinear transform at fs = 2 (bilinear_zpk), then np.poly.
+    """
+    wn = np.float64(cutoff_hz / (sample_rate / 2.0))
+    if not 0 < wn < 1:
+        raise DataError(f"high-pass cut-off {cutoff_hz} Hz must lie in (0, {sample_rate / 2} Hz)")
+    warped = float(4.0 * np.tan(np.pi * wn / 2.0))
+    p = -np.exp(1j * np.pi * np.array([-1.0, 1.0]) / 4)
+    # lp2hp_zpk: the poles invert about the cut-off, and the two zeros at
+    # infinity move to the origin
+    k = np.real(1.0 / np.prod(-p))
+    p = warped / p
+    # bilinear_zpk: the zeros at the origin map to 1
+    k = k * np.real(16.0 / np.prod(4.0 - p))
+    p = (4.0 + p) / (4.0 - p)
+    return k * np.poly([1.0, 1.0]), np.poly(p)
+
+
+def lfilter_biquad(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """scipy.signal.lfilter(b, a, x) for three b and three a coefficients, zero state.
+
+    A direct-form-II-transposed loop over Python floats in scipy's order of
+    operations, with the coefficients normalised by a[0] first, so the output
+    has scipy's bytes.
+    """
+    b0, b1, b2 = (float(v) / float(a[0]) for v in b)
+    _, a1, a2 = (float(v) / float(a[0]) for v in a)
+    z0 = z1 = 0.0
+    y = []
+    append = y.append
+    for xn in np.asarray(x, dtype=np.float64).tolist():
+        yn = z0 + b0 * xn
+        z0 = z1 + xn * b1 - yn * a1
+        z1 = xn * b2 - yn * a2
+        append(yn)
+    return np.array(y)
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +337,37 @@ class SimulationConfig:
             raise ConfigError(f"snr_db must be set to mix noise_ref {self.noise_ref!r}")
 
 
-def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution: scipy.signal.fftconvolve, imported on first use, so
-    that importing farfield loads no scipy module."""
-    from scipy.signal import fftconvolve as scipy_fftconvolve
+def next_fast_len(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n: the length scipy.fft.next_fast_len(n, real=True)
+    picks, at which a real FFT is fast."""
+    if n <= 6:
+        return n
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            # the smallest f35 * 2^k >= n
+            best = min(best, f35 << (-(-n // f35) - 1).bit_length())
+            f35 *= 3
+        f5 *= 5
+    return best
 
-    return scipy_fftconvolve(a, b)
+
+def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two 1-D real arrays by real FFTs at next_fast_len.
+
+    The transform length and steps are scipy.signal.fftconvolve's, so the result
+    has its bytes. As there, an empty input gives an empty result, and a
+    length-1 input is a plain product.
+    """
+    if a.size == 0 or b.size == 0:
+        return np.array([])
+    if a.size == 1 or b.size == 1:
+        return a * b
+    n = len(a) + len(b) - 1
+    size = next_fast_len(n)
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
 
 
 def render_speaker_images(spec: MixtureSpec, room: RoomSpec, dry_store, sample_rate: int):

@@ -571,9 +571,14 @@ def _write_malformed_inputs(root):
     (root / "empty").mkdir()
     write_wav(root / "ch0_8k.wav", MultichannelAudio(noise, 8000))
     write_wav(root / "stereo.wav", MultichannelAudio(np.stack([noise, noise]), 16000))
-    for name, wav in (("sim_rate_8k", "ch0_8k.wav"), ("sim_stereo", "stereo.wav")):
+    write_wav(root / "empty.wav", MultichannelAudio(np.zeros((1, 0)), 16000))
+    for name, wav in (("sim_rate_8k", "ch0_8k.wav"), ("sim_stereo", "stereo.wav"),
+                      ("sim_empty_speech", "empty.wav")):
         (root / f"{name}.json").write_text(json.dumps(
             {"dry_corpus": [{"ref": "u", "path": "ch0.wav"}, {"ref": "v", "path": wav}]}))
+    (root / "sim_empty_noise.json").write_text(json.dumps(
+        {"dry_corpus": [{"ref": "u", "path": "ch0.wav"}, {"ref": "n", "path": "empty.wav"}],
+         "noise_ref": "n", "snr_db": 10.0}))
     for sid in ("s", "t"):  # a reference of session s, a hypothesis of session t
         (root / f"only_{sid}").mkdir()
         (root / f"only_{sid}" / f"{sid}.rttm").write_text(
@@ -681,6 +686,10 @@ class TestCli:
              "dry WAV stereo.wav"),
             (["score", "--ref-dir", "only_s", "--hyp-dir", "only_t"],
              "only_s: no reference session has a hypothesis in only_t"),
+            (["simulate", "--config", "sim_empty_speech.json", "--output-dir", "out"],
+             "dry WAV empty.wav: no samples"),
+            (["simulate", "--config", "sim_empty_noise.json", "--output-dir", "out"],
+             "dry WAV empty.wav: no samples"),
         ],
         ids=["manifest-sessions", "emb-header", "act-header", "rttm-onset",
              "manifest-sessions-type", "manifest-entry-type", "rttm-negative-duration",
@@ -691,7 +700,8 @@ class TestCli:
              "run-missing-reference", "fuse-infinite-weight", "emb-nan-vector",
              "fuse-string-weight", "fuse-bool-weight", "score-ref-is-file",
              "score-hyp-is-file", "score-hyp-no-rttm", "score-ref-missing",
-             "sim-dry-8khz", "sim-dry-stereo", "score-nothing-scored"],
+             "sim-dry-8khz", "sim-dry-stereo", "score-nothing-scored",
+             "sim-dry-empty-speech", "sim-dry-empty-noise"],
     )
     def test_malformed_input_exits_3(self, tmp_path, monkeypatch, capsys, argv, named):
         _write_malformed_inputs(tmp_path)
@@ -1000,25 +1010,55 @@ class TestCli:
         assert "cached: preprocess, diarize, gss" in capsys.readouterr().out
         assert _outputs(copy) == _outputs(runs[0])
 
+    @staticmethod
+    def _scipy_modules_after(script):
+        """The scipy modules loaded in a fresh process that ran script."""
+        script += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        src = str(Path(farfield.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", "import sys\n" + script], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()[-1]
+
     def test_pipeline_loads_no_scipy(self, demo_manifest, tmp_path):
-        # scipy is loaded only to render a room; every pipeline stage runs on numpy
+        # farfield needs numpy only; scipy is a test oracle
         script = (
-            "import sys\n"
             "import farfield, farfield.cli, farfield.pipeline, farfield.metrics, "
             "farfield.simulate\n"
             f"code = farfield.cli.main(['run', '--manifest', {str(demo_manifest)!r}, "
             f"'--run-dir', {str(tmp_path / 'run')!r}, '--set', 'gss.iterations=1'])\n"
-            "assert code == 0, code\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "assert code == 0, code"
         )
-        src = str(Path(farfield.cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=600)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
+        assert self._scipy_modules_after(script) == "[]"
         assert (tmp_path / "run" / "report" / "demo.json").is_file()
+
+    def test_room_rendering_loads_no_scipy(self, tmp_path):
+        # a rendered room filters and convolves with numpy alone
+        speech = 0.1 * np.random.default_rng(0).standard_normal(16000)
+        write_wav(tmp_path / "dry.wav", MultichannelAudio(speech, 16000))
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"dry_corpus": [{"ref": "u", "path": "dry.wav"}],
+                                      "duration": 3.0, "speakers": 2, "channels": 2}))
+        out = tmp_path / "sim"
+        script = (
+            "import farfield.cli\n"
+            f"code = farfield.cli.main(['simulate', '--config', {str(config)!r}, "
+            f"'--output-dir', {str(out)!r}])\n"
+            "assert code == 0, code"
+        )
+        assert self._scipy_modules_after(script) == "[]"
+        assert (out / "sim000.wav").is_file() and (out / "sim000.rttm").is_file()
+        inputs = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+        script = (
+            "import runpy\n"
+            f"sys.argv = [{str(inputs)!r}, '--workload', 'meeting', '--seed', '1', "
+            f"'--out', {str(tmp_path / 'meeting')!r}]\n"
+            f"runpy.run_path({str(inputs)!r}, run_name='__main__')"
+        )
+        assert self._scipy_modules_after(script) == "[]"
+        assert any((tmp_path / "meeting").rglob("*.wav"))
 
     def test_run_command_end_to_end(self, demo_manifest, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

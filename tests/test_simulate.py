@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.signal
 
 from farfield.errors import DataError
 from farfield.simulate import (
@@ -12,7 +14,11 @@ from farfield.simulate import (
     RoomSpec,
     SeparationExampleConfig,
     _pairwise_overlap_starts,
+    butter_highpass,
+    fftconvolve,
     generate_rir,
+    lfilter_biquad,
+    next_fast_len,
     sample_conversation,
     sample_room,
     simulate_mixture,
@@ -165,6 +171,61 @@ class TestKernels:
         mask = np.ones(200, dtype=bool)
         mask[100] = False
         assert np.max(np.abs(rir[mask])) < 1e-12
+
+
+class TestScipyOracle:
+    """The simulator's numpy filter and convolution give scipy.signal's bytes.
+
+    scipy is the oracle here only; farfield itself imports no scipy module.
+    """
+
+    @pytest.mark.parametrize("sample_rate", [8000, 11025, 16000, 22050, 44100, 48000])
+    def test_butter_highpass_coefficients(self, sample_rate):
+        for cutoff in (20.0, 50.0, 80.0, 125.0, 300.0, 1000.0, 3500.0):
+            b, a = butter_highpass(cutoff, sample_rate)
+            want_b, want_a = scipy.signal.butter(2, cutoff / (sample_rate / 2.0),
+                                                 btype="highpass")
+            assert b.dtype == want_b.dtype and a.dtype == want_a.dtype
+            assert np.array_equal(b, want_b) and np.array_equal(a, want_a), cutoff
+
+    @pytest.mark.parametrize("cutoff", [0.0, -80.0, 8000.0, 9000.0])
+    def test_butter_highpass_cutoff_outside_band_rejected(self, cutoff):
+        with pytest.raises(DataError):
+            butter_highpass(cutoff, 16000)
+
+    def test_lfilter_biquad(self):
+        rng = np.random.default_rng(5)
+        lengths = [*range(1, 20), *rng.integers(20, 40_000, 25), 40_000]
+        for cutoff, n in zip(rng.uniform(20.0, 4000.0, len(lengths)), lengths):
+            b, a = scipy.signal.butter(2, cutoff / 8000.0, btype="highpass")
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 2)
+            assert np.array_equal(lfilter_biquad(b, a, x), scipy.signal.lfilter(b, a, x)), n
+
+    def test_lfilter_biquad_normalises_by_a0(self):
+        b, a = scipy.signal.butter(2, 0.01, btype="highpass")
+        x = np.random.default_rng(6).standard_normal(1000)
+        assert np.array_equal(lfilter_biquad(3.0 * b, 3.0 * a, x),
+                              scipy.signal.lfilter(3.0 * b, 3.0 * a, x))
+
+    def test_fftconvolve(self):
+        rng = np.random.default_rng(7)
+        shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (1, 700), (700, 1), (2, 2),
+                  *rng.integers(0, 3000, (300, 2)), (200_000, 9_000)]
+        for n_a, n_b in shapes:
+            a, b = rng.standard_normal(n_a), rng.standard_normal(n_b)
+            got, want = fftconvolve(a, b), scipy.signal.fftconvolve(a, b)
+            assert got.shape == want.shape and got.dtype == want.dtype, (n_a, n_b)
+            assert np.array_equal(got, want), (n_a, n_b)
+
+    def test_next_fast_len(self):
+        assert [next_fast_len(n) for n in range(10_001)] == [
+            scipy.fft.next_fast_len(n, real=True) for n in range(10_001)]
+
+    def test_generate_rir_high_pass(self):
+        room = _small_room(0.4)
+        raw = generate_rir(room, 0, 0, FS, highpass_hz=0.0).taps
+        b, a = scipy.signal.butter(2, 80.0 / (FS / 2.0), btype="highpass")
+        assert np.array_equal(generate_rir(room, 0, 0, FS).taps, scipy.signal.lfilter(b, a, raw))
 
 
 class TestSampleRoom:
