@@ -279,14 +279,15 @@ def assign_mixed_frames(
     single: EmbeddingSet,
     mixed: EmbeddingSet,
     cfg: DiarizeConfig,
+    reduced_single: np.ndarray,
     session_id: str = "session",
-    reduced_single: np.ndarray | None = None,
 ) -> Segmentation:
     """Attract mixed and unassigned frames to nearest centroids; emit turns.
 
-    Centroid geometry lives in the clustering space; mixed vectors must be
-    provided in that same space (see diarize_embeddings for the projection
-    plumbing).
+    Centroid geometry lives in the clustering space; reduced_single holds the
+    single-speaker vectors there, one row per entry of single, and mixed
+    vectors must be provided in that same space (see diarize_embeddings for
+    the projection plumbing).
     """
     if not len(clusters.sizes):
         raise DataError("no surviving clusters to attract frames to")
@@ -296,8 +297,7 @@ def assign_mixed_frames(
     for idx, entry in enumerate(single.entries):
         cid = clusters.assignments[idx]
         if cid == UNASSIGNED:
-            vec = reduced_single[idx] if reduced_single is not None else entry.vectors[0]
-            cid = _nearest_centroid(vec, centroids, sizes)
+            cid = _nearest_centroid(reduced_single[idx], centroids, sizes)
         frames.append((f"spk{cid:02d}", entry.time_start, entry.time_end))
     for entry in mixed.entries:
         for cid in {_nearest_centroid(vec, centroids, sizes) for vec in entry.vectors}:
@@ -336,8 +336,6 @@ def diarize_embeddings(
     results = []
     for thr in cfg.reject_thrs:
         clusters = reject_clusters(merged, thr)
-        seg = assign_mixed_frames(
-            clusters, single, mixed, cfg, session_id, reduced_single=reduced
-        )
+        seg = assign_mixed_frames(clusters, single, mixed, cfg, reduced, session_id)
         results.append((seg, count_speakers(clusters), clusters))
     return results

@@ -255,14 +255,7 @@ def mvdr_beamform(
             snr[r] = float(np.sum(sig / noi))
         ref_channel = int(np.argmax(snr))
     w = w_all[:, :, ref_channel]  # (F, C)
-    out = np.einsum("fc,ftc->tf", w.conj(), x)
-    return SpectralTensor(
-        values=out[None],
-        frame_shift=tensor.frame_shift,
-        frame_length=tensor.frame_length,
-        sample_rate=tensor.sample_rate,
-        num_samples=tensor.num_samples,
-    )
+    return replace(tensor, values=np.einsum("fc,ftc->tf", w.conj(), x)[None])
 
 
 def extract_speaker_segment(
@@ -294,6 +287,6 @@ def extract_speaker_segment(
     )
     masks = cacgmm_em(tensor, window_act, cfg)
     beamformed = mvdr_beamform(tensor, masks, target)
-    wave = istft(beamformed, stft_params)
+    wave = istft(beamformed)
     offset = turn.start - ext_start
     return wave.slice_time(offset, offset + turn.duration)

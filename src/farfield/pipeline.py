@@ -231,7 +231,7 @@ def run_preprocess(session: dict, config: dict, run_dir: Path) -> dict:
     )
     if cfg.preprocess.wpe:
         dereverbed = istft(wpe_dereverberate(stft(normalized, cfg.stft),
-                                             cfg.preprocess.wpe_config), cfg.stft)
+                                             cfg.preprocess.wpe_config))
     else:
         dereverbed = normalized
     ranking = envelope_variance_rank(dereverbed)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -138,13 +138,7 @@ def wpe_dereverberate(tensor: SpectralTensor, cfg: WpeConfig = WpeConfig()) -> S
             out[bins, :, frames] = _wpe_block(
                 values[bins, :, frames], cfg.taps, cfg.delay, cfg.iterations
             )
-    return SpectralTensor(
-        values=out.transpose(1, 2, 0),
-        frame_shift=tensor.frame_shift,
-        frame_length=tensor.frame_length,
-        sample_rate=tensor.sample_rate,
-        num_samples=tensor.num_samples,
-    )
+    return replace(tensor, values=out.transpose(1, 2, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -272,20 +272,15 @@ def binarize(activity: SoftActivity, threshold: float = 0.5) -> Segmentation:
 
 
 def segmentation_to_activity(
-    seg: Segmentation,
-    frame_step: float,
-    num_frames: int | None = None,
-    speakers: list | None = None,
+    seg: Segmentation, frame_step: float, num_frames: int | None = None
 ) -> SoftActivity:
-    """Rasterize a segmentation into a binary activity matrix."""
-    speakers = speakers if speakers is not None else seg.speakers
+    """Rasterize a segmentation into a binary activity matrix, one row per
+    speaker of seg.speakers."""
     if num_frames is None:
         num_frames = int(np.ceil(seg.extent() / frame_step))
-    probs = np.zeros((len(speakers), num_frames))
-    index = {spk: i for i, spk in enumerate(speakers)}
+    index = {spk: i for i, spk in enumerate(seg.speakers)}
+    probs = np.zeros((len(index), num_frames))
     for t in seg.turns:
-        if t.speaker not in index:
-            continue
         i0 = int(np.floor(t.start / frame_step + 0.5))
         i1 = int(np.floor(t.end / frame_step + 0.5))
         probs[index[t.speaker], max(0, i0) : min(num_frames, max(i1, i0 + 1))] = 1.0

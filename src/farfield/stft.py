@@ -17,7 +17,7 @@ _FRAMES = 256
 
 @dataclass(frozen=True)
 class StftParams:
-    """Framing configuration.
+    """Framing configuration, checked invertible by weighted overlap-add.
 
     Defaults (1024/256 at 16 kHz) make 300 frames span 4.8 s, so
     gss.chunk_frames = 300 has cacgmm_em fit its EM on 4.8 s runs of frames.
@@ -32,6 +32,7 @@ class StftParams:
             raise DataError("require 0 < frame_shift <= frame_length")
         if self.window not in ("hann", "sqrt_hann"):
             raise DataError(f"unknown window {self.window!r}")
+        _check_cola(_analysis_window(self), self.frame_shift)
 
     @property
     def num_bins(self) -> int:
@@ -43,11 +44,11 @@ class StftParams:
 
 @dataclass(frozen=True)
 class SpectralTensor:
-    """Complex STFT values, shape (channels, frames, bins)."""
+    """Complex STFT values, shape (channels, frames, bins), with the framing
+    they were analysed with."""
 
     values: np.ndarray
-    frame_shift: int
-    frame_length: int
+    params: StftParams
     sample_rate: int
     num_samples: int | None = None  # original length, for exact inverse crop
 
@@ -55,7 +56,7 @@ class SpectralTensor:
         values = np.asarray(self.values, dtype=np.complex128)
         if values.ndim != 3:
             raise DataError("values must be (channels, frames, bins)")
-        if values.shape[2] != self.frame_length // 2 + 1:
+        if values.shape[2] != self.params.num_bins:
             raise DataError("bin count inconsistent with frame_length")
         object.__setattr__(self, "values", values)
 
@@ -72,8 +73,12 @@ class SpectralTensor:
         return self.values.shape[2]
 
     @property
+    def frame_shift(self) -> int:
+        return self.params.frame_shift
+
+    @property
     def frame_step_seconds(self) -> float:
-        return self.frame_shift / self.sample_rate
+        return self.params.frame_step_seconds(self.sample_rate)
 
 
 def _analysis_window(params: StftParams) -> np.ndarray:
@@ -84,8 +89,9 @@ def _analysis_window(params: StftParams) -> np.ndarray:
     return hann
 
 
-def _check_cola(window: np.ndarray, shift: int) -> np.ndarray:
-    """Return the periodic sum of squared windows; reject near-singular overlaps."""
+def _check_cola(window: np.ndarray, shift: int) -> None:
+    """Reject a hop whose periodic sum of squared windows comes near zero, where
+    weighted overlap-add cannot invert the frames."""
     length = len(window)
     wsq = window * window
     acc = np.zeros(shift)
@@ -96,7 +102,6 @@ def _check_cola(window: np.ndarray, shift: int) -> np.ndarray:
         raise DataError(
             f"window/shift pair ({len(window)}/{shift}) is not invertible by overlap-add"
         )
-    return acc
 
 
 def stft(audio: MultichannelAudio, params: StftParams = StftParams()) -> SpectralTensor:
@@ -115,22 +120,15 @@ def stft(audio: MultichannelAudio, params: StftParams = StftParams()) -> Spectra
     values = np.empty((audio.num_channels, n_frames, params.num_bins), dtype=np.complex128)
     for lo in range(0, n_frames, _FRAMES):
         values[:, lo : lo + _FRAMES] = np.fft.rfft(framed[:, lo : lo + _FRAMES] * window, axis=-1)
-    return SpectralTensor(
-        values=values,
-        frame_shift=shift,
-        frame_length=length,
-        sample_rate=audio.sample_rate,
-        num_samples=audio.num_samples,
-    )
+    return SpectralTensor(values, params, audio.sample_rate, audio.num_samples)
 
 
-def istft(tensor: SpectralTensor, params: StftParams = StftParams()) -> MultichannelAudio:
-    """Invert an STFT by weighted overlap-add; exact on interior samples."""
-    if params.frame_length != tensor.frame_length or params.frame_shift != tensor.frame_shift:
-        raise DataError("synthesis params must match analysis params")
+def istft(tensor: SpectralTensor) -> MultichannelAudio:
+    """Invert an STFT by weighted overlap-add with the tensor's own window;
+    exact on interior samples."""
+    params = tensor.params
     window = _analysis_window(params)
     length, shift = params.frame_length, params.frame_shift
-    _check_cola(window, shift)
     n_frames = tensor.num_frames
     total = (n_frames - 1) * shift + length
     out = np.zeros((tensor.num_channels, total))

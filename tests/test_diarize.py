@@ -229,7 +229,7 @@ class TestAssignMixedAndPipeline:
             tuple(_entry(i, i + 1, [centroids[i]]) for i in range(3))
         )
         mixed = EmbeddingSet((_entry(3.0, 3.5, [centroids[0], centroids[1]]),))
-        seg = assign_mixed_frames(clusters, single, mixed, DiarizeConfig(), "s")
+        seg = assign_mixed_frames(clusters, single, mixed, DiarizeConfig(), centroids, "s")
         active = {t.speaker for t in seg.turns if t.start <= 3.25 < t.end}
         assert active == {"spk00", "spk01"}
 
@@ -283,7 +283,7 @@ class TestAssignMixedAndPipeline:
         reduced = np.vstack([e.vectors[0] for e in single.entries])
         clusters = reject_clusters(gmm_cluster(reduced, cfg, 0), 4.0)
         assert np.any(clusters.assignments == UNASSIGNED)
-        seg = assign_mixed_frames(clusters, single, mixed, cfg, "s", reduced_single=reduced)
+        seg = assign_mixed_frames(clusters, single, mixed, cfg, reduced, "s")
         frames = []
         for idx, entry in enumerate(single.entries):
             cid = clusters.assignments[idx]
@@ -312,7 +312,7 @@ class TestAssignMixedAndPipeline:
                 _entry(5 + i, 5.5 + i, [rng.standard_normal(4)]) for i in range(10)
             )
         )
-        seg = assign_mixed_frames(clusters, single, mixed, DiarizeConfig(), "s")
+        seg = assign_mixed_frames(clusters, single, mixed, DiarizeConfig(), centroids, "s")
         assert len(seg.speakers) <= 4
         assert count_speakers(clusters) == 4
 

@@ -23,12 +23,11 @@ from farfield.stft import SpectralTensor, StftParams
 FS = 16000
 
 
-def _tensor(values, frame_length=64, frame_shift=32):
+def _tensor(values, sample_rate=FS):
     return SpectralTensor(
         values=np.asarray(values, dtype=np.complex128),
-        frame_shift=frame_shift,
-        frame_length=frame_length,
-        sample_rate=FS,
+        params=StftParams(64, 32),
+        sample_rate=sample_rate,
     )
 
 
@@ -60,8 +59,9 @@ def _rank1_scene(rng, n_ch=4, n_frames=60, n_bins=33, noise=1e-3):
 class TestPriors:
     def test_resample_nearest_frame(self):
         act = _activity([[0.0, 1.0, 0.5]], step=0.5)
-        tensor = _tensor(np.zeros((2, 4, 33)), frame_length=64, frame_shift=4000)
-        # frame times 0, 0.25, 0.5, 0.75 -> nearest activity frames 0, 1, 1, 2
+        tensor = _tensor(np.zeros((2, 4, 33)), sample_rate=128)
+        # a 32-sample hop at 128 Hz: frame times 0, 0.25, 0.5, 0.75 -> nearest
+        # activity frames 0, 1, 1, 2
         out = resample_activities(act, tensor)
         np.testing.assert_allclose(out[0], [0.0, 1.0, 1.0, 0.5])
 
@@ -224,12 +224,7 @@ def _reference_chunked_cacgmm(tensor, activities, cfg):
     pieces, lls = [], []
     for i, start in enumerate(starts):
         stop = starts[i + 1] if i + 1 < len(starts) else n_frames
-        sub = SpectralTensor(
-            values=tensor.values[:, start:stop],
-            frame_shift=tensor.frame_shift,
-            frame_length=tensor.frame_length,
-            sample_rate=tensor.sample_rate,
-        )
+        sub = replace(tensor, values=tensor.values[:, start:stop])
         sub_act = SoftActivity(
             activities.session_id,
             speaker_probs[:, start:stop],

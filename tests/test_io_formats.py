@@ -484,8 +484,9 @@ class TestBoundaryUtilities:
         rng = np.random.default_rng(5)
         probs = (rng.uniform(size=(3, 40)) > 0.5).astype(float)
         act = SoftActivity("s", probs, 0.25)
-        back = segmentation_to_activity(binarize(act), 0.25, num_frames=40,
-                                        speakers=[f"spk{i:02d}" for i in range(3)])
+        seg = binarize(act)
+        assert seg.speakers == [f"spk{i:02d}" for i in range(3)]
+        back = segmentation_to_activity(seg, 0.25, num_frames=40)
         np.testing.assert_array_equal(back.probs, probs)
 
     def test_active_speaker_count(self):

@@ -766,6 +766,7 @@ class TestCli:
              "diarize.single_speaker_cos_threshold"),
             (["run", "--set", "gss.noise_floor=-0.5"], "gss.noise_floor"),
             (["run", "--set", "gss.noise_floor=2.0"], "gss.noise_floor"),
+            (["run", "--set", "stft.frame_shift=1024"], "stft.frame_shift"),
         ],
         ids=["sim-missing", "sim-bad-json", "sim-room-key", "sim-no-corpus", "sim-noise-only",
              "set-no-value",
@@ -780,7 +781,7 @@ class TestCli:
              "set-binarize-at-1", "set-binarize-at-0", "set-negative-collar",
              "set-negative-count-threshold", "sim-negative-seed", "score-negative-collar",
              "set-zero-frame-step", "set-cos-threshold-above-1", "set-negative-noise-floor",
-             "set-noise-floor-above-1"],
+             "set-noise-floor-above-1", "set-non-invertible-shift"],
     )
     def test_config_error_exits_2(self, tmp_path, monkeypatch, capsys, argv, named):
         _write_malformed_inputs(tmp_path)

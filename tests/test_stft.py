@@ -53,7 +53,7 @@ def test_round_trip_all_cola_configs(window, shift):
     params = StftParams(1024, shift, window)
     rng = np.random.default_rng(7)
     x = _audio(rng.standard_normal((3, 12345)))
-    y = istft(stft(x, params), params)
+    y = istft(stft(x, params))
     assert y.samples.shape == x.samples.shape
     err = np.linalg.norm(y.samples - x.samples) / np.linalg.norm(x.samples)
     assert err < 1e-6
@@ -63,7 +63,7 @@ def test_round_trip_sqrt_hann_half_overlap_multichannel():
     params = StftParams(512, 256, "sqrt_hann")
     rng = np.random.default_rng(3)
     x = _audio(rng.standard_normal((3, 8000)))
-    y = istft(stft(x, params), params)
+    y = istft(stft(x, params))
     err = np.linalg.norm(y.samples - x.samples) / np.linalg.norm(x.samples)
     assert err < 1e-6
 
@@ -106,10 +106,8 @@ def test_errors():
     with pytest.raises(DataError):
         StftParams(256, 512)
     # non-invertible overlap: hann with shift == frame_length
-    params = StftParams(512, 512, "hann")
-    tensor = stft(_audio(np.ones(4000)), params)
-    with pytest.raises(DataError):
-        istft(tensor, params)
+    with pytest.raises(DataError, match="not invertible"):
+        StftParams(512, 512, "hann")
 
 
 def _window(params):
@@ -152,5 +150,5 @@ def test_frame_slices_equal_one_shot(window):
     tensor = stft(_audio(x), params)
     assert tensor.num_frames == frames
     assert np.array_equal(tensor.values, _stft_one_shot(x, params))
-    back = istft(tensor, params)
+    back = istft(tensor)
     assert np.array_equal(back.samples, _istft_one_shot(tensor.values, params, n))
