@@ -129,7 +129,7 @@ def load_manifest(path) -> list:
 
 
 # ---------------------------------------------------------------------------
-# atomic writes and content-hash caching
+# atomic writes, content hashes and the stage cache
 
 
 def atomic_write_bytes(path: Path, payload: bytes) -> None:
@@ -182,26 +182,40 @@ def content_hash(paths, config_blob) -> str:
     return digest.hexdigest()
 
 
-def _cache_hit(stage_dir: Path, key: str, outputs) -> bool:
-    """Whether stage_dir holds the outputs of key; a miss empties stage_dir.
+def stage_dir(run_dir, stage: str, session_id: str) -> Path:
+    """The directory of one stage's files for one session."""
+    return Path(run_dir) / stage / session_id
 
-    A hit needs the stored key to equal key and every path in outputs to
-    exist. A miss removes the stored key first, so that a run interrupted
-    later still misses, then every other file of stage_dir, which then holds
-    only the outputs of the key that _cache_store stores next.
+
+def preprocess_outputs(run_dir, session_id: str) -> dict:
+    """The preprocess stage's files by result key; diarize reads "selected", GSS "wpe"."""
+    directory = stage_dir(run_dir, "preprocess", session_id)
+    return {"orig": directory / "normalized.wav", "wpe": directory / "wpe.wav",
+            "ranking": directory / "ranking.txt", "selected": directory / "selected.json"}
+
+
+def run_cached(directory: Path, inputs, blob, outputs, config: dict, build) -> bool:
+    """Call build unless directory holds the outputs of content_hash(inputs, blob);
+    returns whether it did (a hit).
+
+    A hit needs directory/.cache-key to hold the key and every path in outputs
+    to exist; it parses no config and writes nothing. A miss removes the stored
+    key first, so that a run interrupted later still misses, then every other
+    file of directory. It calls build with the PipelineConfig of config and
+    stores the key last, after the outputs, as the commit point.
     """
-    marker = stage_dir / ".cache-key"
+    key = content_hash(inputs, blob)
+    marker = directory / ".cache-key"
     if marker.is_file() and marker.read_text() == key and all(p.exists() for p in outputs):
         return True
     marker.unlink(missing_ok=True)
-    for stale in stage_dir.glob("*"):  # dot files too; a stage writes no directories
+    for stale in directory.glob("*"):  # dot files too; a stage writes no directories
         if stale.is_file():
             stale.unlink()
+    directory.mkdir(parents=True, exist_ok=True)
+    build(from_json(PipelineConfig, config))
+    atomic_write_bytes(marker, key.encode())
     return False
-
-
-def _cache_store(stage_dir: Path, key: str) -> None:
-    atomic_write_bytes(stage_dir / ".cache-key", key.encode())
 
 
 # ---------------------------------------------------------------------------
@@ -210,42 +224,32 @@ def _cache_store(stage_dir: Path, key: str) -> None:
 
 def run_preprocess(session: dict, config: dict, run_dir: Path) -> dict:
     """Normalize, dereverberate and rank channels; returns artifact paths."""
-    stage_dir = Path(run_dir) / "preprocess" / session["session_id"]
-    pc = config["preprocess"]
-    key = content_hash(session["channels"], {"preprocess": pc, "stft": config["stft"],
-                                             "sample_rate": session.get("sample_rate")})
-    result = {
-        "orig": stage_dir / "normalized.wav",
-        "wpe": stage_dir / "wpe.wav",
-        "ranking": stage_dir / "ranking.txt",
-        "selected": stage_dir / "selected.json",
-    }
-    result["cached"] = _cache_hit(stage_dir, key, list(result.values()))
-    if result["cached"]:
-        return result
+    result = preprocess_outputs(run_dir, session["session_id"])
 
-    cfg = from_json(PipelineConfig, config)
-    normalized = clip_normalize(
-        stack_channel_files(session["channels"], session.get("sample_rate")),
-        cfg.preprocess.clip_config,
-    )
-    if cfg.preprocess.wpe:
-        dereverbed = istft(wpe_dereverberate(stft(normalized, cfg.stft),
-                                             cfg.preprocess.wpe_config))
-    else:
-        dereverbed = normalized
-    ranking = envelope_variance_rank(dereverbed)
-    selected = select_top_channels(ranking, cfg.preprocess.selection_fraction)
+    def build(cfg):
+        normalized = clip_normalize(
+            stack_channel_files(session["channels"], session.get("sample_rate")),
+            cfg.preprocess.clip_config,
+        )
+        if cfg.preprocess.wpe:
+            dereverbed = istft(wpe_dereverberate(stft(normalized, cfg.stft),
+                                                 cfg.preprocess.wpe_config))
+        else:
+            dereverbed = normalized
+        ranking = envelope_variance_rank(dereverbed)
+        selected = select_top_channels(ranking, cfg.preprocess.selection_fraction)
+        write_wav(result["orig"], normalized)
+        write_wav(result["wpe"], dereverbed)
+        lines = ["channel\tscore\trank"]
+        for rank, ch in enumerate(ranking.order):
+            lines.append(f"{int(ch)}\t{ranking.scores[ch]:.6f}\t{rank}")
+        atomic_write_bytes(result["ranking"], ("\n".join(lines) + "\n").encode())
+        atomic_write_bytes(result["selected"], json.dumps(selected).encode())
 
-    stage_dir.mkdir(parents=True, exist_ok=True)
-    write_wav(result["orig"], normalized)
-    write_wav(result["wpe"], dereverbed)
-    lines = ["channel\tscore\trank"]
-    for rank, ch in enumerate(ranking.order):
-        lines.append(f"{int(ch)}\t{ranking.scores[ch]:.6f}\t{rank}")
-    atomic_write_bytes(result["ranking"], ("\n".join(lines) + "\n").encode())
-    atomic_write_bytes(result["selected"], json.dumps(selected).encode())
-    _cache_store(stage_dir, key)
+    blob = {"preprocess": config["preprocess"], "stft": config["stft"],
+            "sample_rate": session.get("sample_rate")}
+    result["cached"] = run_cached(stage_dir(run_dir, "preprocess", session["session_id"]),
+                                  session["channels"], blob, list(result.values()), config, build)
     return result
 
 
@@ -258,27 +262,29 @@ def _labels(entry: dict) -> tuple:
 def run_diarize_grid(session: dict, config: dict, run_dir: Path) -> dict:
     """Run the clustering grid per channel and fuse each channel's hypotheses.
 
-    per_channel holds the fused turns as read back from their RTTMs, on a
-    miss as on a hit, so that a cached rerun hands fusion the same turns.
+    The channels are those of the preprocess stage's selection when run_dir
+    holds one, else every channel of the embedding entries. per_channel holds
+    the fused turns as read back from their RTTMs, on a miss as on a hit, so
+    that a cached rerun hands fusion the same turns.
     """
-    run_dir = Path(run_dir)
-    stage_dir = run_dir / "diarize" / session["session_id"]
-    dc = config["diarize"]
+    sid = session["session_id"]
+    directory = stage_dir(run_dir, "diarize", sid)
     entries = session.get("embeddings", [])
     # the first file the manifest lists for each (channel, VAD source, variant)
     emb_paths = {_labels(e): e["path"] for e in reversed(entries)}
-    selected_path = run_dir / "preprocess" / session["session_id"] / "selected.json"
-    if selected_path.exists():
-        channels = json.loads(selected_path.read_text())
+    selected = preprocess_outputs(run_dir, sid)["selected"]
+    if selected.exists():
+        channels = read_json(selected, DataError, "channel selection")
+        if not (isinstance(channels, list) and channels and all(type(c) is int for c in channels)
+                and len(set(channels)) == len(channels)):
+            raise DataError(f"channel selection {selected}: expected a non-empty list of "
+                            f"distinct integers, got {channels!r}")
     else:
         channels = sorted({ch for ch, _, _ in emb_paths})
-    key = content_hash([e["path"] for e in entries], {
-        "diarize": dc, "seed": config["seed"], "channels": channels,
-        "entries": [_labels(e) for e in entries]})
-    fused_paths = {ch: stage_dir / f"fused_ch{ch}.rttm" for ch in channels}
-    cached = _cache_hit(stage_dir, key, fused_paths.values())
-    if not cached:
-        cfg = from_json(PipelineConfig, config).diarize
+    fused_paths = {ch: directory / f"fused_ch{ch}.rttm" for ch in channels}
+
+    def build(cfg):
+        cfg = cfg.diarize
         # grid streams: activity-segment source x recording variant; each
         # stream gives one cell per rejection threshold
         streams = list(itertools.product(sorted({v for _, v, _ in emb_paths}), cfg.variants))
@@ -287,33 +293,33 @@ def run_diarize_grid(session: dict, config: dict, run_dir: Path) -> dict:
             for vad_source, variant in streams:
                 emb_path = emb_paths.get((ch, vad_source, variant))
                 if emb_path is None:
+                    # past build, run_cached and run_diarize_grid: the stage's caller
                     warnings.warn(f"no embeddings for channel {ch} / {vad_source} / {variant}; "
-                                  f"{len(cfg.reject_thrs)} cells skipped", stacklevel=2)
+                                  f"{len(cfg.reject_thrs)} cells skipped", stacklevel=4)
                     continue
                 cells = diarize_embeddings(read_embeddings(emb_path), cfg,
-                                           seed=config["seed"], session_id=session["session_id"])
-                stage_dir.mkdir(parents=True, exist_ok=True)
+                                           seed=config["seed"], session_id=sid)
                 for thr, (seg, _, _) in zip(cfg.reject_thrs, cells):
-                    write_rttm(stage_dir / f"ch{ch}_{vad_source}_{variant}_thr{thr:g}.rttm", seg)
+                    write_rttm(directory / f"ch{ch}_{vad_source}_{variant}_thr{thr:g}.rttm", seg)
                     hypotheses.append(seg)
             if not hypotheses:
                 raise DataError(
-                    f"session {session['session_id']}: no diarization hypotheses for channel "
-                    f"{ch}: no embedding file of the manifest matches diarize.variants "
-                    f"{dc['variants']}"
+                    f"session {sid}: no diarization hypotheses for channel {ch}: no embedding "
+                    f"file of the manifest matches diarize.variants "
+                    f"{config['diarize']['variants']}"
                 )
             write_rttm(fused_paths[ch], doverlap_fuse(FusionInput(tuple(hypotheses))))
-        _cache_store(stage_dir, key)
-    per_channel = {ch: read_session_rttm(path, session["session_id"])
-                   for ch, path in fused_paths.items()}
+
+    blob = {"diarize": config["diarize"], "seed": config["seed"], "channels": channels,
+            "entries": [_labels(e) for e in entries]}
+    cached = run_cached(directory, [e["path"] for e in entries], blob, fused_paths.values(),
+                        config, build)
+    per_channel = {ch: read_session_rttm(path, sid) for ch, path in fused_paths.items()}
     return {"fused": fused_paths, "per_channel": per_channel, "cached": cached}
 
 
 def run_fusion(session: dict, config: dict, run_dir: Path, per_channel: dict) -> dict:
     """Per-channel soft fusion of ND activities, then cross-channel hard fusion."""
-    run_dir = Path(run_dir)
-    stage_dir = run_dir / "fusion" / session["session_id"]
-    stage_dir.mkdir(parents=True, exist_ok=True)
     fc = config["fusion"]
     entries = session.get("soft_activities", [])
 
@@ -330,14 +336,13 @@ def run_fusion(session: dict, config: dict, run_dir: Path, per_channel: dict) ->
                       for a in entries if a.get("channel", ch) == ch]
         if activities:
             fused_act = fuse(activities, clustering_seg)
-            seg = binarize(fused_act, fc["binarize_threshold"])
-            seg = Segmentation(session["session_id"], seg.turns)
+            channel_segs.append(binarize(fused_act, fc["binarize_threshold"]))
             channel_acts.append(fused_act)
         else:
-            seg = clustering_seg
-        channel_segs.append(seg)
+            channel_segs.append(clustering_seg)
     final = doverlap_fuse(FusionInput(tuple(channel_segs)))
-    final_path = stage_dir / "final.rttm"
+    final_path = stage_dir(run_dir, "fusion", session["session_id"]) / "final.rttm"
+    final_path.parent.mkdir(parents=True, exist_ok=True)
     write_rttm(final_path, final)
     final_act = None
     if channel_acts:
@@ -349,46 +354,40 @@ def run_gss(session: dict, config: dict, run_dir: Path, seg: Segmentation,
             activity: SoftActivity | None) -> dict:
     """Extract one enhanced WAV per (speaker, turn) from the preprocess stage's audio.
 
-    Separation reads preprocess/<session>/wpe.wav, so run_preprocess must
-    have run into the same run_dir. The stage is cached like preprocess and
-    diarize: its key covers the bytes of wpe.wav, the turns and speakers, the
-    guiding activity (None when GSS derives it from the turns), the gss and
-    stft config sections and the code digest.
+    Separation reads the preprocess stage's wpe.wav, so run_preprocess must
+    have run into the same run_dir. The key covers the bytes of wpe.wav, the
+    turns and speakers, the guiding activity (None when GSS derives it from
+    the turns), the gss and stft config sections and the code digest.
     """
-    run_dir = Path(run_dir)
     sid = session["session_id"]
-    stage_dir = run_dir / "gss" / sid
-    wpe_path = run_dir / "preprocess" / sid / "wpe.wav"
+    directory = stage_dir(run_dir, "gss", sid)
+    wpe_path = preprocess_outputs(run_dir, sid)["wpe"]
     turns, speakers = seg.sorted_turns(), seg.speakers
-    guide = None
+    outputs = [directory / (f"{sid}-{t.speaker}-{int(round(t.start * 1000))}-"
+                            f"{int(round(t.end * 1000))}.wav") for t in turns]
+
+    def build(cfg):
+        audio = read_wav(wpe_path)
+        guide = activity
+        if guide is None:
+            frame_step = cfg.stft.frame_step_seconds(audio.sample_rate)
+            guide = segmentation_to_activity(
+                seg, frame_step, num_frames=int(np.ceil(audio.duration / frame_step))
+            )
+        for turn, out_path in zip(turns, outputs):
+            target = speakers.index(turn.speaker)
+            wave = extract_speaker_segment(audio, turn, target, guide, cfg.gss, cfg.stft)
+            write_wav(out_path, wave)
+
+    digest = None
     if activity is not None:  # by digest: content_hash's JSON would abbreviate the array
         probs = np.ascontiguousarray(activity.probs, dtype=np.float64)
-        guide = {"sha256": hashlib.sha256(probs.tobytes()).hexdigest(),
-                 "shape": list(probs.shape), "frame_step": activity.frame_step}
-    key = content_hash([wpe_path], {
-        "turns": [[t.speaker, t.start, t.end] for t in turns], "speakers": speakers,
-        "activity": guide, "gss": config["gss"], "stft": config["stft"],
-    })
-    outputs = [stage_dir / (f"{sid}-{t.speaker}-{int(round(t.start * 1000))}-"
-                            f"{int(round(t.end * 1000))}.wav") for t in turns]
-    if _cache_hit(stage_dir, key, outputs):
-        return {"outputs": outputs, "cached": True}
-
-    cfg = from_json(PipelineConfig, config)
-    gss_cfg, params = cfg.gss, cfg.stft
-    audio = read_wav(wpe_path)
-    stage_dir.mkdir(parents=True, exist_ok=True)
-    if activity is None:
-        frame_step = params.frame_step_seconds(audio.sample_rate)
-        activity = segmentation_to_activity(
-            seg, frame_step, num_frames=int(np.ceil(audio.duration / frame_step))
-        )
-    for turn, out_path in zip(turns, outputs):
-        target = speakers.index(turn.speaker)
-        wave = extract_speaker_segment(audio, turn, target, activity, gss_cfg, params)
-        write_wav(out_path, wave)
-    _cache_store(stage_dir, key)
-    return {"outputs": outputs, "cached": False}
+        digest = {"sha256": hashlib.sha256(probs.tobytes()).hexdigest(),
+                  "shape": list(probs.shape), "frame_step": activity.frame_step}
+    blob = {"turns": [[t.speaker, t.start, t.end] for t in turns], "speakers": speakers,
+            "activity": digest, "gss": config["gss"], "stft": config["stft"]}
+    cached = run_cached(directory, [wpe_path], blob, outputs, config, build)
+    return {"outputs": outputs, "cached": cached}
 
 
 def run_full(session: dict, config: dict, run_dir) -> dict:

@@ -11,7 +11,7 @@ import numpy as np
 from farfield.audio import MultichannelAudio
 from farfield.errors import ConfigError, DataError
 from farfield.kernels import SINC_HALF_WIDTH, accumulate_sinc_taps
-from farfield.preprocess import envelope_variance_rank, select_top_channels
+from farfield.preprocess import envelope_variance_rank
 from farfield.segments import Segmentation, Turn, sweep
 
 
@@ -463,6 +463,15 @@ class SeparationExampleConfig:
     snr_db: float = 20.0
     ranges: RoomRanges = field(default_factory=RoomRanges)
 
+    def __post_init__(self):
+        if not self.max_speakers >= 0:
+            raise DataError(f"max_speakers must be >= 0, got {self.max_speakers}")
+        if not 1 <= self.keep_channels <= self.render_channels:
+            raise DataError(f"keep_channels must lie in [1, render_channels "
+                            f"{self.render_channels}], got {self.keep_channels}")
+        if not 0 < self.duration < math.inf:  # NaN fails too
+            raise DataError(f"duration must be positive and finite, got {self.duration}")
+
 
 _OVERLAP_TRIES = 200  # random layouts drawn before the non-overlapping fallback
 
@@ -513,9 +522,7 @@ def simulate_separation_examples(cfg: SeparationExampleConfig, dry_store: dict, 
         mixture, segmentation, images, noise_img = simulate_mixture(
             spec, room, dry_store, cfg.sample_rate, noise_seed=index, return_components=True)
         ranking = envelope_variance_rank(mixture)
-        selected = select_top_channels(
-            ranking, cfg.keep_channels / cfg.render_channels
-        )[: cfg.keep_channels]
+        selected = sorted(int(c) for c in ranking.order[: cfg.keep_channels])
         targets = {
             spk: MultichannelAudio(img[selected], cfg.sample_rate)
             for spk, img in images.items()

@@ -89,10 +89,12 @@ class _Interrupted(Exception):
     pass
 
 
-def _write_then_interrupt(write):
+def _write_then_interrupt(write, name=None):
+    """write, which raises after its first write, or after writing a file called name."""
     def wrapped(path, value):
         write(path, value)
-        raise _Interrupted(path)
+        if name is None or Path(path).name == name:
+            raise _Interrupted(path)
 
     return wrapped
 
@@ -343,6 +345,60 @@ class TestCaching:
         report = run_full(session, config, run_dir)
         assert report["cached"] == {"preprocess": False, "diarize": True, "gss": True}
         assert _outputs(run_dir) == written
+
+    @pytest.mark.parametrize("stage", ["preprocess", "diarize", "gss"])
+    def test_stage_protocol(self, demo_manifest, tmp_path, monkeypatch, stage):
+        session = load_manifest(demo_manifest)[0]
+        config = load_config(None, overrides={"preprocess.wpe": False, "gss.iterations": 1})
+
+        def run(run_dir):
+            if stage != "preprocess":  # diarize reads selected.json, GSS reads wpe.wav
+                run_preprocess(session, config, run_dir)
+            if stage == "diarize":
+                return run_diarize_grid(session, config, run_dir)
+            if stage == "gss":
+                return run_gss(session, config, run_dir, GSS_SEG, GSS_ACTIVITY)
+            return run_preprocess(session, config, run_dir)
+
+        run_dir = tmp_path / "run"
+        directory = run_dir / stage / "demo"
+        first = run(run_dir)
+        # a miss leaves exactly the outputs and the key
+        if stage == "preprocess":
+            outputs = [first[k] for k in ("orig", "wpe", "ranking", "selected")]
+            expected = {"normalized.wav", "wpe.wav", "ranking.txt", "selected.json"}
+        elif stage == "diarize":
+            outputs = list(first["fused"].values())
+            streams = {(e["vad_source"], e["variant"]) for e in session["embeddings"]}
+            expected = {p.name for p in outputs} | {
+                f"ch{ch}_{vad}_{variant}_thr{thr:g}.rttm" for ch in first["fused"]
+                for vad, variant in streams for thr in config["diarize"]["reject_thrs"]}
+        else:
+            outputs = first["outputs"]
+            expected = {"demo-spk00-500-2000.wav", "demo-spk01-4000-5500.wav"}
+        assert first["cached"] is False
+        assert {p.name for p in directory.iterdir()} == expected | {".cache-key"}
+        assert {p.name for p in outputs} <= expected
+        written = _files(directory)
+        # a hit rewrites nothing: every time stamp stays where it was set
+        paths = list(run_dir.rglob("*"))
+        for path in paths:
+            os.utime(path, ns=(1_000_000_000, 1_000_000_000))
+        assert run(run_dir)["cached"] is True
+        assert all(path.stat().st_mtime_ns == 1_000_000_000 for path in paths)
+        # an exception in the last output write leaves no key, and the next run
+        # misses and writes the same bytes
+        fresh = tmp_path / "fresh"
+        with monkeypatch.context() as m:
+            for writer in ("write_wav", "write_rttm", "atomic_write_bytes"):
+                m.setattr(farfield.pipeline, writer, _write_then_interrupt(
+                    getattr(farfield.pipeline, writer), outputs[-1].name))
+            with pytest.raises(_Interrupted):
+                run(fresh)
+        assert (fresh / stage / "demo" / outputs[-1].name).exists()
+        assert not (fresh / stage / "demo" / ".cache-key").exists()
+        assert run(fresh)["cached"] is False
+        assert _files(fresh / stage / "demo") == written
 
     def test_variants_change_keeps_only_new_outputs(self, demo_manifest, tmp_path):
         session = load_manifest(demo_manifest)[0]
@@ -956,6 +1012,25 @@ class TestCli:
             "--run-dir", str(tmp_path / "run"),
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("selection", ["[0, 1", '["a"]', "[0, 0]", "[true]", "[]", "{}"],
+                             ids=["truncated", "string", "repeated", "bool", "empty", "object"])
+    def test_malformed_channel_selection_exits_3(self, demo_manifest, tmp_path, capsys,
+                                                 selection):
+        argv = ["--manifest", str(demo_manifest), "--run-dir", str(tmp_path / "run"),
+                "--set", "preprocess.wpe=false"]
+        assert main(["preprocess", *argv]) == 0
+        selected = tmp_path / "run" / "preprocess" / "demo" / "selected.json"
+        selected.write_text(selection)
+        assert main(["diarize", *argv]) == 3
+        assert f"channel selection {selected}" in capsys.readouterr().err
+
+    def test_missing_embeddings_warning_names_the_caller(self, demo_manifest, tmp_path):
+        session = load_manifest(demo_manifest)[0]
+        session["embeddings"] = [e for e in session["embeddings"] if e["variant"] == "orig"]
+        with pytest.warns(UserWarning, match="cells skipped") as record:
+            run_diarize_grid(session, load_config(None), tmp_path / "run")
+        assert {w.filename for w in record} == {__file__}
 
     def test_no_embeddings_for_variants_exits_3(self, demo_manifest, tmp_path, capsys):
         code = main(["run", "--manifest", str(demo_manifest), "--run-dir", str(tmp_path / "run"),

@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.fft
 import scipy.signal
 
+import farfield.simulate
 from farfield.errors import DataError
+from farfield.preprocess import envelope_variance_rank
 from farfield.simulate import (
     SINC_HALF_WIDTH,
     MixtureSpec,
@@ -473,6 +476,34 @@ class TestSeparationExamples:
         ((_, _, meta),) = simulate_separation_examples(cfg, _separation_dry(), seed=0)
         assert [t[0] for t in meta["turns"]] == ["spk01", "spk00"]
         assert meta["turns"] == sorted(meta["turns"], key=lambda t: (t[1], t[0]))
+
+    def test_keeps_the_best_ranked_channels(self, monkeypatch):
+        # 7 of 25 is a fraction whose ceil(7 / 25 * 25) is 8, so a cut of the
+        # top 8 by channel index can drop a top-7 channel for the 8th-ranked one
+        rankings = []
+
+        def rank(audio):
+            rankings.append(envelope_variance_rank(audio))
+            return rankings[-1]
+
+        monkeypatch.setattr(farfield.simulate, "envelope_variance_rank", rank)
+        cfg = SeparationExampleConfig(count=3, duration=1.0, max_speakers=1, render_channels=25,
+                                      keep_channels=7,
+                                      ranges=replace(_FAST_RANGES, num_receivers=25))
+        examples = simulate_separation_examples(cfg, _separation_dry(), seed=1)
+        assert len(rankings) == 3
+        for ranking, (mixture, _, meta) in zip(rankings, examples):
+            assert meta["channels"] == sorted(int(c) for c in ranking.order[:7])
+            assert mixture.num_channels == 7
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_speakers", -1), ("keep_channels", 0), ("keep_channels", 11),
+        ("duration", 0.0), ("duration", -1.0), ("duration", math.nan), ("duration", math.inf),
+    ])
+    def test_config_fields_checked(self, field, value):
+        # the defaults render 10 channels
+        with pytest.raises(DataError, match=field):
+            SeparationExampleConfig(**{field: value})
 
     def test_empty_store_rejected(self):
         with pytest.raises(DataError):
