@@ -7,6 +7,7 @@ emission.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -22,6 +23,9 @@ _VAR_FLOOR = 1e-6
 # GMM EM sweeps at most, and the least gain in mean log-likelihood per sweep
 _GMM_ITERATIONS = 100
 _GMM_TOL = 1e-7
+# exp(x) is exactly 0.0 for every x below -745.14; numpy's vectorised exp takes
+# a slow path on such lanes, so _exp leaves the lanes below this bound at 0.0
+_EXP_FLOOR = -750.0
 
 
 @dataclass(frozen=True)
@@ -77,22 +81,27 @@ def _unit(vectors: np.ndarray) -> np.ndarray:
 def select_single_speaker_frames(emb: EmbeddingSet, threshold: float):
     """Split entries into single-speaker (all pairwise cosines > threshold) and mixed.
 
-    Single entries are collapsed to their renormalized mean vector.
+    Single entries are collapsed to their renormalized mean vector. Entries
+    with the same number of vectors are tested as one stack.
     """
-    single, mixed = [], []
-    pairs = {}  # vector count -> its upper-triangle indices
-    for entry in emb.entries:
-        vecs = _unit(entry.vectors)
-        sims = vecs @ vecs.T
-        iu = pairs.get(len(vecs))
-        if iu is None:
-            iu = pairs[len(vecs)] = np.triu_indices(len(vecs), k=1)
-        if len(iu[0]) == 0 or np.all(sims[iu] > threshold):
-            mean = _unit(entry.vectors.mean(axis=0))
-            single.append(EmbeddingEntry(entry.time_start, entry.time_end, mean[None, :]))
-        else:
-            mixed.append(entry)
-    return EmbeddingSet(tuple(single)), EmbeddingSet(tuple(mixed))
+    entries = emb.entries
+    by_count = {}  # vector count -> indices of the entries with that many
+    for idx, entry in enumerate(entries):
+        by_count.setdefault(len(entry.vectors), []).append(idx)
+    means = [None] * len(entries)  # a single entry's renormalized mean; None if mixed
+    for count, idxs in by_count.items():
+        stack = np.stack([entries[i].vectors for i in idxs])  # (entries, count, dim)
+        vecs = _unit(stack)
+        sims = vecs @ vecs.transpose(0, 2, 1)
+        rows, cols = np.triu_indices(count, k=1)
+        agree = np.all(sims[:, rows, cols] > threshold, axis=1)
+        for idx, is_single, mean in zip(idxs, agree, _unit(stack.mean(axis=1))):
+            if is_single:
+                means[idx] = mean
+    single = tuple(EmbeddingEntry(e.time_start, e.time_end, mean[None, :])
+                   for e, mean in zip(entries, means) if mean is not None)
+    mixed = tuple(e for e, mean in zip(entries, means) if mean is None)
+    return EmbeddingSet(single), EmbeddingSet(mixed)
 
 
 def reduce_dim(vectors: np.ndarray, target_dim: int, method: str = "linear"):
@@ -141,6 +150,56 @@ def _kmeans_pp_init(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np
     return means
 
 
+def _exp(x: np.ndarray) -> np.ndarray:
+    """np.exp(x), bit for bit, without evaluating the lanes that underflow to 0."""
+    return np.exp(x, out=np.zeros_like(x), where=x >= _EXP_FLOOR)
+
+
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """terms.sum(axis=0), with numpy's additions for a contiguous row of len(terms).
+
+    numpy sums such a row pairwise: fewer than 8 values in turn, up to 128 in
+    eight interleaved partial sums that it then adds as a tree, and a longer
+    row as two halves split at a multiple of 8. A row sum over a short last
+    axis runs one inner loop per row; the same additions on whole planes give
+    the same bits.
+    """
+    count = len(terms)
+    if count < 8:
+        total = np.zeros_like(terms[0])
+        for term in terms:
+            total += term
+        return total
+    if count <= 128:
+        tail = count - count % 8
+        partial = terms[:8]
+        for i in range(8, tail, 8):
+            partial = partial + terms[i:i + 8]
+        total = (((partial[0] + partial[1]) + (partial[2] + partial[3]))
+                 + ((partial[4] + partial[5]) + (partial[6] + partial[7])))
+        for term in terms[tail:]:
+            total += term
+        return total
+    half = count // 2
+    half -= half % 8
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+
+
+def _scaled_distances(points: np.ndarray, means: np.ndarray, variances: np.ndarray,
+                      work: np.ndarray) -> np.ndarray:
+    """sum((x - mean)**2 / variance) over dims, per component and point, (k, n).
+
+    points holds the coordinates by dim, (dim, 1, n), and work is scratch of
+    shape (dim, k, n). The element-wise steps are those of the (n, k, dim)
+    broadcast, and the dims are added in the order of its .sum(axis=2), so
+    the result is that sum, transposed, bit for bit.
+    """
+    np.subtract(points, means.T[:, :, None], out=work)
+    np.square(work, out=work)
+    np.divide(work, variances.T[:, :, None], out=work)
+    return _pairwise_sum(work)
+
+
 def gmm_cluster(vectors: np.ndarray, cfg: DiarizeConfig, seed: int) -> ClusterSet:
     """Fit a diagonal-covariance Gaussian mixture by EM and hard-assign points."""
     vectors = np.asarray(vectors, dtype=np.float64)
@@ -153,18 +212,22 @@ def gmm_cluster(vectors: np.ndarray, cfg: DiarizeConfig, seed: int) -> ClusterSe
     means = _kmeans_pp_init(vectors, k, rng)
     variances = np.full((k, dim), max(vectors.var(axis=0).mean(), _VAR_FLOOR))
     weights = np.full(k, 1.0 / k)
+    points = np.ascontiguousarray(vectors.T)[:, None, :]
+    work = np.empty((dim, k, n))
+    squares = vectors**2
     ll_history = []
     for _ in range(_GMM_ITERATIONS):
-        # E-step in log domain
+        # E-step in log domain, on (components, points) planes
         log_prob = -0.5 * (
-            np.sum(np.log(2.0 * np.pi * variances), axis=1)[None, :]
-            + np.sum((vectors[:, None, :] - means[None]) ** 2 / variances[None], axis=2)
+            np.sum(np.log(2.0 * np.pi * variances), axis=1)[:, None]
+            + _scaled_distances(points, means, variances, work)
         )
-        log_joint = log_prob + np.log(np.maximum(weights, 1e-300))[None, :]
-        shift = log_joint.max(axis=1, keepdims=True)
-        log_norm = shift[:, 0] + np.log(np.exp(log_joint - shift).sum(axis=1))
+        log_joint = log_prob + np.log(np.maximum(weights, 1e-300))[:, None]
+        shift = log_joint.max(axis=0)
+        log_norm = shift + np.log(_pairwise_sum(_exp(log_joint - shift)))
         ll = float(log_norm.mean())
-        resp = np.exp(log_joint - log_norm[:, None])
+        # (points, components) again: the M-step's sums over points run in that order
+        resp = np.ascontiguousarray(_exp(log_joint - log_norm).T)
         if ll_history and ll < ll_history[-1] - 1e-9:
             raise NumericalError("EM log-likelihood decreased")
         converged = bool(ll_history) and ll - ll_history[-1] < _GMM_TOL
@@ -179,15 +242,15 @@ def gmm_cluster(vectors: np.ndarray, cfg: DiarizeConfig, seed: int) -> ClusterSe
         means = np.where(
             nonempty[:, None], (resp.T @ vectors) / safe_mass[:, None], means
         )
-        second = (resp.T @ (vectors**2)) / safe_mass[:, None]
+        second = (resp.T @ squares) / safe_mass[:, None]
         variances = np.where(
             nonempty[:, None], np.maximum(second - means**2, _VAR_FLOOR), variances
         )
     assignments = np.argmax(
-        np.log(np.maximum(weights, 1e-300))[None, :]
-        - 0.5 * np.sum(np.log(2.0 * np.pi * variances), axis=1)[None, :]
-        - 0.5 * np.sum((vectors[:, None, :] - means[None]) ** 2 / variances[None], axis=2),
-        axis=1,
+        np.log(np.maximum(weights, 1e-300))[:, None]
+        - 0.5 * np.sum(np.log(2.0 * np.pi * variances), axis=1)[:, None]
+        - 0.5 * _scaled_distances(points, means, variances, work),
+        axis=0,
     )
     # drop empty components, compacting ids
     occupied = np.unique(assignments)
@@ -265,13 +328,15 @@ def count_speakers(clusters: ClusterSet) -> int:
     return len(clusters.sizes)
 
 
-def _nearest_centroid(vector: np.ndarray, centroids: np.ndarray, sizes: np.ndarray) -> int:
-    sims = _unit(centroids) @ _unit(vector)
-    best = np.flatnonzero(sims >= sims.max() - 1e-12)
-    if len(best) > 1:
-        # tie-break toward the larger cluster, then the lower id
-        best = sorted(best, key=lambda i: (-sizes[i], i))
-    return int(best[0])
+def _nearest_centroids(vectors: np.ndarray, centroids: np.ndarray,
+                       sizes: np.ndarray) -> np.ndarray:
+    """Each vector's nearest centroid by cosine, (vectors,); within 1e-12 of a
+    vector's best, the larger cluster wins, then the lower id."""
+    # matmul broadcasts one matrix-vector product per vector; a matrix product
+    # would sum in another order and move the cosines in their last bits
+    sims = (_unit(centroids) @ _unit(vectors)[:, :, None])[:, :, 0]  # (vectors, clusters)
+    close = sims >= sims.max(axis=1, keepdims=True) - 1e-12
+    return np.argmax(np.where(close, sizes, -1), axis=1)
 
 
 def assign_mixed_frames(
@@ -293,14 +358,19 @@ def assign_mixed_frames(
         raise DataError("no surviving clusters to attract frames to")
     centroids = clusters.centroids
     sizes = clusters.sizes
-    frames = []  # (speaker, start, end) per frame and speaker
-    for idx, entry in enumerate(single.entries):
-        cid = clusters.assignments[idx]
-        if cid == UNASSIGNED:
-            cid = _nearest_centroid(reduced_single[idx], centroids, sizes)
-        frames.append((f"spk{cid:02d}", entry.time_start, entry.time_end))
-    for entry in mixed.entries:
-        for cid in {_nearest_centroid(vec, centroids, sizes) for vec in entry.vectors}:
+    cids = clusters.assignments.copy()
+    loose = cids == UNASSIGNED
+    cids[loose] = _nearest_centroids(reduced_single[loose], centroids, sizes)
+    # (speaker, start, end) per frame and speaker
+    frames = [(f"spk{cid:02d}", entry.time_start, entry.time_end)
+              for cid, entry in zip(cids.tolist(), single.entries)]
+    counts = [len(entry.vectors) for entry in mixed.entries]
+    vectors = (np.concatenate([entry.vectors for entry in mixed.entries]) if counts
+               else np.empty((0, centroids.shape[1])))
+    mixed_cids = _nearest_centroids(vectors, centroids, sizes).tolist()
+    offsets = list(itertools.accumulate(counts, initial=0))
+    for entry, lo, hi in zip(mixed.entries, offsets, offsets[1:]):
+        for cid in set(mixed_cids[lo:hi]):
             frames.append((f"spk{cid:02d}", entry.time_start, entry.time_end))
     turns = [Turn(*m) for m in merge_intervals(frames, gap=0.5 * cfg.frame_step)]
     return Segmentation(session_id, tuple(sorted(turns, key=lambda t: (t.start, t.speaker))))

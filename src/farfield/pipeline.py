@@ -282,25 +282,35 @@ def run_diarize_grid(session: dict, config: dict, run_dir: Path) -> dict:
     else:
         channels = sorted({ch for ch, _, _ in emb_paths})
     fused_paths = {ch: directory / f"fused_ch{ch}.rttm" for ch in channels}
+    # grid streams: activity-segment source x recording variant; each stream
+    # with an embedding file gives one cell RTTM per rejection threshold
+    streams = list(itertools.product(sorted({v for _, v, _ in emb_paths}),
+                                     config["diarize"]["variants"]))
+    cell_paths = {(ch, vad_source, variant): [
+        directory / f"ch{ch}_{vad_source}_{variant}_thr{thr:g}.rttm"
+        for thr in config["diarize"]["reject_thrs"]]
+        for ch in channels for vad_source, variant in streams
+        if (ch, vad_source, variant) in emb_paths}
 
     def build(cfg):
         cfg = cfg.diarize
-        # grid streams: activity-segment source x recording variant; each
-        # stream gives one cell per rejection threshold
-        streams = list(itertools.product(sorted({v for _, v, _ in emb_paths}), cfg.variants))
         for ch in channels:
             hypotheses = []
             for vad_source, variant in streams:
-                emb_path = emb_paths.get((ch, vad_source, variant))
-                if emb_path is None:
+                stream = (ch, vad_source, variant)
+                if stream not in cell_paths:
                     # past build, run_cached and run_diarize_grid: the stage's caller
                     warnings.warn(f"no embeddings for channel {ch} / {vad_source} / {variant}; "
                                   f"{len(cfg.reject_thrs)} cells skipped", stacklevel=4)
                     continue
-                cells = diarize_embeddings(read_embeddings(emb_path), cfg,
-                                           seed=config["seed"], session_id=sid)
-                for thr, (seg, _, _) in zip(cfg.reject_thrs, cells):
-                    write_rttm(directory / f"ch{ch}_{vad_source}_{variant}_thr{thr:g}.rttm", seg)
+                emb_path = emb_paths[stream]
+                emb = read_embeddings(emb_path)
+                try:
+                    cells = diarize_embeddings(emb, cfg, seed=config["seed"], session_id=sid)
+                except DataError as exc:
+                    raise DataError(f"session {sid}, embeddings {emb_path}: {exc}") from exc
+                for path, (seg, _, _) in zip(cell_paths[stream], cells):
+                    write_rttm(path, seg)
                     hypotheses.append(seg)
             if not hypotheses:
                 raise DataError(
@@ -312,8 +322,8 @@ def run_diarize_grid(session: dict, config: dict, run_dir: Path) -> dict:
 
     blob = {"diarize": config["diarize"], "seed": config["seed"], "channels": channels,
             "entries": [_labels(e) for e in entries]}
-    cached = run_cached(directory, [e["path"] for e in entries], blob, fused_paths.values(),
-                        config, build)
+    outputs = [*fused_paths.values(), *itertools.chain.from_iterable(cell_paths.values())]
+    cached = run_cached(directory, [e["path"] for e in entries], blob, outputs, config, build)
     per_channel = {ch: read_session_rttm(path, sid) for ch, path in fused_paths.items()}
     return {"fused": fused_paths, "per_channel": per_channel, "cached": cached}
 

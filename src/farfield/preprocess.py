@@ -101,12 +101,17 @@ def _wpe_block(values: np.ndarray, taps: int, delay: int, iterations: int) -> np
     for k in range(taps):
         d = delay + k
         stacked[:, k * n_ch : (k + 1) * n_ch, d:] = values[:, :, : n_frames - d]
+    stacked_h = stacked.conj().transpose(0, 2, 1)
+    values_h = values.conj().transpose(0, 2, 1)
+    weighted = np.empty_like(stacked)  # reused, so the loop holds three arrays of this size
     dereverb = values
     for _ in range(iterations):
         power = np.maximum(np.mean(np.abs(dereverb) ** 2, axis=1), 1e-10)  # (F, T)
-        weighted = stacked / power[:, None, :]
-        corr = weighted @ stacked.conj().transpose(0, 2, 1)  # (F, CK, CK)
-        cross = weighted @ values.conj().transpose(0, 2, 1)  # (F, CK, C)
+        # numpy divides a complex by a real as a product with its reciprocal,
+        # so this is the quotient stacked / power, bit for bit
+        np.multiply(stacked, (1.0 / power)[:, None, :], out=weighted)
+        corr = weighted @ stacked_h  # (F, CK, CK)
+        cross = weighted @ values_h  # (F, CK, C)
         load = 1e-10 * np.trace(corr, axis1=1, axis2=2).real / (n_ch * taps)
         corr += (np.maximum(load, 1e-300)[:, None, None]) * np.eye(n_ch * taps)
         try:
@@ -136,7 +141,8 @@ def wpe_dereverberate(tensor: SpectralTensor, cfg: WpeConfig = WpeConfig()) -> S
         for start in range(0, n_frames, block_frames):
             frames = slice(start, start + block_frames)
             out[bins, :, frames] = _wpe_block(
-                values[bins, :, frames], cfg.taps, cfg.delay, cfg.iterations
+                np.ascontiguousarray(values[bins, :, frames]), cfg.taps, cfg.delay,
+                cfg.iterations,
             )
     return replace(tensor, values=out.transpose(1, 2, 0))
 

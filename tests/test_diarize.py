@@ -10,7 +10,7 @@ from farfield.diarize import (
     UNASSIGNED,
     ClusterSet,
     DiarizeConfig,
-    _nearest_centroid,
+    _nearest_centroids,
     _unit,
     assign_mixed_frames,
     count_speakers,
@@ -284,18 +284,7 @@ class TestAssignMixedAndPipeline:
         clusters = reject_clusters(gmm_cluster(reduced, cfg, 0), 4.0)
         assert np.any(clusters.assignments == UNASSIGNED)
         seg = assign_mixed_frames(clusters, single, mixed, cfg, reduced, "s")
-        frames = []
-        for idx, entry in enumerate(single.entries):
-            cid = clusters.assignments[idx]
-            if cid == UNASSIGNED:
-                cid = _nearest_centroid(reduced[idx], clusters.centroids, clusters.sizes)
-            frames.append(Turn(f"spk{cid:02d}", entry.time_start, entry.time_end))
-        for entry in mixed.entries:
-            for cid in {_nearest_centroid(v, clusters.centroids, clusters.sizes)
-                        for v in entry.vectors}:
-                frames.append(Turn(f"spk{cid:02d}", entry.time_start, entry.time_end))
-        merged = Segmentation("s", tuple(frames)).merged_per_speaker(0.5 * cfg.frame_step)
-        assert seg.turns == tuple(sorted(merged.turns, key=lambda t: (t.start, t.speaker)))
+        assert seg.turns == _per_vector_turns(clusters, single, mixed, cfg, reduced)
         assert len(seg.turns) > 1
 
     def test_assign_never_changes_cluster_count(self):
@@ -315,6 +304,199 @@ class TestAssignMixedAndPipeline:
         seg = assign_mixed_frames(clusters, single, mixed, DiarizeConfig(), centroids, "s")
         assert len(seg.speakers) <= 4
         assert count_speakers(clusters) == 4
+
+
+def _nearest_centroid(vector, centroids, sizes) -> int:
+    """One vector's nearest centroid, as assign_mixed_frames found it one vector
+    at a time: the oracle for _nearest_centroids."""
+    sims = _unit(centroids) @ _unit(vector)
+    best = np.flatnonzero(sims >= sims.max() - 1e-12)
+    if len(best) > 1:
+        # tie-break toward the larger cluster, then the lower id
+        best = sorted(best, key=lambda i: (-sizes[i], i))
+    return int(best[0])
+
+
+def _per_vector_turns(clusters, single, mixed, cfg, reduced):
+    """assign_mixed_frames' turns from one Turn per frame and speaker, each
+    speaker found one vector at a time, merged by Segmentation.merged_per_speaker."""
+    frames = []
+    for idx, entry in enumerate(single.entries):
+        cid = clusters.assignments[idx]
+        if cid == UNASSIGNED:
+            cid = _nearest_centroid(reduced[idx], clusters.centroids, clusters.sizes)
+        frames.append(Turn(f"spk{cid:02d}", entry.time_start, entry.time_end))
+    for entry in mixed.entries:
+        for cid in {_nearest_centroid(v, clusters.centroids, clusters.sizes)
+                    for v in entry.vectors}:
+            frames.append(Turn(f"spk{cid:02d}", entry.time_start, entry.time_end))
+    merged = Segmentation("s", tuple(frames)).merged_per_speaker(0.5 * cfg.frame_step)
+    return tuple(sorted(merged.turns, key=lambda t: (t.start, t.speaker)))
+
+
+def _per_entry_selection(emb, threshold):
+    """Single-speaker selection one entry at a time: the oracle for
+    select_single_speaker_frames."""
+    single, mixed = [], []
+    for entry in emb.entries:
+        vecs = _unit(entry.vectors)
+        sims = vecs @ vecs.T
+        iu = np.triu_indices(len(vecs), k=1)
+        if len(iu[0]) == 0 or np.all(sims[iu] > threshold):
+            mean = _unit(entry.vectors.mean(axis=0))
+            single.append(EmbeddingEntry(entry.time_start, entry.time_end, mean[None, :]))
+        else:
+            mixed.append(entry)
+    return EmbeddingSet(tuple(single)), EmbeddingSet(tuple(mixed))
+
+
+def _broadcast_gmm_cluster(vectors, cfg, seed):
+    """gmm_cluster as it was before its sweeps ran on whole planes: distances on
+    an (n, k, dim) broadcast, the E-step on (n, k) rows. Its oracle."""
+    n, dim = vectors.shape
+    k = cfg.max_clusters
+    means = farfield.diarize._kmeans_pp_init(vectors, k, np.random.default_rng(seed))
+    variances = np.full((k, dim), max(vectors.var(axis=0).mean(), farfield.diarize._VAR_FLOOR))
+    weights = np.full(k, 1.0 / k)
+
+    def distances():
+        return np.sum((vectors[:, None, :] - means[None]) ** 2 / variances[None], axis=2)
+
+    ll_history = []
+    for _ in range(farfield.diarize._GMM_ITERATIONS):
+        log_prob = -0.5 * (np.sum(np.log(2.0 * np.pi * variances), axis=1)[None, :]
+                           + distances())
+        log_joint = log_prob + np.log(np.maximum(weights, 1e-300))[None, :]
+        shift = log_joint.max(axis=1, keepdims=True)
+        log_norm = shift[:, 0] + np.log(np.exp(log_joint - shift).sum(axis=1))
+        ll = float(log_norm.mean())
+        resp = np.exp(log_joint - log_norm[:, None])
+        converged = bool(ll_history) and ll - ll_history[-1] < farfield.diarize._GMM_TOL
+        ll_history.append(ll)
+        if converged:
+            break
+        mass = resp.sum(axis=0)
+        nonempty = mass > 1e-12
+        weights = np.where(nonempty, mass / n, 0.0)
+        safe_mass = np.maximum(mass, 1e-12)
+        means = np.where(nonempty[:, None], (resp.T @ vectors) / safe_mass[:, None], means)
+        second = (resp.T @ (vectors**2)) / safe_mass[:, None]
+        variances = np.where(nonempty[:, None],
+                             np.maximum(second - means**2, farfield.diarize._VAR_FLOOR),
+                             variances)
+    assignments = np.argmax(np.log(np.maximum(weights, 1e-300))[None, :]
+                            - 0.5 * np.sum(np.log(2.0 * np.pi * variances), axis=1)[None, :]
+                            - 0.5 * distances(), axis=1)
+    occupied = np.unique(assignments)
+    assignments = np.searchsorted(occupied, assignments)
+    return ClusterSet(assignments, means[occupied],
+                      np.bincount(assignments, minlength=len(occupied)), tuple(ll_history))
+
+
+def _tied_centroids(rng, k, dim):
+    """k random centroids, about 40 % of them copies of another, with sizes
+    1-3, so that equal cosines and equal sizes both occur."""
+    centroids = rng.standard_normal((k, dim))
+    copied = rng.random(k) < 0.4
+    centroids[copied] = centroids[rng.integers(k, size=k)][copied]
+    return centroids, rng.integers(1, 4, size=k)
+
+
+class TestWholeArraysEqualOneAtATime:
+    """The stacked selection, the GMM on whole rows and the stacked attraction
+    give the bits of the per-entry, broadcast and per-vector forms."""
+
+    def test_gmm_equals_broadcast_form(self):
+        rng = np.random.default_rng(20)
+        for case in range(300):
+            k, dim = int(rng.integers(1, 9)), int(rng.integers(1, 20))
+            n = int(rng.integers(max(k, 8), 701))
+            spread = float(rng.choice([1e-4, 1e-3, 0.1, 1.0, 3.0]))
+            centers = rng.standard_normal((k, dim))
+            data = centers[rng.integers(k, size=n)] + spread * rng.standard_normal((n, dim))
+            cfg = DiarizeConfig(max_clusters=k)
+            _assert_same_clusters(gmm_cluster(data, cfg, seed=case),
+                                  _broadcast_gmm_cluster(data, cfg, seed=case))
+
+    def test_exp_equals_numpy_exp(self):
+        # across the underflow bound and the floor below which _exp evaluates nothing
+        x = np.concatenate([np.linspace(-760.0, -700.0, 600_001), [-np.inf, -1e300, 0.0]])
+        assert farfield.diarize._exp(x).tobytes() == np.exp(x).tobytes()
+
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 16, 23, 128, 129, 300])
+    def test_pairwise_sum_equals_row_sum(self, count):
+        # counts on each side of numpy's 8-value unroll and 128-value block
+        rng = np.random.default_rng(count)
+        rows = rng.standard_normal((50, count)) * 10.0 ** rng.integers(-8, 8, (50, count))
+        got = farfield.diarize._pairwise_sum(np.ascontiguousarray(rows.T))
+        assert got.tobytes() == rows.sum(axis=1).tobytes()
+
+    def test_selection_equals_per_entry(self):
+        rng = np.random.default_rng(21)
+        for trial in range(100):
+            dim = int(rng.integers(1, 20))
+            entries = []
+            for i in range(int(rng.integers(0, 60))):
+                count = int(rng.integers(1, 5))
+                noise = float(rng.choice([0.01, 0.3, 3.0]))
+                vectors = rng.standard_normal(dim) + noise * rng.standard_normal((count, dim))
+                entries.append(_entry(0.5 * i, 0.5 * i + 0.5, vectors))
+            emb = EmbeddingSet(tuple(entries))
+            threshold = float(rng.uniform(-0.5, 0.95))
+            for got, want in zip(select_single_speaker_frames(emb, threshold),
+                                 _per_entry_selection(emb, threshold)):
+                assert len(got) == len(want)
+                for g, w in zip(got.entries, want.entries):
+                    assert (g.time_start, g.time_end) == (w.time_start, w.time_end)
+                    assert g.vectors.shape == w.vectors.shape
+                    assert g.vectors.tobytes() == w.vectors.tobytes()
+
+    def test_nearest_centroids_equal_per_vector(self):
+        rng = np.random.default_rng(22)
+        ties = 0
+        for trial in range(200):
+            k, dim = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+            centroids, sizes = _tied_centroids(rng, k, dim)
+            # scaled copies of centroids have their cosines, so they tie exactly
+            on_centroids = centroids[rng.integers(k, size=5)] * rng.uniform(0.5, 2.0, (5, 1))
+            vectors = np.vstack([rng.standard_normal((int(rng.integers(0, 20)), dim)),
+                                 on_centroids])
+            want = [_nearest_centroid(v, centroids, sizes) for v in vectors]
+            assert _nearest_centroids(vectors, centroids, sizes).tolist() == want
+            ties += sum(np.sum(np.all(centroids == centroids[c], axis=1)) > 1 for c in want)
+        assert ties > 100
+
+    def test_tie_goes_to_the_larger_cluster_then_the_lower_id(self):
+        centroids = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+        vectors = np.array([[2.0, 0.0], [0.0, 3.0]])
+        assert _nearest_centroids(vectors, centroids, np.array([1, 5, 3, 3])).tolist() == [2, 1]
+        assert _nearest_centroids(vectors, centroids, np.array([4, 5, 3, 4])).tolist() == [0, 1]
+        assert _nearest_centroids(np.empty((0, 2)), centroids, np.ones(4)).shape == (0,)
+
+    def test_attraction_equals_per_vector(self):
+        rng = np.random.default_rng(23)
+        cfg = DiarizeConfig()
+        for trial in range(100):
+            k, dim = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+            centroids, sizes = _tied_centroids(rng, k, dim)
+            n_single = int(rng.integers(1, 30))
+            reduced = rng.standard_normal((n_single, dim))
+            on_centroid = rng.random(n_single) < 0.3
+            reduced[on_centroid] = centroids[rng.integers(k, size=n_single)][on_centroid]
+            assignments = np.where(rng.random(n_single) < 0.5, UNASSIGNED,
+                                   rng.integers(k, size=n_single))
+            clusters = ClusterSet(assignments, centroids, sizes)
+            single = EmbeddingSet(tuple(_entry(0.5 * i, 0.5 * i + 0.5, [row])
+                                        for i, row in enumerate(reduced)))
+            mixed = []
+            for i in range(int(rng.integers(0, 20))):
+                count = int(rng.integers(1, 5))
+                vectors = rng.standard_normal((count, dim))
+                vectors[0] = centroids[rng.integers(k)]
+                mixed.append(_entry(0.25 * i, 0.25 * i + 0.5, vectors))
+            mixed = EmbeddingSet(tuple(mixed))
+            seg = assign_mixed_frames(clusters, single, mixed, cfg, reduced, "s")
+            assert seg.turns == _per_vector_turns(clusters, single, mixed, cfg, reduced)
 
 
 def _reference_merge_reject_clusters(clusters, cfg, reject_thr):

@@ -346,6 +346,17 @@ class TestCaching:
         assert report["cached"] == {"preprocess": False, "diarize": True, "gss": True}
         assert _outputs(run_dir) == written
 
+    def test_deleted_cell_rttm_reruns_diarize(self, demo_manifest, tmp_path):
+        session = load_manifest(demo_manifest)[0]
+        config = load_config(None)
+        run_dir = tmp_path / "run"
+        run_diarize_grid(session, config, run_dir)
+        written = _files(run_dir)
+        cell = run_dir / "diarize" / "demo" / "ch0_vadA_orig_thr10.rttm"
+        cell.unlink()
+        assert run_diarize_grid(session, config, run_dir)["cached"] is False
+        assert _files(run_dir) == written
+
     @pytest.mark.parametrize("stage", ["preprocess", "diarize", "gss"])
     def test_stage_protocol(self, demo_manifest, tmp_path, monkeypatch, stage):
         session = load_manifest(demo_manifest)[0]
@@ -693,6 +704,9 @@ def _write_malformed_inputs(root):
         EmbeddingEntry(0.5 * i, 0.5 * i + 0.5, v) for i, v in enumerate(vectors))))
     (root / "nan_emb.json").write_text(json.dumps(
         {"sessions": [dict(session, embeddings=[{"path": "nan.emb", "channel": 0}])]}))
+    write_embeddings(root / "empty.emb", EmbeddingSet(()))
+    (root / "empty_emb.json").write_text(json.dumps(
+        {"sessions": [dict(session, embeddings=[{"path": "empty.emb", "channel": 0}])]}))
 
 
 class TestCli:
@@ -746,6 +760,8 @@ class TestCli:
              "dry WAV empty.wav: no samples"),
             (["simulate", "--config", "sim_empty_noise.json", "--output-dir", "out"],
              "dry WAV empty.wav: no samples"),
+            (["diarize", "--manifest", "empty_emb.json", "--config", "no_wpe.json"],
+             "empty.emb: only 0 single-speaker frames"),
         ],
         ids=["manifest-sessions", "emb-header", "act-header", "rttm-onset",
              "manifest-sessions-type", "manifest-entry-type", "rttm-negative-duration",
@@ -757,7 +773,7 @@ class TestCli:
              "fuse-string-weight", "fuse-bool-weight", "score-ref-is-file",
              "score-hyp-is-file", "score-hyp-no-rttm", "score-ref-missing",
              "sim-dry-8khz", "sim-dry-stereo", "score-nothing-scored",
-             "sim-dry-empty-speech", "sim-dry-empty-noise"],
+             "sim-dry-empty-speech", "sim-dry-empty-noise", "emb-no-entries"],
     )
     def test_malformed_input_exits_3(self, tmp_path, monkeypatch, capsys, argv, named):
         _write_malformed_inputs(tmp_path)
