@@ -57,6 +57,7 @@ class EmbeddingSet:
 
 
 _EMB_MAGIC = b"EMB1"
+_RECORD = struct.Struct("<ddI")  # time_start, time_end, vector count
 
 
 def write_embeddings(path, emb: EmbeddingSet) -> None:
@@ -64,21 +65,33 @@ def write_embeddings(path, emb: EmbeddingSet) -> None:
         fh.write(_EMB_MAGIC)
         fh.write(struct.pack("<II", emb.dim if emb.entries else 0, len(emb.entries)))
         for entry in emb.entries:
-            fh.write(struct.pack("<ddI", entry.time_start, entry.time_end, entry.vectors.shape[0]))
+            fh.write(_RECORD.pack(entry.time_start, entry.time_end, entry.vectors.shape[0]))
             fh.write(entry.vectors.astype("<f4").tobytes(order="C"))
 
 
 def read_embeddings(path) -> EmbeddingSet:
-    """Read an EMB1 file; its vectors must all be finite."""
+    """Read an EMB1 file; its vectors must all be finite.
+
+    The file is read once; the record headers are walked in that buffer and
+    every record's vectors become one float array.
+    """
     with open_input(path, "embedding file", "rb") as fh:
         magic = fh.read(4)
         if magic != _EMB_MAGIC:
             raise DataError(f"{path}: not an embedding file (bad magic {magic!r})")
         dim, count = struct.unpack("<II", read_exact(fh, 8, path, "embedding file header"))
-        headers, payloads = [], []
-        for _ in range(count):
-            headers.append(struct.unpack("<ddI", read_exact(fh, 20, path, "embedding record header")))
-            payloads.append(read_exact(fh, 4 * dim * headers[-1][2], path, "embedding vectors"))
+        data = memoryview(fh.read())
+    headers, payloads, pos = [], [], 0
+    for _ in range(count):
+        if _RECORD.size > len(data) - pos:
+            raise DataError(f"{path}: truncated embedding record header")
+        headers.append(_RECORD.unpack_from(data, pos))
+        pos += _RECORD.size
+        size = 4 * dim * headers[-1][2]
+        if size > len(data) - pos:
+            raise DataError(f"{path}: truncated embedding vectors")
+        payloads.append(data[pos : pos + size])
+        pos += size
     values = np.frombuffer(b"".join(payloads), dtype="<f4").astype(np.float64)
     if not np.isfinite(values).all():  # once per file, not once per entry
         raise DataError(f"{path}: embedding vectors must be finite")

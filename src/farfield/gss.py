@@ -19,6 +19,12 @@ _QUAD_FLOOR = 1e-10
 # gives rank-deficient shape matrices; on runs of 1 to 2 frames per channel,
 # the likelihood guard stopped the EM in about one case in five.
 _RUN_FRAMES_PER_CHANNEL = 2
+# Bin-frame cells per EM slice. The EM runs one slice of bins at a time, so
+# its outer-product table and its (sources, bins, frames) temporaries hold
+# about this many cells whatever the window's length. Bins are independent in
+# the cACGMM and each bin's arithmetic does not depend on the slice, so the
+# masks do not depend on this value either.
+_CELLS = 16384
 
 
 @dataclass(frozen=True)
@@ -101,6 +107,7 @@ def _em_sweeps(z, valid, priors, iterations):
     viewed as interleaved (Re, Im) pairs, (F, T, 2C^2): the quadratic form
     z^H B^-1 z is Re sum(B^-1 * conj(z z^H)), one matmul of the table with
     B^-1 viewed the same way, and the M-step numerator is weights @ table.
+    The likelihood guard is the caller's: _check_steps on the run's ll_history.
     """
     n_bins, n_frames, n_ch = z.shape
     n_src = priors.shape[0]
@@ -146,7 +153,16 @@ def _em_sweeps(z, valid, priors, iterations):
         shape_mats += 1e-10 * np.eye(n_ch)
 
     gammas, _, ll_history[:, iterations] = e_step(shape_mats)
-    # each sweep is a generalized EM step, so no bin's likelihood may fall
+    return gammas, shape_mats, ll_history
+
+
+def _check_steps(ll_history):
+    """Raise NumericalError if a bin's log-likelihood fell during one EM run.
+
+    ll_history is (F, iterations + 1) for every bin of the window, so the
+    message names the window's bin. Each sweep is a generalized EM step, so
+    no bin's likelihood may fall.
+    """
     steps = np.diff(ll_history, axis=1)
     if np.any(steps < -1e-8):
         f, it = np.unravel_index(np.argmin(steps), steps.shape)
@@ -154,7 +170,6 @@ def _em_sweeps(z, valid, priors, iterations):
             f"cACGMM log-likelihood of bin {f} fell by {-steps[f, it]:.3g} "
             f"at iteration {it + 1}"
         )
-    return gammas, shape_mats, ll_history
 
 
 def cacgmm_em(
@@ -171,6 +186,10 @@ def cacgmm_em(
     chunk_frames below that is a ConfigError, and a shorter trailing run joins
     the one before it. Activity guidance pins source identity, so no
     permutation handling is needed across run boundaries.
+
+    Each run's EM works on slices of max(1, _CELLS // run frames) bins, one
+    at a time, and writes into the whole window's masks; the likelihood guard
+    then checks the run's bins together, before the next run starts.
     """
     n_ch = tensor.num_channels
     if n_ch < 2:
@@ -183,26 +202,32 @@ def cacgmm_em(
             f"for the channel count {n_ch}: set it to at least {min_run}"
         )
     x = tensor.values.transpose(2, 1, 0)  # (F, T, C)
-    norms = np.linalg.norm(x, axis=2)
-    valid = norms > 0  # (F, T): zero-energy cells pass the prior through
-    z = x / np.maximum(norms, 1e-300)[:, :, None]
-    z = np.where(valid[:, :, None], z, 1.0 / np.sqrt(n_ch))
     speaker_probs = resample_activities(activities, tensor)
     priors = build_priors(speaker_probs, cfg)
-    n_frames = tensor.num_frames
+    n_bins, n_frames = x.shape[:2]
     # a trailing run shorter than min_run frames joins the one before it
     inner = [] if size is None else range(size, n_frames - min_run + 1, size)
     bounds = [0, *inner, n_frames]
-    gammas, lls = [], []
-    for start, stop in zip(bounds, bounds[1:]):
+    evals = cfg.iterations + 1
+    gammas = np.empty((priors.shape[0], n_bins, n_frames))  # (S, F, T)
+    ll_history = np.empty((n_bins, (len(bounds) - 1) * evals))
+    for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
         run = slice(start, stop)
-        g, _, ll = _em_sweeps(z[:, run], valid[:, run], priors[:, run], cfg.iterations)
-        gammas.append(g)
-        lls.append(ll)
+        cols = slice(i * evals, (i + 1) * evals)
+        step = max(1, _CELLS // (stop - start))
+        for lo in range(0, n_bins, step):
+            bins = slice(lo, lo + step)
+            cells = x[bins, run]
+            norms = np.linalg.norm(cells, axis=2)
+            valid = norms > 0  # zero-energy cells pass the prior through
+            z = cells / np.maximum(norms, 1e-300)[:, :, None]
+            z = np.where(valid[:, :, None], z, 1.0 / np.sqrt(n_ch))
+            gammas[:, bins, run], _, ll_history[bins, cols] = _em_sweeps(
+                z, valid, priors[:, run], cfg.iterations
+            )
+        _check_steps(ll_history[:, cols])
     # (S, F, T) -> (S, T, F)
-    return MaskTensor(
-        gammas=np.concatenate(gammas, axis=2).transpose(0, 2, 1), ll_history=np.hstack(lls)
-    )
+    return MaskTensor(gammas=gammas.transpose(0, 2, 1), ll_history=ll_history)
 
 
 def apply_vad_mask(activities: SoftActivity, vad: np.ndarray) -> SoftActivity:

@@ -1,13 +1,17 @@
+import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from farfield import gss
 from farfield.audio import MultichannelAudio
 from farfield.errors import DataError, NumericalError
 from farfield.gss import (
     GssConfig,
     MaskTensor,
+    _check_steps,
     _em_sweeps,
     _log_det,
     apply_vad_mask,
@@ -24,9 +28,12 @@ FS = 16000
 
 
 def _tensor(values, sample_rate=FS):
+    """values framed by the half-overlapping STFT of their bin count (64/32 for 33 bins)."""
+    values = np.asarray(values, dtype=np.complex128)
+    n_bins = values.shape[2]
     return SpectralTensor(
-        values=np.asarray(values, dtype=np.complex128),
-        params=StftParams(64, 32),
+        values=values,
+        params=StftParams(2 * (n_bins - 1), max(1, n_bins - 1)),
         sample_rate=sample_rate,
     )
 
@@ -206,8 +213,11 @@ class TestEmSweeps:
         z = x / np.linalg.norm(x, axis=2, keepdims=True)
         priors = rng.uniform(size=(2, 40))
         monkeypatch.setattr("farfield.gss._QUAD_FLOOR", 1.0)
+        _, _, ll_history = _em_sweeps(
+            z, np.ones((9, 40), dtype=bool), priors / priors.sum(axis=0), 5
+        )
         with pytest.raises(NumericalError, match=r"bin \d+ .* iteration \d+"):
-            _em_sweeps(z, np.ones((9, 40), dtype=bool), priors / priors.sum(axis=0), 5)
+            _check_steps(ll_history)
 
 
 def _reference_chunked_cacgmm(tensor, activities, cfg):
@@ -320,6 +330,119 @@ class TestChunked:
             tensor, activities, _, _ = _rank1_scene(rng, n_ch=n_ch, n_frames=n_frames)
             masks = cacgmm_em(tensor, activities, GssConfig(chunk_frames=2 * n_ch))
             assert masks.ll_history.shape == (33, 3 * 6)
+
+
+def _whole_window_cacgmm(tensor, activities, cfg):
+    """cacgmm_em with every bin of the window in one _em_sweeps call per run and
+    the likelihood guard inline: the oracle for cacgmm_em's bin slices."""
+    n_ch = tensor.num_channels
+    min_run = 2 * n_ch
+    x = tensor.values.transpose(2, 1, 0)  # (F, T, C)
+    norms = np.linalg.norm(x, axis=2)
+    valid = norms > 0
+    z = x / np.maximum(norms, 1e-300)[:, :, None]
+    z = np.where(valid[:, :, None], z, 1.0 / np.sqrt(n_ch))
+    priors = build_priors(resample_activities(activities, tensor), cfg)
+    n_frames = tensor.num_frames
+    size = cfg.chunk_frames
+    inner = [] if size is None else range(size, n_frames - min_run + 1, size)
+    bounds = [0, *inner, n_frames]
+    gammas, lls = [], []
+    for start, stop in zip(bounds, bounds[1:]):
+        run = slice(start, stop)
+        g, _, ll = _em_sweeps(z[:, run], valid[:, run], priors[:, run], cfg.iterations)
+        steps = np.diff(ll, axis=1)
+        if np.any(steps < -1e-8):
+            f, it = np.unravel_index(np.argmin(steps), steps.shape)
+            raise NumericalError(
+                f"cACGMM log-likelihood of bin {f} fell by {-steps[f, it]:.3g} "
+                f"at iteration {it + 1}"
+            )
+        gammas.append(g)
+        lls.append(ll)
+    return MaskTensor(
+        gammas=np.concatenate(gammas, axis=2).transpose(0, 2, 1), ll_history=np.hstack(lls)
+    )
+
+
+def _silent_cells(tensor, n_bins):
+    """The first n_bins bins of tensor, with a silent frame, a silent bin and
+    scattered silent cells. No framing gives one bin, so one bin comes as a
+    stand-in with the fields that cacgmm_em reads."""
+    values = tensor.values[:, :, :n_bins].copy()
+    values[:, 3, :] = 0.0
+    values[:, :, n_bins // 2] = 0.0
+    values[:, 10:50:7, 5:300:11] = 0.0
+    if n_bins > 1:
+        return _tensor(values)
+    return SimpleNamespace(values=values, num_channels=values.shape[0],
+                           num_frames=values.shape[1],
+                           frame_step_seconds=tensor.frame_step_seconds)
+
+
+class TestBinSlices:
+    @pytest.mark.parametrize("n_bins", [1, 2, 257, 513])
+    @pytest.mark.parametrize("cells", ["one bin", "short last slice", "default"])
+    @pytest.mark.parametrize("chunk_frames", [None, 20])  # runs of 20, 20 and 22 frames
+    def test_equals_whole_window(self, monkeypatch, n_bins, cells, chunk_frames):
+        rng = np.random.default_rng(n_bins)
+        tensor, activities, _, _ = _rank1_scene(rng, n_frames=62, n_bins=max(n_bins, 2))
+        tensor = _silent_cells(tensor, n_bins)
+        if cells == "one bin":
+            monkeypatch.setattr("farfield.gss._CELLS", 1)
+        elif cells == "short last slice":
+            # 7 bins per slice of the whole window, 21 per slice of a 20-frame run
+            monkeypatch.setattr("farfield.gss._CELLS", 7 * 62)
+        cfg = GssConfig(iterations=3, chunk_frames=chunk_frames)
+        got = cacgmm_em(tensor, activities, cfg)
+        want = _whole_window_cacgmm(tensor, activities, cfg)
+        assert got.gammas.base.flags.c_contiguous
+        assert got.gammas.base.shape == (3, n_bins, 62)
+        assert np.array_equal(got.gammas, want.gammas)
+        assert np.array_equal(got.ll_history, want.ll_history)
+
+    @pytest.mark.parametrize("chunk_frames", [None, 20])
+    def test_guard_names_the_window_bin(self, monkeypatch, chunk_frames):
+        # a quadratic-form floor above 1/C stops the sweeps being EM steps;
+        # the bin whose likelihood fell most lies beyond the first slice
+        rng = np.random.default_rng(9)
+        n_ch, n_frames, n_bins = 3, 40, 12
+        values = rng.standard_normal((n_ch, n_frames, n_bins)) + 1j * rng.standard_normal(
+            (n_ch, n_frames, n_bins)
+        )
+        tensor = _tensor(values)
+        activities = _activity(rng.uniform(size=(2, n_frames)), tensor.frame_step_seconds)
+        cfg = GssConfig(chunk_frames=chunk_frames)
+        monkeypatch.setattr("farfield.gss._QUAD_FLOOR", 1.0)
+        # 2 bins per slice of the whole window, 4 per slice of a 20-frame run
+        monkeypatch.setattr("farfield.gss._CELLS", 80)
+        with pytest.raises(NumericalError) as want:
+            _whole_window_cacgmm(tensor, activities, cfg)
+        assert int(str(want.value).split()[4]) >= 4  # "... of bin <f> fell ..."
+        with pytest.raises(NumericalError) as got:
+            cacgmm_em(tensor, activities, cfg)
+        assert str(got.value) == str(want.value)
+
+    def test_peak_memory_bounded_by_one_slice(self):
+        n_ch, n_frames, n_bins = 4, 1000, 513
+        rng = np.random.default_rng(0)
+        values = rng.standard_normal((n_ch, n_frames, n_bins)) + 1j * rng.standard_normal(
+            (n_ch, n_frames, n_bins)
+        )
+        tensor = _tensor(values)
+        activities = _activity(rng.uniform(size=(4, n_frames)), tensor.frame_step_seconds)
+        tracemalloc.start()
+        try:
+            masks = cacgmm_em(tensor, activities, GssConfig(iterations=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the masks plus four (cells, 2C^2) float tables of one slice
+        slice_table = gss._CELLS * 2 * n_ch * n_ch * 8
+        bound = masks.gammas.nbytes + masks.ll_history.nbytes + 4 * slice_table
+        # a table of every bin of the window would not fit under the bound
+        assert n_bins * n_frames * 2 * n_ch * n_ch * 8 > bound
+        assert peak < bound
 
 
 class TestVadMask:

@@ -340,6 +340,24 @@ class TestEmbeddingFormat:
         with pytest.raises(DataError):
             read_embeddings(path)
 
+    def test_every_truncation_names_its_part(self, tmp_path):
+        # magic 4 B, header 8 B, then per record a 20 B header and its vectors
+        emb = EmbeddingSet((EmbeddingEntry(0.0, 0.5, np.ones((2, 3))),
+                            EmbeddingEntry(0.5, 1.0, np.ones((1, 3)))))
+        path = tmp_path / "cut.emb"
+        write_embeddings(path, emb)
+        data = path.read_bytes()
+        record, vectors = "truncated embedding record header", "truncated embedding vectors"
+        parts = (["bad magic"] * 4 + ["truncated embedding file header"] * 8
+                 + [record] * 20 + [vectors] * 24 + [record] * 20 + [vectors] * 12)
+        assert len(parts) == len(data)
+        for cut, part in enumerate(parts):
+            path.write_bytes(data[:cut])
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))}: .*{part}"):
+                read_embeddings(path)
+        path.write_bytes(data)
+        assert len(read_embeddings(path)) == 2
+
     def test_unsorted_entries_rejected(self):
         with pytest.raises(DataError):
             EmbeddingSet(
