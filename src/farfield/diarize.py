@@ -7,13 +7,12 @@ emission.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from farfield.embeddings import EmbeddingEntry, EmbeddingSet
+from farfield.embeddings import EmbeddingSet
 from farfield.errors import DataError, NumericalError, check_seed
 from farfield.segments import Segmentation, Turn, merge_intervals
 
@@ -79,29 +78,24 @@ def _unit(vectors: np.ndarray) -> np.ndarray:
 
 
 def select_single_speaker_frames(emb: EmbeddingSet, threshold: float):
-    """Split entries into single-speaker (all pairwise cosines > threshold) and mixed.
+    """Split records into single-speaker (all pairwise cosines > threshold) and mixed.
 
-    Single entries are collapsed to their renormalized mean vector. Entries
-    with the same number of vectors are tested as one stack.
+    Returns the row indices of the single records, their renormalized mean
+    vectors, and the row indices of the mixed records. Records with the same
+    number of vectors are tested as one stack.
     """
-    entries = emb.entries
-    by_count = {}  # vector count -> indices of the entries with that many
-    for idx, entry in enumerate(entries):
-        by_count.setdefault(len(entry.vectors), []).append(idx)
-    means = [None] * len(entries)  # a single entry's renormalized mean; None if mixed
-    for count, idxs in by_count.items():
-        stack = np.stack([entries[i].vectors for i in idxs])  # (entries, count, dim)
+    dim = emb.vectors.shape[1]
+    single = np.zeros(len(emb), dtype=bool)
+    means = np.empty((len(emb), dim))
+    for count in np.unique(emb.counts).tolist():
+        group = emb.counts == count
+        stack = emb.rows(group).reshape(-1, count, dim)  # (records, count, dim)
         vecs = _unit(stack)
         sims = vecs @ vecs.transpose(0, 2, 1)
         rows, cols = np.triu_indices(count, k=1)
-        agree = np.all(sims[:, rows, cols] > threshold, axis=1)
-        for idx, is_single, mean in zip(idxs, agree, _unit(stack.mean(axis=1))):
-            if is_single:
-                means[idx] = mean
-    single = tuple(EmbeddingEntry(e.time_start, e.time_end, mean[None, :])
-                   for e, mean in zip(entries, means) if mean is not None)
-    mixed = tuple(e for e, mean in zip(entries, means) if mean is None)
-    return EmbeddingSet(single), EmbeddingSet(mixed)
+        single[group] = np.all(sims[:, rows, cols] > threshold, axis=1)
+        means[group] = _unit(stack.mean(axis=1))
+    return np.flatnonzero(single), means[single], np.flatnonzero(~single)
 
 
 def reduce_dim(vectors: np.ndarray, target_dim: int, method: str = "linear"):
@@ -341,18 +335,21 @@ def _nearest_centroids(vectors: np.ndarray, centroids: np.ndarray,
 
 def assign_mixed_frames(
     clusters: ClusterSet,
-    single: EmbeddingSet,
-    mixed: EmbeddingSet,
-    cfg: DiarizeConfig,
+    emb: EmbeddingSet,
+    single: np.ndarray,
     reduced_single: np.ndarray,
+    mixed: np.ndarray,
+    mixed_vectors: np.ndarray,
+    cfg: DiarizeConfig,
     session_id: str = "session",
 ) -> Segmentation:
     """Attract mixed and unassigned frames to nearest centroids; emit turns.
 
-    Centroid geometry lives in the clustering space; reduced_single holds the
-    single-speaker vectors there, one row per entry of single, and mixed
-    vectors must be provided in that same space (see diarize_embeddings for
-    the projection plumbing).
+    single and mixed are the row indices of emb's single-speaker and mixed
+    records (see select_single_speaker_frames). reduced_single holds one vector
+    per index of single in the clustering space, where the centroids live, and
+    mixed_vectors the mixed records' vectors there, in record order (see
+    diarize_embeddings for the projection plumbing).
     """
     if not len(clusters.sizes):
         raise DataError("no surviving clusters to attract frames to")
@@ -361,17 +358,12 @@ def assign_mixed_frames(
     cids = clusters.assignments.copy()
     loose = cids == UNASSIGNED
     cids[loose] = _nearest_centroids(reduced_single[loose], centroids, sizes)
-    # (speaker, start, end) per frame and speaker
-    frames = [(f"spk{cid:02d}", entry.time_start, entry.time_end)
-              for cid, entry in zip(cids.tolist(), single.entries)]
-    counts = [len(entry.vectors) for entry in mixed.entries]
-    vectors = (np.concatenate([entry.vectors for entry in mixed.entries]) if counts
-               else np.empty((0, centroids.shape[1])))
-    mixed_cids = _nearest_centroids(vectors, centroids, sizes).tolist()
-    offsets = list(itertools.accumulate(counts, initial=0))
-    for entry, lo, hi in zip(mixed.entries, offsets, offsets[1:]):
-        for cid in set(mixed_cids[lo:hi]):
-            frames.append((f"spk{cid:02d}", entry.time_start, entry.time_end))
+    # one frame per single record and one per mixed vector, as (speaker, start, end);
+    # a speaker twice in one mixed record gives a frame that merges into itself
+    records = np.concatenate([single, np.repeat(mixed, emb.counts[mixed])])
+    speakers = np.concatenate([cids, _nearest_centroids(mixed_vectors, centroids, sizes)])
+    frames = zip([f"spk{cid:02d}" for cid in speakers.tolist()],
+                 emb.starts[records].tolist(), emb.ends[records].tolist())
     turns = [Turn(*m) for m in merge_intervals(frames, gap=0.5 * cfg.frame_step)]
     return Segmentation(session_id, tuple(sorted(turns, key=lambda t: (t.start, t.speaker))))
 
@@ -390,22 +382,19 @@ def diarize_embeddings(
     (Segmentation, speaker_count, ClusterSet) per entry of cfg.reject_thrs,
     in its order.
     """
-    single, mixed = select_single_speaker_frames(emb, cfg.single_speaker_cos_threshold)
+    single, raw, mixed = select_single_speaker_frames(emb, cfg.single_speaker_cos_threshold)
     if len(single) < cfg.max_clusters:
         raise DataError(
             f"only {len(single)} single-speaker frames; need >= {cfg.max_clusters}"
         )
-    raw = np.vstack([e.vectors[0] for e in single.entries])
-    target = min(cfg.reduced_dim, raw.shape[1])
-    reduced, project = reduce_dim(raw, target, cfg.reduction)
+    reduced, project = reduce_dim(raw, min(cfg.reduced_dim, raw.shape[1]), cfg.reduction)
     merged = merge_clusters(gmm_cluster(reduced, cfg, seed), cfg)
     # mixed vectors projected into the clustering space by the same reduction
-    mixed = EmbeddingSet(
-        tuple(EmbeddingEntry(e.time_start, e.time_end, project(e.vectors)) for e in mixed.entries)
-    )
+    mixed_vectors = project(emb.rows(mixed))
     results = []
     for thr in cfg.reject_thrs:
         clusters = reject_clusters(merged, thr)
-        seg = assign_mixed_frames(clusters, single, mixed, cfg, reduced, session_id)
+        seg = assign_mixed_frames(clusters, emb, single, reduced, mixed, mixed_vectors, cfg,
+                                  session_id)
         results.append((seg, count_speakers(clusters), clusters))
     return results

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -11,49 +11,63 @@ from farfield.errors import DataError
 from farfield.segments import open_input, read_exact
 
 
-@dataclass(frozen=True)
-class EmbeddingEntry:
+class EmbeddingEntry(NamedTuple):
+    """One record, for building an EmbeddingSet record by record; the set checks it."""
+
     time_start: float
     time_end: float
-    vectors: np.ndarray  # (n_vectors, dim)
-
-    def __post_init__(self):
-        vectors = np.atleast_2d(np.asarray(self.vectors, dtype=np.float64))
-        if not self.time_start < self.time_end:
-            raise DataError("entry time_start must precede time_end")
-        if vectors.shape[0] < 1:
-            raise DataError("entry must carry at least one vector")
-        object.__setattr__(self, "vectors", vectors)
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
+    vectors: np.ndarray  # (n_vectors, dim), or one vector
 
 
-@dataclass(frozen=True)
 class EmbeddingSet:
-    """Entries sorted by start time; multiple vectors per entry mark mixed speech."""
+    """Embedding records sorted by start time, as arrays.
 
-    entries: tuple = field(default_factory=tuple)
+    Record i spans [starts[i], ends[i]) and owns counts[i] rows of vectors
+    (float64, one row per vector), after the rows of the records before it;
+    more than one vector marks mixed speech. EmbeddingSet(entries) takes a
+    sequence of EmbeddingEntry records, from_arrays the four arrays as they are.
+    """
 
-    def __post_init__(self):
-        entries = tuple(self.entries)
-        dims = {e.dim for e in entries}
+    def __init__(self, entries=()):
+        blocks = [np.atleast_2d(np.asarray(e.vectors, dtype=np.float64)) for e in entries]
+        dims = {block.shape[1] for block in blocks}
         if len(dims) > 1:
             raise DataError(f"inconsistent vector dimensionality: {sorted(dims)}")
-        starts = [e.time_start for e in entries]
-        if starts != sorted(starts):
-            raise DataError("entries must be sorted by time_start")
-        object.__setattr__(self, "entries", entries)
+        times = np.array([(e.time_start, e.time_end) for e in entries], dtype=np.float64)
+        counts = np.array([len(block) for block in blocks], dtype=np.int64)
+        self._set_arrays(*times.reshape(-1, 2).T, counts,
+                         np.concatenate(blocks) if blocks else np.empty((0, 0)))
+
+    @classmethod
+    def from_arrays(cls, starts, ends, counts, vectors) -> EmbeddingSet:
+        emb = cls.__new__(cls)
+        emb._set_arrays(starts, ends, counts, vectors)
+        return emb
+
+    def _set_arrays(self, starts, ends, counts, vectors):
+        """The one check of a set: a breach is a DataError, naming the record at fault."""
+        for bad, rule in ((~(np.isfinite(starts) & np.isfinite(ends) & (starts < ends)),
+                           "times must be finite with time_start < time_end"),
+                          (counts < 1, "must carry at least one vector"),
+                          (np.append(False, starts[1:] < starts[:-1]),
+                           "starts before the record before it")):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise DataError(f"record {i} [{starts[i]}, {ends[i]}): {rule}")
+        if len(starts) and vectors.shape[1] < 1:
+            raise DataError("vector dimension must be >= 1, got 0")
+        if not np.isfinite(vectors).all():
+            raise DataError("embedding vectors must be finite")
+        self.starts, self.ends, self.counts, self.vectors = starts, ends, counts, vectors
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.starts)
 
-    @property
-    def dim(self) -> int:
-        if not self.entries:
-            raise DataError("empty embedding set has no dimensionality")
-        return self.entries[0].dim
+    def rows(self, records) -> np.ndarray:
+        """The vectors of the given records (a mask, or row indices), in record order."""
+        mask = np.zeros(len(self), dtype=bool)
+        mask[records] = True
+        return self.vectors[np.repeat(mask, self.counts)]
 
 
 _EMB_MAGIC = b"EMB1"
@@ -61,16 +75,16 @@ _RECORD = struct.Struct("<ddI")  # time_start, time_end, vector count
 
 
 def write_embeddings(path, emb: EmbeddingSet) -> None:
+    rows = emb.vectors.astype("<f4")
     with open(path, "wb") as fh:
-        fh.write(_EMB_MAGIC)
-        fh.write(struct.pack("<II", emb.dim if emb.entries else 0, len(emb.entries)))
-        for entry in emb.entries:
-            fh.write(_RECORD.pack(entry.time_start, entry.time_end, entry.vectors.shape[0]))
-            fh.write(entry.vectors.astype("<f4").tobytes(order="C"))
+        fh.write(_EMB_MAGIC + struct.pack("<II", rows.shape[1] if len(emb) else 0, len(emb)))
+        for t0, t1, n, hi in zip(emb.starts.tolist(), emb.ends.tolist(), emb.counts.tolist(),
+                                 np.cumsum(emb.counts).tolist()):
+            fh.write(_RECORD.pack(t0, t1, n) + rows[hi - n : hi].tobytes())
 
 
 def read_embeddings(path) -> EmbeddingSet:
-    """Read an EMB1 file; its vectors must all be finite.
+    """Read an EMB1 file into an EmbeddingSet; a breach of its check names the file.
 
     The file is read once; the record headers are walked in that buffer and
     every record's vectors become one float array.
@@ -92,14 +106,10 @@ def read_embeddings(path) -> EmbeddingSet:
             raise DataError(f"{path}: truncated embedding vectors")
         payloads.append(data[pos : pos + size])
         pos += size
+    starts, ends, counts = np.array(headers, dtype=np.float64).reshape(count, 3).T
     values = np.frombuffer(b"".join(payloads), dtype="<f4").astype(np.float64)
-    if not np.isfinite(values).all():  # once per file, not once per entry
-        raise DataError(f"{path}: embedding vectors must be finite")
-    entries, lo = [], 0
     try:
-        for t0, t1, n_vec in headers:
-            entries.append(EmbeddingEntry(t0, t1, values[lo : lo + n_vec * dim].reshape(n_vec, dim)))
-            lo += n_vec * dim
-        return EmbeddingSet(tuple(entries))
+        return EmbeddingSet.from_arrays(starts, ends, counts.astype(np.int64),
+                                        values.reshape(int(counts.sum()), dim))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

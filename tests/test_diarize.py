@@ -55,18 +55,18 @@ class TestDiarizeConfig:
 class TestSingleSpeakerSelection:
     def test_one_vector_always_single(self):
         emb = EmbeddingSet((_entry(0, 1, [[1.0, 0.0]]),))
-        single, mixed = select_single_speaker_frames(emb, threshold=0.99)
+        single, _, mixed = select_single_speaker_frames(emb, threshold=0.99)
         assert len(single) == 1 and len(mixed) == 0
 
     def test_identical_pair_is_single_with_mean(self):
         v = np.array([3.0, 4.0])
         emb = EmbeddingSet((_entry(0, 1, [v, v]),))
-        single, _ = select_single_speaker_frames(emb, threshold=0.8)
-        np.testing.assert_allclose(single.entries[0].vectors[0], v / 5.0)
+        _, means, _ = select_single_speaker_frames(emb, threshold=0.8)
+        np.testing.assert_allclose(means[0], v / 5.0)
 
     def test_orthogonal_pair_is_mixed(self):
         emb = EmbeddingSet((_entry(0, 1, [[1.0, 0.0], [0.0, 1.0]]),))
-        single, mixed = select_single_speaker_frames(emb, threshold=0.5)
+        single, _, mixed = select_single_speaker_frames(emb, threshold=0.5)
         assert len(single) == 0 and len(mixed) == 1
 
 
@@ -225,13 +225,27 @@ class TestAssignMixedAndPipeline:
             centroids=centroids,
             sizes=np.array([1, 1, 1]),
         )
-        single = EmbeddingSet(
-            tuple(_entry(i, i + 1, [centroids[i]]) for i in range(3))
+        emb, single, mixed = _one_set(
+            [_entry(i, i + 1, [centroids[i]]) for i in range(3)],
+            [_entry(3.0, 3.5, [centroids[0], centroids[1]])],
         )
-        mixed = EmbeddingSet((_entry(3.0, 3.5, [centroids[0], centroids[1]]),))
-        seg = assign_mixed_frames(clusters, single, mixed, DiarizeConfig(), centroids, "s")
+        seg = assign_mixed_frames(clusters, emb, single, centroids, mixed, emb.rows(mixed),
+                                  DiarizeConfig(), "s")
         active = {t.speaker for t in seg.turns if t.start <= 3.25 < t.end}
         assert active == {"spk00", "spk01"}
+
+    def test_turns_keep_the_record_times(self):
+        # records of different lengths, far enough apart that no two frames merge
+        centroids = np.eye(2)
+        clusters = ClusterSet(np.array([0, 1]), centroids, np.array([1, 1]))
+        emb, single, mixed = _one_set(
+            [_entry(0.0, 0.3, [centroids[0]]), _entry(2.0, 2.7, [centroids[1]])],
+            [_entry(5.0, 6.1, [centroids[0], centroids[1]])],
+        )
+        seg = assign_mixed_frames(clusters, emb, single, centroids, mixed, emb.rows(mixed),
+                                  DiarizeConfig(), "s")
+        assert [(t.speaker, t.start, t.end) for t in seg.turns] == [
+            ("spk00", 0.0, 0.3), ("spk01", 2.0, 2.7), ("spk00", 5.0, 6.1), ("spk01", 5.0, 6.1)]
 
     def test_pipeline_recovers_schedule_with_overlap(self):
         rng = np.random.default_rng(6)
@@ -279,12 +293,13 @@ class TestAssignMixedAndPipeline:
         # assign_mixed_frames emitted them when it built one Turn per frame
         emb = _three_speaker_stream(np.random.default_rng(4))
         cfg = DiarizeConfig(max_clusters=3, reduction="external")
-        single, mixed = select_single_speaker_frames(emb, cfg.single_speaker_cos_threshold)
-        reduced = np.vstack([e.vectors[0] for e in single.entries])
+        single, reduced, mixed = select_single_speaker_frames(emb,
+                                                              cfg.single_speaker_cos_threshold)
         clusters = reject_clusters(gmm_cluster(reduced, cfg, 0), 4.0)
         assert np.any(clusters.assignments == UNASSIGNED)
-        seg = assign_mixed_frames(clusters, single, mixed, cfg, reduced, "s")
-        assert seg.turns == _per_vector_turns(clusters, single, mixed, cfg, reduced)
+        args = (clusters, emb, single, reduced, mixed, emb.rows(mixed), cfg)
+        seg = assign_mixed_frames(*args, "s")
+        assert seg.turns == _per_vector_turns(*args)
         assert len(seg.turns) > 1
 
     def test_assign_never_changes_cluster_count(self):
@@ -295,13 +310,12 @@ class TestAssignMixedAndPipeline:
             centroids=centroids,
             sizes=np.ones(4, dtype=np.int64),
         )
-        single = EmbeddingSet(tuple(_entry(i, i + 1, [centroids[i]]) for i in range(4)))
-        mixed = EmbeddingSet(
-            tuple(
-                _entry(5 + i, 5.5 + i, [rng.standard_normal(4)]) for i in range(10)
-            )
+        emb, single, mixed = _one_set(
+            [_entry(i, i + 1, [centroids[i]]) for i in range(4)],
+            [_entry(5 + i, 5.5 + i, [rng.standard_normal(4)]) for i in range(10)],
         )
-        seg = assign_mixed_frames(clusters, single, mixed, DiarizeConfig(), centroids, "s")
+        seg = assign_mixed_frames(clusters, emb, single, centroids, mixed, emb.rows(mixed),
+                                  DiarizeConfig(), "s")
         assert len(seg.speakers) <= 4
         assert count_speakers(clusters) == 4
 
@@ -317,19 +331,19 @@ def _nearest_centroid(vector, centroids, sizes) -> int:
     return int(best[0])
 
 
-def _per_vector_turns(clusters, single, mixed, cfg, reduced):
+def _per_vector_turns(clusters, emb, single, reduced, mixed, mixed_vectors, cfg):
     """assign_mixed_frames' turns from one Turn per frame and speaker, each
     speaker found one vector at a time, merged by Segmentation.merged_per_speaker."""
     frames = []
-    for idx, entry in enumerate(single.entries):
+    for idx, row in enumerate(single):
         cid = clusters.assignments[idx]
         if cid == UNASSIGNED:
             cid = _nearest_centroid(reduced[idx], clusters.centroids, clusters.sizes)
-        frames.append(Turn(f"spk{cid:02d}", entry.time_start, entry.time_end))
-    for entry in mixed.entries:
+        frames.append(Turn(f"spk{cid:02d}", float(emb.starts[row]), float(emb.ends[row])))
+    for row, vectors in zip(mixed, _record_vectors(emb.counts[mixed], mixed_vectors)):
         for cid in {_nearest_centroid(v, clusters.centroids, clusters.sizes)
-                    for v in entry.vectors}:
-            frames.append(Turn(f"spk{cid:02d}", entry.time_start, entry.time_end))
+                    for v in vectors}:
+            frames.append(Turn(f"spk{cid:02d}", float(emb.starts[row]), float(emb.ends[row])))
     merged = Segmentation("s", tuple(frames)).merged_per_speaker(0.5 * cfg.frame_step)
     return tuple(sorted(merged.turns, key=lambda t: (t.start, t.speaker)))
 
@@ -337,17 +351,31 @@ def _per_vector_turns(clusters, single, mixed, cfg, reduced):
 def _per_entry_selection(emb, threshold):
     """Single-speaker selection one entry at a time: the oracle for
     select_single_speaker_frames."""
-    single, mixed = [], []
-    for entry in emb.entries:
-        vecs = _unit(entry.vectors)
+    single, means, mixed = [], [], []
+    for row, vectors in enumerate(_record_vectors(emb.counts, emb.vectors)):
+        vecs = _unit(vectors)
         sims = vecs @ vecs.T
         iu = np.triu_indices(len(vecs), k=1)
         if len(iu[0]) == 0 or np.all(sims[iu] > threshold):
-            mean = _unit(entry.vectors.mean(axis=0))
-            single.append(EmbeddingEntry(entry.time_start, entry.time_end, mean[None, :]))
+            single.append(row)
+            means.append(_unit(vectors.mean(axis=0)))
         else:
-            mixed.append(entry)
-    return EmbeddingSet(tuple(single)), EmbeddingSet(tuple(mixed))
+            mixed.append(row)
+    return single, means, mixed
+
+
+def _record_vectors(counts, vectors):
+    """The rows of vectors split into one array per record, counts[i] rows for record i."""
+    return [vectors[hi - n : hi] for n, hi in zip(counts.tolist(), np.cumsum(counts).tolist())]
+
+
+def _one_set(single, mixed):
+    """One set of the single and the mixed entries in start order, and the row
+    indices of each."""
+    entries = [*single, *mixed]
+    order = sorted(range(len(entries)), key=lambda i: entries[i].time_start)
+    rows = np.argsort(order)  # each entry's row in the set
+    return EmbeddingSet(tuple(entries[i] for i in order)), rows[:len(single)], rows[len(single):]
 
 
 def _broadcast_gmm_cluster(vectors, cfg, seed):
@@ -443,13 +471,13 @@ class TestWholeArraysEqualOneAtATime:
                 entries.append(_entry(0.5 * i, 0.5 * i + 0.5, vectors))
             emb = EmbeddingSet(tuple(entries))
             threshold = float(rng.uniform(-0.5, 0.95))
-            for got, want in zip(select_single_speaker_frames(emb, threshold),
-                                 _per_entry_selection(emb, threshold)):
-                assert len(got) == len(want)
-                for g, w in zip(got.entries, want.entries):
-                    assert (g.time_start, g.time_end) == (w.time_start, w.time_end)
-                    assert g.vectors.shape == w.vectors.shape
-                    assert g.vectors.tobytes() == w.vectors.tobytes()
+            single, means, mixed = select_single_speaker_frames(emb, threshold)
+            want_single, want_means, want_mixed = _per_entry_selection(emb, threshold)
+            assert single.tolist() == want_single and mixed.tolist() == want_mixed
+            assert len(means) == len(want_means)
+            for g, w in zip(means, want_means):
+                assert g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
 
     def test_nearest_centroids_equal_per_vector(self):
         rng = np.random.default_rng(22)
@@ -486,17 +514,17 @@ class TestWholeArraysEqualOneAtATime:
             assignments = np.where(rng.random(n_single) < 0.5, UNASSIGNED,
                                    rng.integers(k, size=n_single))
             clusters = ClusterSet(assignments, centroids, sizes)
-            single = EmbeddingSet(tuple(_entry(0.5 * i, 0.5 * i + 0.5, [row])
-                                        for i, row in enumerate(reduced)))
+            singles = [_entry(0.5 * i, 0.5 * i + 0.5, [row]) for i, row in enumerate(reduced)]
             mixed = []
             for i in range(int(rng.integers(0, 20))):
                 count = int(rng.integers(1, 5))
                 vectors = rng.standard_normal((count, dim))
                 vectors[0] = centroids[rng.integers(k)]
                 mixed.append(_entry(0.25 * i, 0.25 * i + 0.5, vectors))
-            mixed = EmbeddingSet(tuple(mixed))
-            seg = assign_mixed_frames(clusters, single, mixed, cfg, reduced, "s")
-            assert seg.turns == _per_vector_turns(clusters, single, mixed, cfg, reduced)
+            emb, single, mixed = _one_set(singles, mixed)
+            args = (clusters, emb, single, reduced, mixed, emb.rows(mixed), cfg)
+            seg = assign_mixed_frames(*args, "s")
+            assert seg.turns == _per_vector_turns(*args)
 
 
 def _reference_merge_reject_clusters(clusters, cfg, reject_thr):
@@ -640,3 +668,22 @@ class TestGridStreams:
                           "diarize_embeddings": streams}
         cells = sorted(p.name for p in (tmp_path / "diarize" / "demo").glob("ch*.rttm"))
         assert len(cells) == streams * len(config["diarize"]["reject_thrs"])
+
+    def test_no_record_objects_between_read_and_cells(self, demo_manifest, tmp_path,
+                                                      monkeypatch):
+        built = []
+        original = EmbeddingEntry.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(EmbeddingEntry, "__new__", counted)
+        EmbeddingEntry(0.0, 0.5, np.ones((1, 2)))
+        assert len(built) == 1  # the count sees a construction
+        built.clear()
+        config = load_config()
+        run_diarize_grid(load_manifest(demo_manifest)[0], config, tmp_path)
+        assert built == []
+        cells = list((tmp_path / "diarize" / "demo").glob("ch*.rttm"))
+        assert len(cells) == 8 * len(config["diarize"]["reject_thrs"])

@@ -316,10 +316,10 @@ class TestEmbeddingFormat:
         write_embeddings(path, emb)
         back = read_embeddings(path)
         assert len(back) == 3
-        for a, b in zip(back.entries, emb.entries):
-            assert a.time_start == b.time_start
-            assert a.time_end == b.time_end
-            np.testing.assert_allclose(a.vectors, b.vectors, atol=1e-6)
+        np.testing.assert_array_equal(back.starts, emb.starts)
+        np.testing.assert_array_equal(back.ends, emb.ends)
+        np.testing.assert_array_equal(back.counts, emb.counts)
+        np.testing.assert_allclose(back.vectors, emb.vectors, atol=1e-6)
 
     def test_empty_set_round_trip(self, tmp_path):
         path = tmp_path / "empty.emb"
@@ -366,6 +366,66 @@ class TestEmbeddingFormat:
                     EmbeddingEntry(0.0, 0.5, np.ones((1, 4))),
                 )
             )
+
+    def test_writer_bytes_equal_per_entry_writer(self, tmp_path):
+        rng = np.random.default_rng(24)
+        path, oracle = tmp_path / "new.emb", tmp_path / "oracle.emb"
+        sizes = [0, 1, 40] + rng.integers(0, 41, size=57).tolist()
+        for trial, size in enumerate(sizes):
+            dim = int(rng.integers(1, 33))
+            # some starts repeat, and an end may pass the next start
+            starts = np.sort(np.round(rng.uniform(0.0, 30.0, size), int(rng.integers(0, 4))))
+            ends = starts + rng.uniform(0.01, 2.0, size)
+            entries = tuple(
+                EmbeddingEntry(t0, t1, rng.standard_normal((int(rng.integers(1, 5)), dim))
+                               * 10.0 ** rng.uniform(-3, 3))
+                for t0, t1 in zip(starts.tolist(), ends.tolist()))
+            _per_entry_write_embeddings(oracle, entries)
+            write_embeddings(path, EmbeddingSet(entries))
+            assert path.read_bytes() == oracle.read_bytes(), trial
+            write_embeddings(path, read_embeddings(oracle))
+            assert path.read_bytes() == oracle.read_bytes(), trial
+
+    @pytest.mark.parametrize(
+        "entries, message, via_file",
+        [
+            ([(1.0, 2.0, [[1.0]]), (0.0, 0.5, [[1.0]])],
+             r"record 1 \[0.0, 0.5\): starts before the record before it", True),
+            ([(0.0, 0.5, [[1.0]]), (1.0, 1.0, [[1.0]])],
+             r"record 1 \[1.0, 1.0\): times must be finite", True),
+            ([(np.nan, 0.5, [[1.0]])], r"record 0 \[nan, 0.5\): times must be finite", True),
+            ([(0.0, 0.5, [[1.0]]), (0.5, 1.0, np.empty((0, 1)))],
+             r"record 1 \[0.5, 1.0\): must carry at least one vector", True),
+            ([(0.0, 0.5, [[1.0, 2.0]]), (0.5, 1.0, [[1.0]])],
+             r"inconsistent vector dimensionality: \[1, 2\]", False),
+            ([(0.0, 0.5, [[1.0, 2.0]]), (0.5, 1.0, [[1.0, np.inf]])],
+             "embedding vectors must be finite", True),
+        ],
+        ids=["unsorted", "start-equals-end", "nan-start", "zero-vectors", "mixed-dims",
+             "inf-vector"],
+    )
+    def test_array_check_breaches(self, tmp_path, entries, message, via_file):
+        entries = tuple(EmbeddingEntry(t0, t1, np.asarray(v, dtype=float))
+                        for t0, t1, v in entries)
+        with pytest.raises(DataError, match=message):
+            EmbeddingSet(entries)
+        if via_file:
+            path = tmp_path / "breach.emb"
+            _per_entry_write_embeddings(path, entries)
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}"):
+                read_embeddings(path)
+
+
+def _per_entry_write_embeddings(path, entries):
+    """write_embeddings as it was when a set held one EmbeddingEntry per record,
+    with no checks: the byte oracle for write_embeddings, and a writer of
+    files that breach the set's check."""
+    with open(path, "wb") as fh:
+        fh.write(b"EMB1")
+        fh.write(struct.pack("<II", entries[0].vectors.shape[1] if entries else 0, len(entries)))
+        for entry in entries:
+            fh.write(struct.pack("<ddI", entry.time_start, entry.time_end, entry.vectors.shape[0]))
+            fh.write(entry.vectors.astype("<f4").tobytes(order="C"))
 
 
 class TestMalformedHeaders:

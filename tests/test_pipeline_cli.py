@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -39,7 +40,7 @@ from farfield.pipeline import (
     score_directories,
 )
 from farfield.preprocess import ClipNormConfig, WpeConfig
-from farfield.embeddings import EmbeddingEntry, EmbeddingSet, write_embeddings
+from farfield.embeddings import EmbeddingSet, write_embeddings
 from farfield.segments import (
     Segmentation,
     Turn,
@@ -698,15 +699,24 @@ def _write_malformed_inputs(root):
     for name, (entries, _) in _SIM_CONFIG_ERRORS.items():
         (root / f"{name}.json").write_text(json.dumps(
             {"dry_corpus": [{"ref": "u", "path": "ch0.wav"}], **entries}))
+    def one_vector_records(name, ends, vectors):
+        """An EMB1 file of one-vector records from 0.5 s apart, written without
+        the checks of an EmbeddingSet, which refuses all three files below."""
+        (root / name).write_bytes(b"EMB1" + struct.pack("<II", vectors.shape[1], len(ends))
+                                  + b"".join(struct.pack("<ddI", 0.5 * i, end, 1)
+                                             + v.astype("<f4").tobytes()
+                                             for i, (end, v) in enumerate(zip(ends, vectors))))
+
+    ends = [0.5 * i + 0.5 for i in range(20)]
     vectors = np.random.default_rng(1).standard_normal((20, 16))
     vectors[7, 3] = np.nan
-    write_embeddings(root / "nan.emb", EmbeddingSet(tuple(
-        EmbeddingEntry(0.5 * i, 0.5 * i + 0.5, v) for i, v in enumerate(vectors))))
-    (root / "nan_emb.json").write_text(json.dumps(
-        {"sessions": [dict(session, embeddings=[{"path": "nan.emb", "channel": 0}])]}))
+    one_vector_records("nan.emb", ends, vectors)
+    one_vector_records("zero_dim.emb", ends, np.empty((20, 0)))
+    one_vector_records("inf_time.emb", ends[:19] + [np.inf], np.ones((20, 16)))
     write_embeddings(root / "empty.emb", EmbeddingSet(()))
-    (root / "empty_emb.json").write_text(json.dumps(
-        {"sessions": [dict(session, embeddings=[{"path": "empty.emb", "channel": 0}])]}))
+    for name in ("nan", "empty", "zero_dim", "inf_time"):
+        (root / f"{name}_emb.json").write_text(json.dumps(
+            {"sessions": [dict(session, embeddings=[{"path": f"{name}.emb", "channel": 0}])]}))
 
 
 class TestCli:
@@ -762,6 +772,10 @@ class TestCli:
              "dry WAV empty.wav: no samples"),
             (["diarize", "--manifest", "empty_emb.json", "--config", "no_wpe.json"],
              "empty.emb: only 0 single-speaker frames"),
+            (["diarize", "--manifest", "zero_dim_emb.json", "--config", "no_wpe.json"],
+             "zero_dim.emb: vector dimension must be >= 1, got 0"),
+            (["diarize", "--manifest", "inf_time_emb.json", "--config", "no_wpe.json"],
+             "inf_time.emb: record 19 [9.5, inf): times must be finite"),
         ],
         ids=["manifest-sessions", "emb-header", "act-header", "rttm-onset",
              "manifest-sessions-type", "manifest-entry-type", "rttm-negative-duration",
@@ -773,7 +787,8 @@ class TestCli:
              "fuse-string-weight", "fuse-bool-weight", "score-ref-is-file",
              "score-hyp-is-file", "score-hyp-no-rttm", "score-ref-missing",
              "sim-dry-8khz", "sim-dry-stereo", "score-nothing-scored",
-             "sim-dry-empty-speech", "sim-dry-empty-noise", "emb-no-entries"],
+             "sim-dry-empty-speech", "sim-dry-empty-noise", "emb-no-entries",
+             "emb-zero-dim", "emb-inf-time"],
     )
     def test_malformed_input_exits_3(self, tmp_path, monkeypatch, capsys, argv, named):
         _write_malformed_inputs(tmp_path)
