@@ -166,21 +166,26 @@ def write_wav(path, audio: MultichannelAudio) -> None:
 
 
 def stack_channel_files(paths, expected_rate: int | None = None) -> MultichannelAudio:
-    """Build one session from per-channel WAV files (one channel per file)."""
-    channels = []
-    rate = expected_rate
-    for path in paths:
+    """Build one session from per-channel WAV files, one channel per file, in
+    one (files, samples) array filled a file at a time."""
+    paths = list(paths)
+    if not paths:
+        raise DataError("no channel files to stack")
+    samples, rate = None, expected_rate
+    for row, path in enumerate(paths):
         audio = read_wav(path)
+        if audio.num_channels != 1:
+            raise DataError(f"{path}: {audio.num_channels} channels, a channel file holds one")
         if rate is None:
             rate = audio.sample_rate
         elif audio.sample_rate != rate:
             raise DataError(
                 f"sample rate mismatch in {path}: {audio.sample_rate} != {rate}"
             )
-        channels.append(audio.samples)
-    if not channels:
-        raise DataError("no channel files to stack")
-    lengths = {c.shape[1] for c in channels}
-    if len(lengths) > 1:
-        raise DataError(f"channel lengths differ across files: {sorted(lengths)}")
-    return MultichannelAudio(np.vstack(channels), rate)
+        if samples is None:
+            samples = np.empty((len(paths), audio.num_samples))
+        elif audio.num_samples != samples.shape[1]:
+            raise DataError(f"channel lengths differ across files: {path} has "
+                            f"{audio.num_samples} samples, {paths[0]} {samples.shape[1]}")
+        samples[row] = audio.samples[0]
+    return MultichannelAudio(samples, rate)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from farfield.audio import read_wav, stack_channel_files, write_wav
+from farfield.audio import MultichannelAudio, read_wav, stack_channel_files, write_wav
 from farfield.config import PipelineConfig, ScoreConfig, from_json, to_json
 from farfield.diarize import diarize_embeddings
 from farfield.embeddings import read_embeddings
@@ -22,10 +22,11 @@ from farfield.fusion import FusionInput, doverlap_fuse, soft_fuse
 from farfield.gss import extract_speaker_segment
 from farfield.metrics import compute_der, speaker_count_accuracy
 from farfield.preprocess import (clip_normalize, envelope_variance_rank, select_top_channels,
-                                 wpe_dereverberate)
+                                 wpe_block_frames, wpe_dereverberate)
 from farfield.segments import (Segmentation, SoftActivity, binarize, read_activity, read_rttm,
                                segmentation_to_activity, write_rttm)
-from farfield.stft import istft, stft
+from farfield.stft import frame_count, frame_span, overlap_add, overlap_add_audio, stft_frames
+from farfield.stft import istft, stft  # noqa: F401  (not called here; perfbench/spans.py times them)
 
 DEFAULT_CONFIG = to_json(PipelineConfig())
 
@@ -222,24 +223,49 @@ def run_cached(directory: Path, inputs, blob, outputs, config: dict, build) -> b
 # stages
 
 
+def _dereverberated(session: dict, cfg: PipelineConfig, orig_path: Path) -> MultichannelAudio:
+    """Read and clip-normalize the session, write it to orig_path, and return it
+    dereverberated one WPE block at a time (as it is when WPE is off).
+
+    Each block's frames are those of the whole session's STFT, and their
+    inverse transforms are overlap-added in frame order, so the samples equal
+    istft(wpe_dereverberate(stft(...))). This function holds the only reference
+    to the normalized audio, and drops it once the last block's frames are
+    taken: WPE and the overlap-add then hold two block spectra and the output.
+    """
+    normalized = clip_normalize(
+        stack_channel_files(session["channels"], session.get("sample_rate")),
+        cfg.preprocess.clip_config,
+    )
+    write_wav(orig_path, normalized)
+    if not cfg.preprocess.wpe:
+        return normalized
+    params, wpe_cfg = cfg.stft, cfg.preprocess.wpe_config
+    rate, num_samples = normalized.sample_rate, normalized.num_samples
+    n_frames = frame_count(num_samples, params)
+    block = wpe_block_frames(wpe_cfg, rate, params.frame_shift)
+    out = None  # the session's overlap-add, made once the first block is dereverberated
+    for lo in range(0, n_frames, block):
+        spec = stft_frames(normalized, params, slice(lo, lo + block))
+        if lo + block >= n_frames:
+            del normalized
+        spec = wpe_dereverberate(spec, wpe_cfg)
+        if out is None:
+            out = np.zeros((spec.num_channels, frame_span(n_frames, params)))
+        overlap_add(out, spec.values, params, lo)
+        del spec
+    return overlap_add_audio(out, params, rate, num_samples)
+
+
 def run_preprocess(session: dict, config: dict, run_dir: Path) -> dict:
     """Normalize, dereverberate and rank channels; returns artifact paths."""
     result = preprocess_outputs(run_dir, session["session_id"])
 
     def build(cfg):
-        normalized = clip_normalize(
-            stack_channel_files(session["channels"], session.get("sample_rate")),
-            cfg.preprocess.clip_config,
-        )
-        if cfg.preprocess.wpe:
-            dereverbed = istft(wpe_dereverberate(stft(normalized, cfg.stft),
-                                                 cfg.preprocess.wpe_config))
-        else:
-            dereverbed = normalized
+        dereverbed = _dereverberated(session, cfg, result["orig"])
+        write_wav(result["wpe"], dereverbed)
         ranking = envelope_variance_rank(dereverbed)
         selected = select_top_channels(ranking, cfg.preprocess.selection_fraction)
-        write_wav(result["orig"], normalized)
-        write_wav(result["wpe"], dereverbed)
         lines = ["channel\tscore\trank"]
         for rank, ch in enumerate(ranking.order):
             lines.append(f"{int(ch)}\t{ranking.scores[ch]:.6f}\t{rank}")

@@ -9,15 +9,16 @@ import numpy as np
 
 from farfield.audio import MultichannelAudio
 from farfield.errors import DataError, NumericalError
-from farfield.stft import SpectralTensor, StftParams, stft
+from farfield.stft import SpectralTensor, StftParams, frame_count, stft
 
 _EPS = 1e-30
 
 # Frequency bins per _wpe_block call. Each bin is an independent problem, so
 # the output does not depend on this; it bounds the (bins, channels*taps,
 # block frames) work arrays, which for 4 channels, 10 taps and a 120 s block
-# of 7,500 frames take 38 MB each at 8 bins and 2.5 GB at all 513.
-_BINS = 8
+# of 7,500 frames take 9.6 MB each at 2 bins and 2.5 GB at all 513. A slice
+# of 2 bins was no slower per bin-frame than one of 8, at 626 and 7,500 frames.
+_BINS = 2
 
 
 @dataclass(frozen=True)
@@ -123,28 +124,31 @@ def _wpe_block(values: np.ndarray, taps: int, delay: int, iterations: int) -> np
     return dereverb
 
 
+def wpe_block_frames(cfg: WpeConfig, sample_rate: int, frame_shift: int) -> int:
+    """STFT frames per WPE block: block_length seconds, and at least taps + delay."""
+    return max(cfg.taps + cfg.delay, int(round(cfg.block_length * sample_rate / frame_shift)))
+
+
 def wpe_dereverberate(tensor: SpectralTensor, cfg: WpeConfig = WpeConfig()) -> SpectralTensor:
     """Block-wise delayed linear prediction; removes late reverberation per bin.
 
-    Solves _BINS frequency bins at a time, so the work arrays hold a few bins
-    of one block rather than every bin of it.
+    Solves _BINS frequency bins of one block at a time, so the work arrays hold
+    a few bins of one block rather than every bin of it. The input is left as
+    it is, and the output has its (channels, frames, bins) layout.
     """
     values = tensor.values.transpose(2, 0, 1)  # (F, C, T)
     n_bins, _, n_frames = values.shape
-    block_frames = max(
-        cfg.taps + cfg.delay,
-        int(round(cfg.block_length * tensor.sample_rate / tensor.frame_shift)),
-    )
-    out = np.empty_like(values)
+    block_frames = wpe_block_frames(cfg, tensor.sample_rate, tensor.frame_shift)
+    out = np.empty_like(tensor.values)
     for lo in range(0, n_bins, _BINS):
         bins = slice(lo, lo + _BINS)
         for start in range(0, n_frames, block_frames):
             frames = slice(start, start + block_frames)
-            out[bins, :, frames] = _wpe_block(
+            out[:, frames, bins] = _wpe_block(
                 np.ascontiguousarray(values[bins, :, frames]), cfg.taps, cfg.delay,
                 cfg.iterations,
-            )
-    return replace(tensor, values=out.transpose(1, 2, 0))
+            ).transpose(1, 2, 0)
+    return replace(tensor, values=out)
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +190,12 @@ def envelope_variance_rank(audio: MultichannelAudio) -> ChannelRanking:
     """
     if audio.num_channels < 1:
         raise DataError("need at least one channel")
-    spec = stft(audio, _RANK_STFT)
-    power = np.abs(spec.values) ** 2  # (C, T, F)
-    bank = mel_filterbank(_RANK_BANDS, spec.num_bins, audio.sample_rate)
-    envelopes = np.log(power @ bank.T + _EPS)  # (C, T, B)
+    bank = mel_filterbank(_RANK_BANDS, _RANK_STFT.num_bins, audio.sample_rate)
+    envelopes = np.empty((audio.num_channels, frame_count(audio.num_samples, _RANK_STFT),
+                          _RANK_BANDS))  # (C, T, B)
+    for c in range(audio.num_channels):  # one channel's spectrum at a time
+        power = np.abs(stft(audio.channel(c), _RANK_STFT).values[0]) ** 2  # (T, F)
+        envelopes[c] = np.log(power @ bank.T + _EPS)
     envelopes -= envelopes.mean(axis=1, keepdims=True)
     band_var = envelopes.var(axis=1)  # (C, B)
     silent = ~np.any(audio.samples, axis=1)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,44 +104,83 @@ def _check_cola(window: np.ndarray, shift: int) -> None:
         )
 
 
-def stft(audio: MultichannelAudio, params: StftParams = StftParams()) -> SpectralTensor:
-    """Analyze audio into a (channels, frames, bins) complex tensor; half a
-    frame of padding on each side centres frame i on sample i * frame_shift."""
+def frame_count(num_samples: int, params: StftParams) -> int:
+    """Frames of stft's framing of num_samples samples."""
+    padded = num_samples + 2 * (params.frame_length // 2)
+    return int(np.ceil((padded - params.frame_length) / params.frame_shift)) + 1
+
+
+def frame_span(num_frames: int, params: StftParams) -> int:
+    """Samples that num_frames consecutive frames cover."""
+    return (num_frames - 1) * params.frame_shift + params.frame_length
+
+
+def stft_frames(audio: MultichannelAudio, params: StftParams, frames: slice) -> SpectralTensor:
+    """A run of stft's frames (a slice of step 1), each equal to the whole
+    analysis's; only the run's samples are padded. The tensor has no
+    num_samples, since a run does not invert to the session on its own."""
     if audio.num_samples == 0:
         raise DataError("empty audio")
     window = _analysis_window(params)
     length, shift = params.frame_length, params.frame_shift
-    pad = length // 2
-    padded = audio.num_samples + 2 * pad
-    n_frames = int(np.ceil((padded - length) / shift)) + 1
-    total = (n_frames - 1) * shift + length
-    x = np.pad(audio.samples, ((0, 0), (pad, total - padded + pad)))
+    lo, hi, step = frames.indices(frame_count(audio.num_samples, params))
+    if step != 1 or hi <= lo:
+        raise DataError(f"no run of frames in {frames}")
+    count, start = hi - lo, lo * shift - length // 2  # start: first sample of frame lo
+    x = np.zeros((audio.num_channels, frame_span(count, params)))
+    a, b = max(start, 0), min(start + x.shape[1], audio.num_samples)
+    x[:, a - start : b - start] = audio.samples[:, a:b]
     framed = np.lib.stride_tricks.sliding_window_view(x, length, axis=-1)[:, ::shift]
-    values = np.empty((audio.num_channels, n_frames, params.num_bins), dtype=np.complex128)
-    for lo in range(0, n_frames, _FRAMES):
-        values[:, lo : lo + _FRAMES] = np.fft.rfft(framed[:, lo : lo + _FRAMES] * window, axis=-1)
-    return SpectralTensor(values, params, audio.sample_rate, audio.num_samples)
+    values = np.empty((audio.num_channels, count, params.num_bins), dtype=np.complex128)
+    windowed = np.empty((audio.num_channels, min(count, _FRAMES), length))  # reused
+    for i in range(0, count, _FRAMES):
+        part = windowed[:, : min(_FRAMES, count - i)]
+        np.multiply(framed[:, i : i + _FRAMES], window, out=part)
+        values[:, i : i + _FRAMES] = np.fft.rfft(part, axis=-1)
+    return SpectralTensor(values, params, audio.sample_rate)
+
+
+def stft(audio: MultichannelAudio, params: StftParams = StftParams()) -> SpectralTensor:
+    """Analyze audio into a (channels, frames, bins) complex tensor; half a
+    frame of padding on each side centres frame i on sample i * frame_shift."""
+    return replace(stft_frames(audio, params, slice(None)), num_samples=audio.num_samples)
+
+
+def overlap_add(out: np.ndarray, values: np.ndarray, params: StftParams, first: int) -> None:
+    """Add the windowed inverse transforms of the (channels, frames, bins) values
+    into out, in frame order, their first frame as frame `first` of out."""
+    window = _analysis_window(params)
+    length, shift = params.frame_length, params.frame_shift
+    for lo in range(0, values.shape[1], _FRAMES):
+        frames = np.fft.irfft(values[:, lo : lo + _FRAMES], n=length, axis=-1)
+        frames *= window
+        for i in range(frames.shape[1]):
+            t = (first + lo + i) * shift
+            out[:, t : t + length] += frames[:, i]
+
+
+def overlap_add_audio(out: np.ndarray, params: StftParams, sample_rate: int,
+                      num_samples: int | None) -> MultichannelAudio:
+    """The audio of a finished overlap-add: out, divided in place by the sum of
+    the squared windows of its frames, without stft's padding and cropped to
+    num_samples if given."""
+    window = _analysis_window(params)
+    length, shift = params.frame_length, params.frame_shift
+    norm = np.zeros(out.shape[1])
+    wsq = window * window
+    for t in range(0, out.shape[1] - length + 1, shift):
+        norm[t : t + length] += wsq
+    out /= np.maximum(norm, 1e-12)
+    out = out[:, length // 2 :]  # the centre padding of stft
+    if num_samples is not None:
+        out = out[:, :num_samples]
+    return MultichannelAudio(out, sample_rate)
 
 
 def istft(tensor: SpectralTensor) -> MultichannelAudio:
     """Invert an STFT by weighted overlap-add with the tensor's own window;
     exact on interior samples."""
     params = tensor.params
-    window = _analysis_window(params)
-    length, shift = params.frame_length, params.frame_shift
-    n_frames = tensor.num_frames
-    total = (n_frames - 1) * shift + length
-    out = np.zeros((tensor.num_channels, total))
-    norm = np.zeros(total)
-    wsq = window * window
-    for lo in range(0, n_frames, _FRAMES):
-        frames = np.fft.irfft(tensor.values[:, lo : lo + _FRAMES], n=length, axis=-1) * window
-        for i in range(frames.shape[1]):
-            t = (lo + i) * shift
-            out[:, t : t + length] += frames[:, i]
-            norm[t : t + length] += wsq
-    out /= np.maximum(norm, 1e-12)
-    out = out[:, length // 2 :]  # the centre padding of stft
-    if tensor.num_samples is not None:
-        out = out[:, : tensor.num_samples]
-    return MultichannelAudio(out, tensor.sample_rate)
+    out = np.zeros((tensor.num_channels, frame_span(tensor.num_frames, params)))
+    overlap_add(out, tensor.values, params, 0)
+    return overlap_add_audio(out, params, tensor.sample_rate, tensor.num_samples)

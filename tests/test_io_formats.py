@@ -68,6 +68,27 @@ class TestWav:
         assert stacked.num_channels == 3
         np.testing.assert_allclose(stacked.samples, sigs, atol=1e-7)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stack_equals_vstack_of_files(self, tmp_path, seed):
+        rng = np.random.default_rng(40 + seed)
+        n, paths = int(rng.integers(1, 900)), []
+        for i in range(int(rng.integers(1, 6))):
+            paths.append(tmp_path / f"ch{i}.wav")
+            write_wav(paths[-1], MultichannelAudio(rng.standard_normal(n), FS))
+        stacked = stack_channel_files(paths)
+        want = np.vstack([read_wav(p).samples for p in paths])
+        assert stacked.samples.shape == want.shape
+        assert stacked.samples.tobytes() == want.tobytes()
+
+    def test_stack_rejects_a_file_of_two_channels(self, tmp_path):
+        # before, the stereo file added a channel and shifted every later index
+        write_wav(tmp_path / "mono.wav", MultichannelAudio(np.zeros(100), FS))
+        write_wav(tmp_path / "stereo.wav", MultichannelAudio(np.zeros((2, 100)), FS))
+        with pytest.raises(DataError, match="stereo.wav: 2 channels"):
+            stack_channel_files([tmp_path / "stereo.wav", tmp_path / "mono.wav"])
+        with pytest.raises(DataError, match="stereo.wav: 2 channels"):
+            stack_channel_files([tmp_path / "mono.wav", tmp_path / "stereo.wav"])
+
     def test_stack_length_mismatch_rejected(self, tmp_path):
         write_wav(tmp_path / "a.wav", MultichannelAudio(np.zeros(100), FS))
         write_wav(tmp_path / "b.wav", MultichannelAudio(np.zeros(99), FS))

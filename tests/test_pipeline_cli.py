@@ -663,6 +663,8 @@ def _write_malformed_inputs(root):
         json.dumps({"sessions": [dict(session, channels=5)]}))
     (root / "str_embedding.json").write_text(
         json.dumps({"sessions": [dict(session, embeddings=["x.emb"])]}))
+    (root / "stereo_channel.json").write_text(
+        json.dumps({"sessions": [dict(session, channels=["ch0.wav", "stereo.wav"])]}))
     (root / "no_wpe.json").write_text(json.dumps({"preprocess": {"wpe": False}}))
     (root / "two.rttm").write_text("SPEAKER s 1 0.0 0.5 <NA> <NA> a <NA> <NA>\n"
                                    "SPEAKER t 1 0.0 0.5 <NA> <NA> a <NA> <NA>\n")
@@ -776,6 +778,8 @@ class TestCli:
              "zero_dim.emb: vector dimension must be >= 1, got 0"),
             (["diarize", "--manifest", "inf_time_emb.json", "--config", "no_wpe.json"],
              "inf_time.emb: record 19 [9.5, inf): times must be finite"),
+            (["preprocess", "--manifest", "stereo_channel.json"],
+             "stereo.wav: 2 channels, a channel file holds one"),
         ],
         ids=["manifest-sessions", "emb-header", "act-header", "rttm-onset",
              "manifest-sessions-type", "manifest-entry-type", "rttm-negative-duration",
@@ -788,7 +792,7 @@ class TestCli:
              "score-hyp-is-file", "score-hyp-no-rttm", "score-ref-missing",
              "sim-dry-8khz", "sim-dry-stereo", "score-nothing-scored",
              "sim-dry-empty-speech", "sim-dry-empty-noise", "emb-no-entries",
-             "emb-zero-dim", "emb-inf-time"],
+             "emb-zero-dim", "emb-inf-time", "manifest-stereo-channel"],
     )
     def test_malformed_input_exits_3(self, tmp_path, monkeypatch, capsys, argv, named):
         _write_malformed_inputs(tmp_path)

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,18 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from farfield import preprocess
-from farfield.audio import MultichannelAudio
+from farfield.audio import MultichannelAudio, stack_channel_files, write_wav
+from farfield.config import PipelineConfig, from_json
 from farfield.errors import DataError
+import farfield.pipeline
+from farfield.pipeline import load_config, load_manifest, run_preprocess
 from farfield.preprocess import (
     ChannelRanking,
     ClipNormConfig,
     WpeConfig,
     clip_normalize,
     envelope_variance_rank,
+    mel_filterbank,
     select_top_channels,
+    wpe_block_frames,
     wpe_dereverberate,
 )
-from farfield.stft import SpectralTensor, StftParams, stft
+from farfield.stft import _FRAMES, SpectralTensor, StftParams, frame_count, istft, stft
 
 FS = 16000
 
@@ -96,6 +102,43 @@ class TestEnvelopeVariance:
         scaled[1] *= 37.5
         after = envelope_variance_rank(MultichannelAudio(scaled, FS))
         np.testing.assert_array_equal(base.order, after.order)
+
+
+def _whole_session_rank(audio):
+    """envelope_variance_rank as it was, on every channel's spectrum at once."""
+    spec = stft(audio, StftParams(frame_length=512, frame_shift=256))
+    power = np.abs(spec.values) ** 2  # (C, T, F)
+    bank = mel_filterbank(40, spec.num_bins, audio.sample_rate)
+    envelopes = np.log(power @ bank.T + 1e-30)  # (C, T, B)
+    envelopes -= envelopes.mean(axis=1, keepdims=True)
+    band_var = envelopes.var(axis=1)  # (C, B)
+    silent = ~np.any(audio.samples, axis=1)
+    band_var[silent] = 0.0
+    band_max = band_var.max(axis=0)  # (B,)
+    normalized = np.divide(
+        band_var, band_max[None, :], out=np.zeros_like(band_var), where=band_max > 0
+    )
+    scores = normalized.mean(axis=1)
+    scores[silent] = 0.0
+    order = np.argsort(-scores, kind="stable")
+    return ChannelRanking(scores=scores, order=order)
+
+
+class TestRankByChannel:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_whole_session_rank(self, seed):
+        # 1-8 channels of 0.1-6 s at gains up to a thousand apart, with a
+        # silent channel in every fourth session
+        rng = np.random.default_rng(300 + seed)
+        channels, n = int(rng.integers(1, 9)), int(rng.integers(FS // 10, 6 * FS))
+        x = np.vstack([rng.uniform(1e-3, 1.0) * _am_noise(rng, n, rate=rng.uniform(1.0, 9.0))
+                       for _ in range(channels)])
+        if seed % 4 == 0:
+            x[int(rng.integers(channels))] = 0.0
+        audio = MultichannelAudio(x, FS)
+        got, want = envelope_variance_rank(audio), _whole_session_rank(audio)
+        assert got.scores.tobytes() == want.scores.tobytes()
+        assert np.array_equal(got.order, want.order)
 
 
 class TestSelectTopChannels:
@@ -241,3 +284,103 @@ class TestWpeByBins:
         # the output plus four (bins, channels*taps, frames) work arrays of one slice
         work = 4 * preprocess._BINS * channels * cfg.taps * n_frames * 16
         assert peak < out.values.nbytes + work
+
+
+def _whole_session_files(session, config, out):
+    """run_preprocess's four files as the whole-session expression wrote them."""
+    cfg = from_json(PipelineConfig, config)
+    normalized = clip_normalize(stack_channel_files(session["channels"]),
+                                cfg.preprocess.clip_config)
+    dereverbed = istft(wpe_dereverberate(stft(normalized, cfg.stft),
+                                         cfg.preprocess.wpe_config))
+    ranking = _whole_session_rank(dereverbed)
+    out.mkdir()
+    write_wav(out / "normalized.wav", normalized)
+    write_wav(out / "wpe.wav", dereverbed)
+    lines = ["channel\tscore\trank"] + [f"{int(ch)}\t{ranking.scores[ch]:.6f}\t{rank}"
+                                         for rank, ch in enumerate(ranking.order)]
+    (out / "ranking.txt").write_text("\n".join(lines) + "\n")
+    (out / "selected.json").write_text(
+        json.dumps(select_top_channels(ranking, cfg.preprocess.selection_fraction)))
+
+
+class TestPreprocessByBlocks:
+    @pytest.mark.parametrize("block_seconds", [1.9, WpeConfig.block_length])
+    def test_demo_equals_whole_session(self, demo_manifest, tmp_path, monkeypatch,
+                                       block_seconds):
+        # 1.9 s is 119 frames: the 16 s demo's 1,001 frames are 8 whole blocks and
+        # one of 49 frames; the default is one block
+        session = load_manifest(demo_manifest)[0]
+        config = load_config(None, {"preprocess.block_seconds": block_seconds})
+        cfg = from_json(PipelineConfig, config)
+        n_frames = frame_count(16 * FS, cfg.stft)
+        block = wpe_block_frames(cfg.preprocess.wpe_config, FS, cfg.stft.frame_shift)
+        blocks = -(-n_frames // block)
+        assert blocks == 1 or (blocks >= 9 and n_frames % block)
+        calls = []
+
+        def wpe(tensor, wpe_cfg):
+            calls.append(tensor.num_frames)
+            return wpe_dereverberate(tensor, wpe_cfg)
+
+        monkeypatch.setattr(farfield.pipeline, "wpe_dereverberate", wpe)
+        result = run_preprocess(session, config, tmp_path / "run")
+        assert len(calls) == blocks and sum(calls) == n_frames
+        _whole_session_files(session, config, tmp_path / "whole")
+        for key in ("orig", "wpe", "ranking", "selected"):
+            assert result[key].read_bytes() == (tmp_path / "whole" / result[key].name).read_bytes()
+
+    @pytest.mark.parametrize("seconds", [12, 36])
+    def test_peak_memory_bounded_by_blocks(self, tmp_path, seconds):
+        # 4 channels at 8 kHz in 4 s blocks of 125 frames: 3 and 9 blocks. The
+        # session audio is held about three times over at most (reading and
+        # clipping, or the input and output of the block loop), plus the input and
+        # output spectra of one block and one slice of FFT or WPE work; the whole
+        # session's spectra are never held
+        rate, channels, n = 8000, 4, seconds * 8000
+        rng = np.random.default_rng(seconds)
+        paths = []
+        for c in range(channels):
+            paths.append(tmp_path / f"ch{c}.wav")
+            write_wav(paths[-1], MultichannelAudio(_am_noise(rng, n), rate))
+        config = load_config(None, {"preprocess.block_seconds": 4.0})
+        cfg = from_json(PipelineConfig, config)
+        params = cfg.stft
+        frames = wpe_block_frames(cfg.preprocess.wpe_config, rate, params.frame_shift)
+        spectrum = channels * frames * params.num_bins * 16
+        fft_slice = channels * min(frames, _FRAMES) * (params.frame_length * 8
+                                                       + params.num_bins * 16)
+        wpe_slice = 4 * preprocess._BINS * channels * cfg.preprocess.wpe_taps * frames * 16
+        tracemalloc.start()
+        try:
+            run_preprocess({"session_id": "s", "channels": paths}, config, tmp_path / "run")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * channels * n * 8 + 2 * spectrum + max(fft_slice, wpe_slice)
+
+    def test_one_block_wpe_holds_only_its_spectrum(self, tmp_path, monkeypatch):
+        # on the last block the clipped audio is released before WPE runs, and
+        # the output buffer is made after WPE returns: what WPE gets is about
+        # all that is held
+        rate, channels, n = 8000, 4, 12 * 8000
+        rng = np.random.default_rng(5)
+        paths = []
+        for c in range(channels):
+            paths.append(tmp_path / f"ch{c}.wav")
+            write_wav(paths[-1], MultichannelAudio(_am_noise(rng, n), rate))
+        held = []
+
+        def wpe(tensor, wpe_cfg):
+            held.append(tracemalloc.get_traced_memory()[0] - tensor.values.nbytes)
+            return wpe_dereverberate(tensor, wpe_cfg)
+
+        session, config = {"session_id": "s", "channels": paths}, load_config()
+        run_preprocess(session, config, tmp_path / "warm")  # modules numpy imports lazily
+        monkeypatch.setattr(farfield.pipeline, "wpe_dereverberate", wpe)
+        tracemalloc.start()
+        try:
+            run_preprocess(session, config, tmp_path / "run")
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1 and held[0] < channels * n * 8 // 4

@@ -3,7 +3,8 @@ import pytest
 
 from farfield.audio import MultichannelAudio
 from farfield.errors import DataError
-from farfield.stft import _FRAMES, StftParams, istft, stft
+from farfield.stft import (_FRAMES, StftParams, frame_count, frame_span, istft, overlap_add,
+                           overlap_add_audio, stft, stft_frames)
 
 FS = 16000
 
@@ -152,3 +153,30 @@ def test_frame_slices_equal_one_shot(window):
     assert np.array_equal(tensor.values, _stft_one_shot(x, params))
     back = istft(tensor)
     assert np.array_equal(back.samples, _istft_one_shot(tensor.values, params, n))
+
+
+@pytest.mark.parametrize("window, shift", [("hann", 16), ("sqrt_hann", 32), ("hann", 48)])
+def test_frame_runs_equal_whole_analysis(window, shift):
+    # runs of frames, the first and last reaching into the padding and one
+    # longer than a slice, give the whole analysis's frames; overlap-added run
+    # by run in frame order they give istft's samples
+    params = StftParams(64, shift, window)
+    n = 3 * _FRAMES * shift // 2 + 11
+    x = np.random.default_rng(14).standard_normal((2, n))
+    whole = stft(_audio(x), params)
+    n_frames = frame_count(n, params)
+    assert whole.num_frames == n_frames
+    out = np.zeros((2, frame_span(n_frames, params)))
+    edges = [0, 1, 7, _FRAMES + 9, n_frames - 2, n_frames]
+    for lo, hi in zip(edges, edges[1:]):
+        run = stft_frames(_audio(x), params, slice(lo, hi))
+        assert run.num_samples is None
+        assert np.array_equal(run.values, whole.values[:, lo:hi])
+        overlap_add(out, run.values, params, lo)
+    assert np.array_equal(overlap_add_audio(out, params, FS, n).samples, istft(whole).samples)
+
+
+@pytest.mark.parametrize("frames", [slice(5, 5), slice(0, 10, 2), slice(10**6, None)])
+def test_empty_or_strided_frame_run_rejected(frames):
+    with pytest.raises(DataError, match="no run of frames"):
+        stft_frames(_audio(np.ones((1, 1000))), StftParams(64, 16), frames)
