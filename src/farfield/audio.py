@@ -44,10 +44,6 @@ class MultichannelAudio:
     def channel(self, index: int) -> "MultichannelAudio":
         return MultichannelAudio(self.samples[index : index + 1], self.sample_rate)
 
-    def select_channels(self, indices) -> "MultichannelAudio":
-        indices = list(indices)
-        return MultichannelAudio(self.samples[indices], self.sample_rate)
-
     def slice_time(self, start: float, end: float) -> "MultichannelAudio":
         i0 = max(0, int(round(start * self.sample_rate)))
         i1 = min(self.num_samples, int(round(end * self.sample_rate)))

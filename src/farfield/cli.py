@@ -142,7 +142,10 @@ def cmd_gss(args):
     def separate(job):
         session, seg, activity = job
         run_preprocess(session, config, Path(args.run_dir))  # a cache hit after preprocess/run
-        return run_gss(session, config, Path(args.run_dir), seg, activity)
+        try:
+            return run_gss(session, config, Path(args.run_dir), seg, activity)
+        except DataError as exc:  # name the file that the turns came from
+            raise DataError(f"{args.rttm}: {exc}") from exc
 
     for (session, _, _), result in zip(jobs, _map_sessions(separate, jobs, args.workers)):
         state = "cached" if result["cached"] else "done"

@@ -393,7 +393,9 @@ def run_gss(session: dict, config: dict, run_dir: Path, seg: Segmentation,
     Separation reads the preprocess stage's wpe.wav, so run_preprocess must
     have run into the same run_dir. The key covers the bytes of wpe.wav, the
     turns and speakers, the guiding activity (None when GSS derives it from
-    the turns), the gss and stft config sections and the code digest.
+    the turns), the gss and stft config sections and the code digest. A turn
+    that does not lie within wpe.wav is a DataError, raised before any turn is
+    separated.
     """
     sid = session["session_id"]
     directory = stage_dir(run_dir, "gss", sid)
@@ -404,6 +406,10 @@ def run_gss(session: dict, config: dict, run_dir: Path, seg: Segmentation,
 
     def build(cfg):
         audio = read_wav(wpe_path)
+        for t in turns:  # all of them, before any turn is separated
+            if not 0.0 <= t.start < t.end <= audio.duration + 1e-9:
+                raise DataError(f"session {sid!r}: turn {t.speaker} [{t.start}, {t.end}) "
+                                f"lies outside the session's {audio.duration} s")
         guide = activity
         if guide is None:
             frame_step = cfg.stft.frame_step_seconds(audio.sample_rate)

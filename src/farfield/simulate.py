@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from farfield.audio import MultichannelAudio
 from farfield.errors import ConfigError, DataError
 from farfield.kernels import SINC_HALF_WIDTH, accumulate_sinc_taps
-from farfield.preprocess import envelope_variance_rank
-from farfield.segments import Segmentation, Turn, sweep
+from farfield.segments import Segmentation, Turn
 
 
 @dataclass(frozen=True)
@@ -333,6 +332,9 @@ class SimulationConfig:
         if self.channels > self.room_ranges.num_receivers:
             raise ConfigError(f"channels {self.channels} exceed "
                               f"room_ranges.num_receivers {self.room_ranges.num_receivers}")
+        if self.speakers > self.room_ranges.num_sources:
+            raise ConfigError(f"speakers {self.speakers} exceed "
+                              f"room_ranges.num_sources {self.room_ranges.num_sources}")
         if self.noise_ref is not None and self.snr_db is None:
             raise ConfigError(f"snr_db must be set to mix noise_ref {self.noise_ref!r}")
 
@@ -374,6 +376,8 @@ def render_speaker_images(spec: MixtureSpec, room: RoomSpec, dry_store, sample_r
     """Per-speaker reverberant images and the reference segmentation."""
     if spec.channels > room.receiver_positions.shape[0]:
         raise DataError("more channels requested than receivers in the room")
+    if spec.speakers > room.source_positions.shape[0]:
+        raise DataError("more speakers requested than sources in the room")
     n_samples = int(round(spec.duration * sample_rate))
     images = {s: np.zeros((spec.channels, n_samples)) for s in range(spec.speakers)}
     turns = []
@@ -382,16 +386,15 @@ def render_speaker_images(spec: MixtureSpec, room: RoomSpec, dry_store, sample_r
         if ref not in dry_store:
             raise DataError(f"dry audio {ref!r} missing from store")
         dry = np.asarray(dry_store[ref], dtype=np.float64)
-        src = spk % room.source_positions.shape[0]
         i0 = int(round(start * sample_rate))
         end = start + len(dry) / sample_rate
         if end > spec.duration:
             warnings.warn(f"utterance {ref!r} exceeds duration; truncated", stacklevel=3)
             end = spec.duration
         for ch in range(spec.channels):
-            key = (src, ch)
+            key = (spk, ch)
             if key not in rir_cache:
-                rir_cache[key] = generate_rir(room, src, ch, sample_rate)
+                rir_cache[key] = generate_rir(room, spk, ch, sample_rate)
             wet = fftconvolve(dry, rir_cache[key].taps)
             stop = min(i0 + len(wet), n_samples)
             images[spk][ch, i0:stop] += wet[: stop - i0]
@@ -445,97 +448,3 @@ def _tile_noise(noise: np.ndarray, n_samples: int, channels: int, seed: int) -> 
         noise = np.tile(noise, (1, reps))
     start = np.random.default_rng(seed).integers(0, max(noise.shape[1] - n_samples, 1))
     return noise[:channels, start : start + n_samples]
-
-
-# ---------------------------------------------------------------------------
-# fixed-length separation training examples
-
-
-@dataclass(frozen=True)
-class SeparationExampleConfig:
-    count: int = 4
-    duration: float = 4.0
-    sample_rate: int = 16000
-    max_speakers: int = 3
-    render_channels: int = 10
-    keep_channels: int = 6
-    noise_ref: str | None = None
-    snr_db: float = 20.0
-    ranges: RoomRanges = field(default_factory=RoomRanges)
-
-    def __post_init__(self):
-        if not self.max_speakers >= 0:
-            raise DataError(f"max_speakers must be >= 0, got {self.max_speakers}")
-        if not 1 <= self.keep_channels <= self.render_channels:
-            raise DataError(f"keep_channels must lie in [1, render_channels "
-                            f"{self.render_channels}], got {self.keep_channels}")
-        if not 0 < self.duration < math.inf:  # NaN fails too
-            raise DataError(f"duration must be positive and finite, got {self.duration}")
-
-
-_OVERLAP_TRIES = 200  # random layouts drawn before the non-overlapping fallback
-
-
-def _pairwise_overlap_starts(durations, total, rng):
-    """Start times such that no time instant has three active utterances."""
-    for _ in range(_OVERLAP_TRIES):
-        starts = [float(rng.uniform(0.0, max(total - d, 0.0))) for d in durations]
-        layout = Segmentation("layout", [Turn(str(i), s, min(s + d, total))
-                                         for i, (s, d) in enumerate(zip(starts, durations)) if d])
-        if all(len(active) <= 2 for _, _, (active,) in sweep(layout)):
-            return starts
-    # fall back to a non-overlapping layout
-    starts, t = [], 0.0
-    for d in durations:
-        starts.append(min(t, max(total - d, 0.0)))
-        t += d
-    return starts
-
-
-def simulate_separation_examples(cfg: SeparationExampleConfig, dry_store: dict, seed: int = 0):
-    """Fixed-length examples with 0-3 speakers and at most pairwise overlap.
-
-    Channels are rendered wide, then cut down to the best-ranked subset.
-    Returns a list of (mixture, targets-by-speaker, metadata) tuples.
-    """
-    rng = np.random.default_rng(seed)
-    speech_refs = sorted(r for r in dry_store if r != cfg.noise_ref)
-    if not speech_refs:
-        raise DataError("dry store holds no speech audio")
-    examples = []
-    for index in range(cfg.count):
-        room = sample_room(cfg.ranges, seed=int(rng.integers(2**31)))
-        n_speakers = int(rng.integers(0, cfg.max_speakers + 1))
-        refs = [speech_refs[int(rng.integers(len(speech_refs)))] for _ in range(n_speakers)]
-        durations = [
-            min(len(np.asarray(dry_store[r])) / cfg.sample_rate, cfg.duration) for r in refs
-        ]
-        starts = _pairwise_overlap_starts(durations, cfg.duration, rng)
-        spec = MixtureSpec(
-            speakers=max(n_speakers, 1),
-            utterances=tuple((i, r, s) for i, (r, s) in enumerate(zip(refs, starts))),
-            duration=cfg.duration,
-            channels=cfg.render_channels,
-            noise_ref=cfg.noise_ref,
-            snr_db=cfg.snr_db,
-        )
-        mixture, segmentation, images, noise_img = simulate_mixture(
-            spec, room, dry_store, cfg.sample_rate, noise_seed=index, return_components=True)
-        ranking = envelope_variance_rank(mixture)
-        selected = sorted(int(c) for c in ranking.order[: cfg.keep_channels])
-        targets = {
-            spk: MultichannelAudio(img[selected], cfg.sample_rate)
-            for spk, img in images.items()
-            if np.any(img)
-        }
-        metadata = {
-            "index": index,
-            "num_speakers": n_speakers,
-            "room_dimensions": room.dimensions.tolist(),
-            "t60": room.t60,
-            "channels": selected,
-            "turns": [(t.speaker, t.start, t.end) for t in segmentation.turns],
-            "noise_image": MultichannelAudio(noise_img[selected], cfg.sample_rate),
-        }
-        examples.append((mixture.select_channels(selected), targets, metadata))
-    return examples

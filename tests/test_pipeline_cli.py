@@ -624,6 +624,9 @@ _SIM_CONFIG_ERRORS = {
     "sim_channels_above_receivers": ({"channels": 3, "room_ranges": {"num_receivers": 2}},
                                      "channels"),
     "sim_noise_without_snr": ({"noise_ref": "u"}, "snr_db"),
+    "sim_speakers_above_sources": ({"speakers": 3, "channels": 2,
+                                    "room_ranges": {"num_sources": 2, "num_receivers": 2}},
+                                   "speakers 3 exceed room_ranges.num_sources 2"),
 }
 
 
@@ -634,6 +637,7 @@ def _write_malformed_inputs(root):
     (root / "bad.emb").write_bytes(b"EMB1\x10\x00\x00")
     (root / "bad.act").write_bytes(b"ACT1" + b"\x00" * 10)
     (root / "ok.rttm").write_text("SPEAKER s 1 0.0 0.5 <NA> <NA> a <NA> <NA>\n")
+    (root / "late.rttm").write_text("SPEAKER s 1 0.25 0.5 <NA> <NA> a <NA> <NA>\n")
     (root / "refs").mkdir()
     (root / "refs" / "bad.rttm").write_text("SPEAKER s 1 0.0 half <NA> <NA> a <NA> <NA>\n")
     (root / "empty").mkdir()
@@ -780,6 +784,9 @@ class TestCli:
              "inf_time.emb: record 19 [9.5, inf): times must be finite"),
             (["preprocess", "--manifest", "stereo_channel.json"],
              "stereo.wav: 2 channels, a channel file holds one"),
+            (["gss", "--manifest", "manifest.json", "--rttm", "late.rttm",
+              "--set", "gss.iterations=1"],
+             "late.rttm: session 's': turn a [0.25, 0.75) lies outside the session's 0.5 s"),
         ],
         ids=["manifest-sessions", "emb-header", "act-header", "rttm-onset",
              "manifest-sessions-type", "manifest-entry-type", "rttm-negative-duration",
@@ -792,7 +799,7 @@ class TestCli:
              "score-hyp-is-file", "score-hyp-no-rttm", "score-ref-missing",
              "sim-dry-8khz", "sim-dry-stereo", "score-nothing-scored",
              "sim-dry-empty-speech", "sim-dry-empty-noise", "emb-no-entries",
-             "emb-zero-dim", "emb-inf-time", "manifest-stereo-channel"],
+             "emb-zero-dim", "emb-inf-time", "manifest-stereo-channel", "gss-turn-past-end"],
     )
     def test_malformed_input_exits_3(self, tmp_path, monkeypatch, capsys, argv, named):
         _write_malformed_inputs(tmp_path)

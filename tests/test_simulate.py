@@ -1,22 +1,18 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.fft
 import scipy.signal
 
-import farfield.simulate
-from farfield.errors import DataError
-from farfield.preprocess import envelope_variance_rank
+from farfield.errors import ConfigError, DataError
 from farfield.simulate import (
     SINC_HALF_WIDTH,
     MixtureSpec,
     OverlapStats,
     RoomRanges,
     RoomSpec,
-    SeparationExampleConfig,
-    _pairwise_overlap_starts,
+    SimulationConfig,
     butter_highpass,
     fftconvolve,
     generate_rir,
@@ -25,7 +21,6 @@ from farfield.simulate import (
     sample_conversation,
     sample_room,
     simulate_mixture,
-    simulate_separation_examples,
 )
 
 FS = 16000
@@ -380,6 +375,15 @@ class TestSimulateMixture:
         with pytest.raises(DataError):
             simulate_mixture(spec, room, dry, FS)
 
+    def test_more_speakers_than_sources_rejected(self):
+        # _FAST_RANGES places 3 sources, so a fourth speaker has no position of its own
+        _, room, dry = self._setup()
+        spec = MixtureSpec(4, ((3, "u0", 0.0),), 1.0, channels=2)
+        with pytest.raises(DataError, match="more speakers requested than sources"):
+            simulate_mixture(spec, room, dry, FS)
+        with pytest.raises(ConfigError, match="speakers 4 exceed room_ranges.num_sources 3"):
+            SimulationConfig(speakers=4, channels=2, room_ranges=_FAST_RANGES)
+
     def test_noise_ref_without_snr_rejected(self):
         # a named noise with no level to mix it at would give a clean session
         with pytest.raises(DataError, match="snr_db"):
@@ -402,116 +406,3 @@ class TestSimulateMixture:
         np.testing.assert_array_equal(noise, expected)
         np.testing.assert_array_equal(audio.samples, expected)
         assert not seg.turns and not np.any(images[0])
-
-
-def _event_loop_starts(durations, total, rng):
-    """The pairwise layout as it was drawn with its own event loop, for comparison."""
-    for _ in range(200):
-        starts = [float(rng.uniform(0.0, max(total - d, 0.0))) for d in durations]
-        events = []
-        for s, d in zip(starts, durations):
-            events.append((s, 1))
-            events.append((min(s + d, total), -1))
-        depth = peak = 0
-        for _, delta in sorted(events):
-            depth += delta
-            peak = max(peak, depth)
-        if peak <= 2:
-            return starts
-    starts, t = [], 0.0
-    for d in durations:
-        starts.append(min(t, max(total - d, 0.0)))
-        t += d
-    return starts
-
-
-class TestPairwiseOverlapStarts:
-    @pytest.mark.parametrize("seed", range(40))
-    def test_equals_event_loop(self, seed):
-        draw = np.random.default_rng(1000 + seed)
-        durations = [float(d) for d in draw.uniform(0.0, 2.5, size=draw.integers(0, 6))]
-        if seed % 4 == 0 and durations:
-            durations[0] = 0.0  # an empty utterance takes no part in the overlap count
-        got = _pairwise_overlap_starts(durations, 2.0, np.random.default_rng(seed))
-        assert got == _event_loop_starts(durations, 2.0, np.random.default_rng(seed))
-
-
-def _separation_dry():
-    rng = np.random.default_rng(13)
-    return {f"s{i}": 0.1 * rng.standard_normal(int(0.6 * FS)) for i in range(3)}
-
-
-class TestSeparationExamples:
-    def test_shapes_counts_and_overlap_bound(self):
-        dry = _separation_dry()
-        cfg = SeparationExampleConfig(
-            count=3, duration=1.0, max_speakers=2, render_channels=4,
-            keep_channels=2, ranges=_FAST_RANGES,
-        )
-        examples = simulate_separation_examples(cfg, dry, seed=1)
-        assert len(examples) == 3
-        for mixture, targets, meta in examples:
-            assert mixture.num_channels == 2
-            assert mixture.num_samples == FS
-            assert len(targets) <= 2
-            # mixture equals the targets plus noise on the kept channels
-            total = meta["noise_image"].samples.copy()
-            for img in targets.values():
-                total = total + img.samples
-            np.testing.assert_allclose(mixture.samples, total, atol=1e-12)
-            events = []
-            for _, start, end in meta["turns"]:
-                events.append((start, 1))
-                events.append((min(end, 1.0), -1))
-            depth = peak = 0
-            for _, delta in sorted(events):
-                depth += delta
-                peak = max(peak, depth)
-            assert peak <= 2
-
-    def test_turns_listed_in_time_order(self):
-        cfg = SeparationExampleConfig(count=1, duration=1.0, max_speakers=3, render_channels=4,
-                                      keep_channels=2, ranges=_FAST_RANGES)
-        # seed 0 draws two speakers, the second of whom starts first
-        ((_, _, meta),) = simulate_separation_examples(cfg, _separation_dry(), seed=0)
-        assert [t[0] for t in meta["turns"]] == ["spk01", "spk00"]
-        assert meta["turns"] == sorted(meta["turns"], key=lambda t: (t[1], t[0]))
-
-    def test_keeps_the_best_ranked_channels(self, monkeypatch):
-        # 7 of 25 is a fraction whose ceil(7 / 25 * 25) is 8, so a cut of the
-        # top 8 by channel index can drop a top-7 channel for the 8th-ranked one
-        rankings = []
-
-        def rank(audio):
-            rankings.append(envelope_variance_rank(audio))
-            return rankings[-1]
-
-        monkeypatch.setattr(farfield.simulate, "envelope_variance_rank", rank)
-        cfg = SeparationExampleConfig(count=3, duration=1.0, max_speakers=1, render_channels=25,
-                                      keep_channels=7,
-                                      ranges=replace(_FAST_RANGES, num_receivers=25))
-        examples = simulate_separation_examples(cfg, _separation_dry(), seed=1)
-        assert len(rankings) == 3
-        for ranking, (mixture, _, meta) in zip(rankings, examples):
-            assert meta["channels"] == sorted(int(c) for c in ranking.order[:7])
-            assert mixture.num_channels == 7
-
-    @pytest.mark.parametrize("field, value", [
-        ("max_speakers", -1), ("keep_channels", 0), ("keep_channels", 11),
-        ("duration", 0.0), ("duration", -1.0), ("duration", math.nan), ("duration", math.inf),
-    ])
-    def test_config_fields_checked(self, field, value):
-        # the defaults render 10 channels
-        with pytest.raises(DataError, match=field):
-            SeparationExampleConfig(**{field: value})
-
-    def test_empty_store_rejected(self):
-        with pytest.raises(DataError):
-            simulate_separation_examples(SeparationExampleConfig(), {}, seed=0)
-
-    def test_missing_noise_ref_rejected(self):
-        dry = {"s0": 0.1 * np.random.default_rng(0).standard_normal(FS // 2)}
-        cfg = SeparationExampleConfig(count=1, duration=1.0, render_channels=4,
-                                      keep_channels=2, noise_ref="noise", ranges=_FAST_RANGES)
-        with pytest.raises(DataError, match="noise audio 'noise' missing"):
-            simulate_separation_examples(cfg, dry, seed=0)
