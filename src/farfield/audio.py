@@ -45,9 +45,15 @@ class MultichannelAudio:
         return MultichannelAudio(self.samples[index : index + 1], self.sample_rate)
 
     def slice_time(self, start: float, end: float) -> "MultichannelAudio":
-        i0 = max(0, int(round(start * self.sample_rate)))
-        i1 = min(self.num_samples, int(round(end * self.sample_rate)))
+        i0, i1 = sample_range(start, end, self.sample_rate, self.num_samples)
         return MultichannelAudio(self.samples[:, i0:i1], self.sample_rate)
+
+
+def sample_range(start: float, end: float, sample_rate: int, num_samples: int) -> tuple:
+    """(i0, i1) of the samples from start to end seconds: each time rounded to the
+    nearest sample, then clipped to the signal's num_samples, with i0 <= i1."""
+    i0 = min(max(0, int(round(start * sample_rate))), num_samples)
+    return i0, min(max(i0, int(round(end * sample_rate))), num_samples)
 
 
 # WAV layout: a RIFF (or, above 4 GiB, RF64) header, then chunks of
@@ -59,10 +65,60 @@ _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 _PCM_FORMATS = {2: ("<i2", 2.0**15), 3: ("<i4", 2.0**31), 4: ("<i4", 2.0**31)}
 
 
-def read_wav(path) -> MultichannelAudio:
-    """Read a WAV file into a MultichannelAudio.
+@dataclass(frozen=True)
+class WavFile:
+    """Where a WAV file's frames lie and how to decode them, from its header; reads
+    any range of frames, so that a caller need not hold the whole file."""
 
-    Reads 16-, 24- and 32-bit PCM and 32- and 64-bit float samples, in plain,
+    path: object
+    num_channels: int
+    sample_rate: int
+    num_samples: int  # frames
+    offset: int  # byte position of the first frame
+    width: int  # container bytes per sample
+    dtype: str
+    scale: float | None  # the full scale of integer samples
+
+    @property
+    def duration(self) -> float:
+        return self.num_samples / self.sample_rate
+
+    def read(self, start: int, count: int) -> MultichannelAudio:
+        """Frames start to start + count, each decoded as a read of the whole file
+        decodes it; a range outside the file is a DataError that names it."""
+        if not 0 <= start <= start + count <= self.num_samples:
+            raise DataError(f"{self.path}: frames [{start}, {start + count}) lie outside "
+                            f"its {self.num_samples} frames")
+        values = count * self.num_channels
+        with open_input(self.path, "WAV file", "rb") as fh:
+            fh.seek(self.offset + start * self.num_channels * self.width)
+            if self.width == 3:  # widen to int32: three bytes above a zero low byte
+                packed = np.fromfile(fh, dtype=np.uint8, count=3 * values).reshape(-1, 3)
+                data = np.zeros((len(packed), 4), dtype=np.uint8)
+                data[:, 1:] = packed
+                data = data.view(self.dtype)
+            else:
+                data = np.fromfile(fh, dtype=self.dtype, count=values)
+        if data.size != values:  # the file shrank after its header was read
+            raise DataError(f"{self.path}: truncated data chunk")
+        samples = data.reshape(-1, self.num_channels).astype(np.float64)
+        if self.scale is not None:
+            samples /= self.scale
+        try:
+            return MultichannelAudio(samples.T, self.sample_rate)
+        except DataError as exc:
+            raise DataError(f"{self.path}: {exc}") from None
+
+    def slice_time(self, start: float, end: float) -> MultichannelAudio:
+        """MultichannelAudio.slice_time of the whole file, reading only its samples."""
+        i0, i1 = sample_range(start, end, self.sample_rate, self.num_samples)
+        return self.read(i0, i1 - i0)
+
+
+def open_wav(path) -> WavFile:
+    """Parse a WAV file's header.
+
+    Takes 16-, 24- and 32-bit PCM and 32- and 64-bit float samples, in plain,
     WAVE_FORMAT_EXTENSIBLE and RF64 files; chunks other than fmt and data are
     skipped. 24-bit samples are read left-justified into 32 bits, as scipy's
     reader does. Anything else is a DataError that names the file.
@@ -94,20 +150,14 @@ def read_wav(path) -> MultichannelAudio:
             raise DataError(f"{path}: truncated data chunk")
         if size % (channels * width):
             raise DataError(f"{path}: data chunk of {size} bytes is not whole frames")
-        if width == 3:  # widen to int32: three bytes above a zero low byte
-            packed = np.fromfile(fh, dtype=np.uint8, count=size).reshape(-1, 3)
-            data = np.zeros((len(packed), 4), dtype=np.uint8)
-            data[:, 1:] = packed
-            data = data.view(dtype)
-        else:
-            data = np.fromfile(fh, dtype=dtype, count=size // width)
-    samples = data.reshape(-1, channels).astype(np.float64)
-    if scale is not None:
-        samples /= scale
-    try:
-        return MultichannelAudio(samples.T, rate)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+        return WavFile(path, channels, rate, size // (channels * width), fh.tell(), width, dtype,
+                       scale)
+
+
+def read_wav(path) -> MultichannelAudio:
+    """Read a whole WAV file (see open_wav) into a MultichannelAudio."""
+    wav = open_wav(path)
+    return wav.read(0, wav.num_samples)
 
 
 def _chunk(fh, path) -> tuple:
@@ -125,6 +175,8 @@ def _read_fmt(body: bytes, path) -> tuple:
     tag, channels, rate, byte_rate, block_align, bits = struct.unpack("<HHIIHH", body[:16])
     if tag == _EXTENSIBLE and len(body) >= 40 and body[28:40] == _GUID_TAIL:
         tag = struct.unpack("<I", body[24:28])[0]
+    if not rate:
+        raise DataError(f"{path}: sample rate 0")
     if not channels or block_align % channels:
         raise DataError(f"{path}: {channels} channels in blocks of {block_align} bytes")
     width = block_align // channels
@@ -184,4 +236,5 @@ def stack_channel_files(paths, expected_rate: int | None = None) -> Multichannel
             raise DataError(f"channel lengths differ across files: {path} has "
                             f"{audio.num_samples} samples, {paths[0]} {samples.shape[1]}")
         samples[row] = audio.samples[0]
+        del audio  # before the next file is read
     return MultichannelAudio(samples, rate)

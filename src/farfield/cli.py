@@ -127,16 +127,22 @@ def cmd_gss(args):
     sessions, config = _load(args)
     vad = None
     if args.vad_mask:
+        # a damaged .npy raises OSError, ValueError, SyntaxError, tokenize.TokenError
+        # and more, and an .npz loads as no array: each is a bad mask file
         try:
-            vad = np.load(args.vad_mask)
-        except (OSError, ValueError) as exc:
+            vad = np.asarray(np.load(args.vad_mask), dtype=np.float64)
+        except Exception as exc:
             raise DataError(f"cannot read VAD mask {args.vad_mask}: {exc}") from exc
     jobs = []  # every input is read before any stage runs
     for session in sessions:
         sid = session["session_id"]
         activity = read_activity(args.activity, sid) if args.activity else None
         if activity is not None and vad is not None:
-            activity = apply_vad_mask(activity, vad)
+            try:
+                activity = apply_vad_mask(activity, vad)
+            except DataError as exc:
+                raise DataError(f"VAD mask {args.vad_mask}, activities {args.activity}: "
+                                f"{exc}") from exc
         jobs.append((session, read_session_rttm(args.rttm, sid), activity))
 
     def separate(job):

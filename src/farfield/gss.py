@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from farfield.audio import MultichannelAudio
+from farfield.audio import MultichannelAudio, WavFile
 from farfield.errors import ConfigError, DataError, NumericalError
 # not called here (GSS separates the preprocess stage's WPE output); the binding
 # stays because the benchmark's tracer wraps farfield.gss.wpe_dereverberate
@@ -251,13 +251,19 @@ def mvdr_beamform(
     if not 0 <= target < masks.num_sources:
         raise DataError(f"target source {target} out of range")
     x = tensor.values.transpose(2, 1, 0)  # (F, T, C)
-    xt, xh = x.transpose(0, 2, 1), x.conj()  # (F, C, T), (F, T, C)
+    xt = x.transpose(0, 2, 1)  # (F, C, T)
     gamma = masks.gammas[target].T  # (F, T)
-    n_ch = tensor.num_channels
+    n_bins, n_frames, n_ch = x.shape
+    step = max(1, _CELLS // n_frames)  # bins per product, as in cacgmm_em
 
     def psd(weights):
-        mass = np.maximum(weights.sum(axis=1), 1e-300)
-        mat = (xt * weights[:, None, :]) @ xh / mass[:, None, None]
+        # one (C, T) @ (T, C) product per bin, taken step bins at a time so that
+        # the weighted and conjugated copies hold about _CELLS cells of the window
+        mat = np.empty((n_bins, n_ch, n_ch), dtype=np.complex128)
+        for lo in range(0, n_bins, step):
+            b = slice(lo, lo + step)
+            mat[b] = (xt[b] * weights[b, None, :]) @ x[b].conj()
+        mat /= np.maximum(weights.sum(axis=1), 1e-300)[:, None, None]
         return 0.5 * (mat + mat.conj().transpose(0, 2, 1))
 
     phi_target = psd(gamma)
@@ -284,7 +290,7 @@ def mvdr_beamform(
 
 
 def extract_speaker_segment(
-    audio: MultichannelAudio,
+    audio: MultichannelAudio | WavFile,
     turn: Turn,
     target: int,
     activities: SoftActivity,
@@ -293,9 +299,11 @@ def extract_speaker_segment(
 ) -> MultichannelAudio:
     """Extract one speaker's turn: context extension, guided masks, MVDR.
 
-    target indexes the speaker's row in the session-level activities. The
-    audio is separated as given; dereverberate it beforehand (run_gss passes
-    the preprocess stage's WPE output).
+    target indexes the speaker's row in the session-level activities. Only
+    the window of the turn and its context is taken from audio, through its
+    duration, sample_rate and slice_time, so a WavFile reads just that window.
+    The audio is separated as given; dereverberate it beforehand (run_gss
+    passes the preprocess stage's WPE output).
     """
     session_end = audio.duration
     if not (0.0 <= turn.start < turn.end <= session_end + 1e-9):

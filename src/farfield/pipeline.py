@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from farfield.audio import MultichannelAudio, read_wav, stack_channel_files, write_wav
+from farfield.audio import MultichannelAudio, open_wav, stack_channel_files, write_wav
+from farfield.audio import read_wav  # noqa: F401  (not called here; perfbench/spans.py times it)
 from farfield.config import PipelineConfig, ScoreConfig, from_json, to_json
 from farfield.diarize import diarize_embeddings
 from farfield.embeddings import read_embeddings
@@ -79,6 +80,13 @@ def objects_with(value, *keys) -> bool:
     return _list_of(value, dict) and all(_list_of([v.get(k) for v in value], str) for k in keys)
 
 
+def is_file_name(name) -> bool:
+    """name is a string that can name one file of a directory: no separator, no
+    NUL byte, and not "", "." or ".."."""
+    return (isinstance(name, str) and "\0" not in name
+            and os.path.basename(name) == name not in ("", ".", ".."))
+
+
 def load_manifest(path) -> list:
     """Read a session manifest file; returns a list of session dicts.
 
@@ -101,8 +109,7 @@ def load_manifest(path) -> list:
         if "session_id" not in entry or "channels" not in entry:
             raise DataError(f"manifest {path}: sessions need session_id and channels")
         entry, sid, rate = dict(entry), entry["session_id"], entry.get("sample_rate")
-        if not (isinstance(sid, str) and "\0" not in sid
-                and os.path.basename(sid) == sid not in ("", ".", "..")):
+        if not is_file_name(sid):
             raise DataError(f"manifest {path}: session_id {sid!r} is not a file name")
         if sid in (s["session_id"] for s in out):
             raise DataError(f"manifest {path}: session_id {sid!r} appears twice")
@@ -224,19 +231,21 @@ def run_cached(directory: Path, inputs, blob, outputs, config: dict, build) -> b
 
 
 def _dereverberated(session: dict, cfg: PipelineConfig, orig_path: Path) -> MultichannelAudio:
-    """Read and clip-normalize the session, write it to orig_path, and return it
-    dereverberated one WPE block at a time (as it is when WPE is off).
+    """Read the session, clip-normalize it in place one channel at a time, write
+    it to orig_path, and return it dereverberated one WPE block at a time (as
+    it is when WPE is off).
 
-    Each block's frames are those of the whole session's STFT, and their
-    inverse transforms are overlap-added in frame order, so the samples equal
-    istft(wpe_dereverberate(stft(...))). This function holds the only reference
-    to the normalized audio, and drops it once the last block's frames are
-    taken: WPE and the overlap-add then hold two block spectra and the output.
+    Each block's frames are those of the whole session's STFT, dereverberated
+    in place, and their inverse transforms are overlap-added in frame order, so
+    the samples equal istft of the whole session's dereverberated STFT. This
+    function holds the only reference to the normalized audio, and drops it
+    once the last block's frames are taken: the block loop then holds one
+    block spectrum, the output, and one channel's slice of work.
     """
-    normalized = clip_normalize(
-        stack_channel_files(session["channels"], session.get("sample_rate")),
-        cfg.preprocess.clip_config,
-    )
+    normalized = stack_channel_files(session["channels"], session.get("sample_rate"))
+    for c in range(normalized.num_channels):  # one channel's temporaries at a time
+        normalized.samples[c] = clip_normalize(normalized.channel(c),
+                                               cfg.preprocess.clip_config).samples[0]
     write_wav(orig_path, normalized)
     if not cfg.preprocess.wpe:
         return normalized
@@ -249,7 +258,7 @@ def _dereverberated(session: dict, cfg: PipelineConfig, orig_path: Path) -> Mult
         spec = stft_frames(normalized, params, slice(lo, lo + block))
         if lo + block >= n_frames:
             del normalized
-        spec = wpe_dereverberate(spec, wpe_cfg)
+        wpe_dereverberate(spec, wpe_cfg)
         if out is None:
             out = np.zeros((spec.num_channels, frame_span(n_frames, params)))
         overlap_add(out, spec.values, params, lo)
@@ -390,22 +399,26 @@ def run_gss(session: dict, config: dict, run_dir: Path, seg: Segmentation,
             activity: SoftActivity | None) -> dict:
     """Extract one enhanced WAV per (speaker, turn) from the preprocess stage's audio.
 
-    Separation reads the preprocess stage's wpe.wav, so run_preprocess must
-    have run into the same run_dir. The key covers the bytes of wpe.wav, the
-    turns and speakers, the guiding activity (None when GSS derives it from
-    the turns), the gss and stft config sections and the code digest. A turn
-    that does not lie within wpe.wav is a DataError, raised before any turn is
-    separated.
+    Separation reads each turn's context window from the preprocess stage's
+    wpe.wav, so run_preprocess must have run into the same run_dir. The key
+    covers the bytes of wpe.wav, the turns and speakers, the guiding activity
+    (None when GSS derives it from the turns), the gss and stft config
+    sections and the code digest. A speaker label that cannot be part of a
+    file name, and a turn that does not lie within wpe.wav, are DataErrors,
+    raised before any turn is separated.
     """
     sid = session["session_id"]
     directory = stage_dir(run_dir, "gss", sid)
     wpe_path = preprocess_outputs(run_dir, sid)["wpe"]
     turns, speakers = seg.sorted_turns(), seg.speakers
+    for speaker in speakers:  # each names output files
+        if not is_file_name(speaker):
+            raise DataError(f"session {sid!r}: speaker label {speaker!r} is not a file name")
     outputs = [directory / (f"{sid}-{t.speaker}-{int(round(t.start * 1000))}-"
                             f"{int(round(t.end * 1000))}.wav") for t in turns]
 
     def build(cfg):
-        audio = read_wav(wpe_path)
+        audio = open_wav(wpe_path)  # its header; each turn reads its own window
         for t in turns:  # all of them, before any turn is separated
             if not 0.0 <= t.start < t.end <= audio.duration + 1e-9:
                 raise DataError(f"session {sid!r}: turn {t.speaker} [{t.start}, {t.end}) "

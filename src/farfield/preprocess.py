@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,10 +93,11 @@ def clip_normalize(audio: MultichannelAudio, cfg: ClipNormConfig = ClipNormConfi
 
 
 def _wpe_block(values: np.ndarray, taps: int, delay: int, iterations: int) -> np.ndarray:
-    """Iterative multichannel WPE on one block; values is (F, C, T)."""
+    """Iterative multichannel WPE on one block; values is (F, C, T). A block of
+    fewer than taps + delay frames is returned as it is."""
     n_bins, n_ch, n_frames = values.shape
     if n_frames < taps + delay:
-        return values.copy()
+        return values
     # stacked delayed observations, (F, C*K, T)
     stacked = np.zeros((n_bins, n_ch * taps, n_frames), dtype=values.dtype)
     for k in range(taps):
@@ -129,26 +130,27 @@ def wpe_block_frames(cfg: WpeConfig, sample_rate: int, frame_shift: int) -> int:
     return max(cfg.taps + cfg.delay, int(round(cfg.block_length * sample_rate / frame_shift)))
 
 
-def wpe_dereverberate(tensor: SpectralTensor, cfg: WpeConfig = WpeConfig()) -> SpectralTensor:
-    """Block-wise delayed linear prediction; removes late reverberation per bin.
+def wpe_dereverberate(tensor: SpectralTensor, cfg: WpeConfig = WpeConfig()) -> None:
+    """Block-wise delayed linear prediction; removes late reverberation per bin,
+    in place: the dereverberated values replace tensor.values, and, as list.sort
+    does, it returns None.
 
     Solves _BINS frequency bins of one block at a time, so the work arrays hold
-    a few bins of one block rather than every bin of it. The input is left as
-    it is, and the output has its (channels, frames, bins) layout.
+    a few bins of one block rather than every bin of it. Each slice is copied
+    before its result is written back, and neither bins nor blocks read each
+    other's frames, so the values equal those of a separate output.
     """
-    values = tensor.values.transpose(2, 0, 1)  # (F, C, T)
+    values = tensor.values.transpose(2, 0, 1)  # (F, C, T), a view
     n_bins, _, n_frames = values.shape
     block_frames = wpe_block_frames(cfg, tensor.sample_rate, tensor.frame_shift)
-    out = np.empty_like(tensor.values)
     for lo in range(0, n_bins, _BINS):
         bins = slice(lo, lo + _BINS)
         for start in range(0, n_frames, block_frames):
             frames = slice(start, start + block_frames)
-            out[:, frames, bins] = _wpe_block(
+            values[bins, :, frames] = _wpe_block(
                 np.ascontiguousarray(values[bins, :, frames]), cfg.taps, cfg.delay,
                 cfg.iterations,
-            ).transpose(1, 2, 0)
-    return replace(tensor, values=out)
+            )
 
 
 # ---------------------------------------------------------------------------

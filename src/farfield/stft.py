@@ -10,8 +10,9 @@ from farfield.audio import MultichannelAudio
 from farfield.errors import DataError
 
 # Frames per FFT call. A framed copy of the signal is frame_length/frame_shift
-# times its size, so stft and istft frame, transform and overlap-add a slice
-# of frames at a time; every frame is transformed on its own either way.
+# times its size, so stft and istft frame, transform and overlap-add one
+# channel's slice of frames at a time; every frame is transformed on its own
+# either way.
 _FRAMES = 256
 
 
@@ -117,8 +118,9 @@ def frame_span(num_frames: int, params: StftParams) -> int:
 
 def stft_frames(audio: MultichannelAudio, params: StftParams, frames: slice) -> SpectralTensor:
     """A run of stft's frames (a slice of step 1), each equal to the whole
-    analysis's; only the run's samples are padded. The tensor has no
-    num_samples, since a run does not invert to the session on its own."""
+    analysis's; only the run's samples are padded, one channel at a time. The
+    tensor has no num_samples, since a run does not invert to the session on
+    its own."""
     if audio.num_samples == 0:
         raise DataError("empty audio")
     window = _analysis_window(params)
@@ -127,16 +129,17 @@ def stft_frames(audio: MultichannelAudio, params: StftParams, frames: slice) -> 
     if step != 1 or hi <= lo:
         raise DataError(f"no run of frames in {frames}")
     count, start = hi - lo, lo * shift - length // 2  # start: first sample of frame lo
-    x = np.zeros((audio.num_channels, frame_span(count, params)))
-    a, b = max(start, 0), min(start + x.shape[1], audio.num_samples)
-    x[:, a - start : b - start] = audio.samples[:, a:b]
-    framed = np.lib.stride_tricks.sliding_window_view(x, length, axis=-1)[:, ::shift]
+    x = np.zeros(frame_span(count, params))  # one channel's padded run; the padding stays 0
+    a, b = max(start, 0), min(start + len(x), audio.num_samples)
+    framed = np.lib.stride_tricks.sliding_window_view(x, length)[::shift]
     values = np.empty((audio.num_channels, count, params.num_bins), dtype=np.complex128)
-    windowed = np.empty((audio.num_channels, min(count, _FRAMES), length))  # reused
-    for i in range(0, count, _FRAMES):
-        part = windowed[:, : min(_FRAMES, count - i)]
-        np.multiply(framed[:, i : i + _FRAMES], window, out=part)
-        values[:, i : i + _FRAMES] = np.fft.rfft(part, axis=-1)
+    windowed = np.empty((min(count, _FRAMES), length))  # reused
+    for c in range(audio.num_channels):
+        x[a - start : b - start] = audio.samples[c, a:b]
+        for i in range(0, count, _FRAMES):
+            part = windowed[: min(_FRAMES, count - i)]
+            np.multiply(framed[i : i + _FRAMES], window, out=part)
+            values[c, i : i + _FRAMES] = np.fft.rfft(part, axis=-1)
     return SpectralTensor(values, params, audio.sample_rate)
 
 
@@ -148,15 +151,17 @@ def stft(audio: MultichannelAudio, params: StftParams = StftParams()) -> Spectra
 
 def overlap_add(out: np.ndarray, values: np.ndarray, params: StftParams, first: int) -> None:
     """Add the windowed inverse transforms of the (channels, frames, bins) values
-    into out, in frame order, their first frame as frame `first` of out."""
+    into out, one channel at a time and in frame order, their first frame as
+    frame `first` of out."""
     window = _analysis_window(params)
     length, shift = params.frame_length, params.frame_shift
-    for lo in range(0, values.shape[1], _FRAMES):
-        frames = np.fft.irfft(values[:, lo : lo + _FRAMES], n=length, axis=-1)
-        frames *= window
-        for i in range(frames.shape[1]):
-            t = (first + lo + i) * shift
-            out[:, t : t + length] += frames[:, i]
+    for row, spectra in zip(out, values):
+        for lo in range(0, len(spectra), _FRAMES):
+            frames = np.fft.irfft(spectra[lo : lo + _FRAMES], n=length, axis=-1)
+            frames *= window
+            for i, frame in enumerate(frames):
+                t = (first + lo + i) * shift
+                row[t : t + length] += frame
 
 
 def overlap_add_audio(out: np.ndarray, params: StftParams, sample_rate: int,

@@ -577,9 +577,10 @@ def test_c12_wpe():
     x = MultichannelAudio(rng.standard_normal((2, 60 * FS)), FS)
     params = StftParams(256, 128, "hann")
     tensor = stft(x, params)
-    out = wpe_dereverberate(tensor, WpeConfig(taps=2, delay=2, iterations=2))
-    assert out.values.shape == tensor.values.shape
-    change = np.linalg.norm(out.values - tensor.values) / np.linalg.norm(tensor.values)
+    before = tensor.values.copy()  # WPE works in place
+    wpe_dereverberate(tensor, WpeConfig(taps=2, delay=2, iterations=2))
+    assert tensor.values.shape == before.shape
+    change = np.linalg.norm(tensor.values - before) / np.linalg.norm(before)
     assert change <= 0.05, f"anechoic change {change:.4f}"
 
     # reverberant: late energy drops
@@ -595,7 +596,8 @@ def test_c12_wpe():
     )
     params = StftParams(512, 128, "hann")
     tensor = stft(wet, params)
-    processed = istft(wpe_dereverberate(tensor, WpeConfig(taps=10, delay=2, iterations=3)))
+    wpe_dereverberate(tensor, WpeConfig(taps=10, delay=2, iterations=3))
+    processed = istft(tensor)
     assert processed.samples.shape == wet.samples.shape
 
     def tail_energy(sig):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from farfield import gss
-from farfield.audio import MultichannelAudio
+from farfield.audio import MultichannelAudio, open_wav, read_wav, write_wav
 from farfield.errors import DataError, NumericalError
 from farfield.gss import (
     GssConfig,
@@ -492,6 +492,41 @@ class TestMvdr:
         assert proj(s1) > 0.9
         assert proj(s2) < 0.3
 
+    @pytest.mark.parametrize("cells", [1, 4 * 60, 10**9],
+                             ids=["one bin", "short last chunk", "one chunk"])
+    def test_chunks_equal_whole_window(self, monkeypatch, cells):
+        # 33 bins of 60 frames: chunks of 1 bin, of 4 bins (the last of 1), and of all 33
+        tensor, activities, _, _ = _rank1_scene(np.random.default_rng(12), noise=0.01)
+        masks = cacgmm_em(tensor, activities, GssConfig(iterations=2))
+        with monkeypatch.context() as m:
+            m.setattr("farfield.gss._CELLS", 10**9)
+            want = mvdr_beamform(tensor, masks, target=1)
+        monkeypatch.setattr("farfield.gss._CELLS", cells)
+        got = mvdr_beamform(tensor, masks, target=1)
+        assert got.values.tobytes() == want.values.tobytes()
+
+    def test_peak_memory_bounded_by_one_chunk(self):
+        n_ch, n_frames, n_bins = 4, 1000, 513
+        rng = np.random.default_rng(13)
+        values = rng.standard_normal((n_ch, n_frames, n_bins)) + 1j * rng.standard_normal(
+            (n_ch, n_frames, n_bins)
+        )
+        tensor = _tensor(values)
+        masks = MaskTensor(rng.uniform(size=(2, n_frames, n_bins)))
+        tracemalloc.start()
+        try:
+            out = mvdr_beamform(tensor, masks, target=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the output, or a (bins, frames) weight plus one chunk's weighted and
+        # conjugated copies, whichever is larger; both stay under the output
+        # plus the chunk, which no full-window copy of the tensor fits under
+        chunk = 2 * (gss._CELLS // n_frames) * n_ch * n_frames * 16
+        bound = out.values.nbytes + chunk
+        assert n_bins * n_frames * 8 < out.values.nbytes < bound < tensor.values.nbytes
+        assert peak < bound
+
     def test_target_out_of_range(self):
         tensor = _tensor(np.ones((2, 5, 33)))
         with pytest.raises(DataError):
@@ -541,6 +576,19 @@ class TestExtractSegment:
     def test_negative_context_margin_rejected(self):
         with pytest.raises(DataError, match="context_margin"):
             GssConfig(context_margin=-0.1)
+
+    def test_window_read_from_file_equals_whole_audio(self, tmp_path):
+        # a WavFile reads only the turn's window; the result keeps every byte
+        rng = np.random.default_rng(14)
+        path = tmp_path / "wpe.wav"
+        write_wav(path, MultichannelAudio(0.1 * rng.standard_normal((3, 4 * FS)), FS))
+        step = 256 / FS
+        activities = SoftActivity("s", rng.uniform(size=(2, int(4 / step) + 1)), step)
+        cfg = GssConfig(iterations=2, context_margin=0.3)
+        for turn in (Turn("a", 0.1, 1.0), Turn("b", 1.7123, 2.4567), Turn("a", 3.5, 4.0)):
+            want = extract_speaker_segment(read_wav(path), turn, 0, activities, cfg)
+            got = extract_speaker_segment(open_wav(path), turn, 0, activities, cfg)
+            assert got.samples.tobytes() == want.samples.tobytes()
 
     def test_turn_outside_session_rejected(self):
         audio = MultichannelAudio(np.zeros((2, FS)), FS)

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
-from farfield.audio import (MultichannelAudio, read_wav, stack_channel_files, wav_header,
-                            write_wav)
+from farfield.audio import (MultichannelAudio, open_wav, read_wav, stack_channel_files,
+                            wav_header, write_wav)
 from farfield.embeddings import EmbeddingEntry, EmbeddingSet, read_embeddings, write_embeddings
 from farfield.errors import DataError
 from farfield.pipeline import load_config, load_manifest, run_preprocess
@@ -200,10 +200,11 @@ class TestWavAgainstScipy:
             (b"RIFF\0\0\0\0WAVE" + _chunk(b"data", _F32), "no fmt chunk"),
             (b"RF64\xff\xff\xff\xffWAVE" + _chunk(b"fmt ", _fmt(3, 1, 4)), "ds64"),
             (_wav(_fmt(3, 1, 4), np.array([0.0, np.nan], "<f4").tobytes()), "non-finite"),
+            (_wav(struct.pack("<HHIIHH", 3, 1, 0, 0, 4, 32), _F32), "sample rate 0"),
         ],
         ids=["empty", "headerless", "cut-in-fmt", "cut-in-data", "cut-before-data",
              "partial-frame", "pcm8", "alaw", "float16", "no-channels", "data-before-fmt",
-             "rf64-without-ds64", "nan-sample"],
+             "rf64-without-ds64", "nan-sample", "rate-zero"],
     )
     def test_malformed_is_data_error_naming_file(self, tmp_path, payload, reason):
         path = tmp_path / "bad.wav"
@@ -232,6 +233,60 @@ class TestWavAgainstScipy:
         buffer = io.BytesIO()
         wavfile.write(buffer, FS, np.broadcast_to(np.float32(0), (frames, channels)))
         assert wav_header(frames, channels, FS) == buffer.getvalue()
+
+
+_RANGED = [_wav(_fmt(1, 2, 2), _PCM16), _wav(_fmt(1, 3, 3), _PCM24), _wav(_fmt(3, 3, 4), _F32),
+           _wav(_fmt(1, 2, 2), _PCM16, rf64=True), _wav(_fmt(3, 1, 4), _F32, rf64=True)]
+_RANGED_IDS = ["pcm16", "pcm24", "float32", "rf64-pcm16", "rf64-float32"]
+
+
+class TestWavRanges:
+    """open_wav(path).read(start, count) against the same frames of read_wav(path)."""
+
+    @pytest.mark.parametrize("payload", _RANGED, ids=_RANGED_IDS)
+    def test_range_equals_slice_of_whole_read(self, tmp_path, payload):
+        path = tmp_path / "hand.wav"
+        path.write_bytes(payload)
+        whole = read_wav(path)
+        wav = open_wav(path)
+        n = wav.num_samples
+        assert (wav.num_channels, n, wav.sample_rate) == (*whole.samples.shape, whole.sample_rate)
+        assert wav.duration == whole.duration
+        for start, count in [(0, 1), (n - 1, 1), (0, n), (1, n - 2), (n // 2, n - n // 2), (0, 0),
+                             (n // 2, 0), (n, 0)]:
+            got = wav.read(start, count).samples
+            want = whole.samples[:, start : start + count]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("payload", _RANGED, ids=_RANGED_IDS)
+    def test_out_of_range_is_data_error_naming_file(self, tmp_path, payload):
+        path = tmp_path / "hand.wav"
+        path.write_bytes(payload)
+        wav = open_wav(path)
+        n = wav.num_samples
+        for start, count in [(-1, 1), (0, n + 1), (n, 1), (n + 1, 0), (n - 1, 2), (2, -1)]:
+            with pytest.raises(DataError, match=re.escape(str(path)) + ".*outside"):
+                wav.read(start, count)
+
+    def test_slice_time_equals_in_memory_slice(self, tmp_path):
+        # the same rounding and clipping of times to samples as MultichannelAudio's
+        path = tmp_path / "a.wav"
+        write_wav(path, MultichannelAudio(np.random.default_rng(15).standard_normal((3, 1000)),
+                                          FS))
+        whole, wav = read_wav(path), open_wav(path)
+        for start, end in [(0.0, 0.01), (-0.5, 0.02), (0.03, 1.0), (0.0312, 0.0313),
+                           (0.00003, 0.06249), (0.05, 0.04), (2.0, 3.0), (-2.0, -1.0)]:
+            got, want = wav.slice_time(start, end), whole.slice_time(start, end)
+            assert got.samples.shape == want.samples.shape
+            assert got.samples.tobytes() == want.samples.tobytes()
+
+    def test_read_after_file_shrank_is_data_error(self, tmp_path):
+        path = tmp_path / "a.wav"
+        write_wav(path, MultichannelAudio(np.zeros((2, 100)), FS))
+        wav = open_wav(path)
+        path.write_bytes(path.read_bytes()[:-16])
+        with pytest.raises(DataError, match=re.escape(str(path)) + ".*truncated"):
+            wav.read(90, 10)
 
 
 class TestRttm:

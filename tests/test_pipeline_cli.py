@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import re
@@ -6,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -36,6 +38,7 @@ from farfield.pipeline import (
     run_full,
     run_fusion,
     run_gss,
+    preprocess_outputs,
     run_preprocess,
     score_directories,
 )
@@ -43,6 +46,7 @@ from farfield.preprocess import ClipNormConfig, WpeConfig
 from farfield.embeddings import EmbeddingSet, write_embeddings
 from farfield.segments import (
     Segmentation,
+    SoftActivity,
     Turn,
     read_rttm,
     segmentation_to_activity,
@@ -434,6 +438,32 @@ def _gss_session(manifest, run_dir):
     return session, config
 
 
+class TestGssWindows:
+    def test_peak_memory_below_session_audio(self, tmp_path):
+        # a 120 s, 4-channel session and three 1 s turns: each turn reads its own
+        # 2 s window of wpe.wav, so the session's samples are never held whole.
+        # A turn's own peak (about 13 MB here) depends on the window, not the session
+        rate, channels, seconds = 8000, 4, 120
+        run_dir = tmp_path / "run"
+        wpe = preprocess_outputs(run_dir, "s")["wpe"]
+        wpe.parent.mkdir(parents=True)
+        rng = np.random.default_rng(4)
+        write_wav(wpe, MultichannelAudio(0.1 * rng.standard_normal((channels, seconds * rate)),
+                                         rate))
+        seg = Segmentation("s", (Turn("a", 5.0, 6.0), Turn("b", 60.0, 61.0),
+                                 Turn("a", 118.75, 119.75)))
+        session, config = {"session_id": "s", "channels": []}, load_config(None)
+        tracemalloc.start()
+        try:
+            result = run_gss(session, config, run_dir, seg, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [p.name for p in result["outputs"]] == [
+            "s-a-5000-6000.wav", "s-b-60000-61000.wav", "s-a-118750-119750.wav"]
+        assert peak < channels * seconds * rate * 8
+
+
 class TestGssCache:
     def test_hit_on_unchanged_rerun(self, demo_manifest, tmp_path):
         run_dir = tmp_path / "run"
@@ -638,6 +668,15 @@ def _write_malformed_inputs(root):
     (root / "bad.act").write_bytes(b"ACT1" + b"\x00" * 10)
     (root / "ok.rttm").write_text("SPEAKER s 1 0.0 0.5 <NA> <NA> a <NA> <NA>\n")
     (root / "late.rttm").write_text("SPEAKER s 1 0.25 0.5 <NA> <NA> a <NA> <NA>\n")
+    for name, label in (("slash", "../../x"), ("nul", "a\0b")):  # no file names
+        (root / f"{name}.rttm").write_text(f"SPEAKER s 1 0.0 0.5 <NA> <NA> {label} <NA> <NA>\n")
+    write_activity(root / "ok.act", SoftActivity("s", np.full((1, 50), 0.5), 0.01))
+    np.save(root / "wide.npy", np.ones((1, 60)))
+    np.save(root / "nan.npy", np.where(np.arange(50) == 7, np.nan, 1.0)[None])
+    mask = io.BytesIO()
+    np.save(mask, np.ones((1, 50)))
+    # a header dictionary without its closing brace: np.load's tokenizer fails
+    (root / "unclosed.npy").write_bytes(mask.getvalue().replace(b"}", b" ", 1))
     (root / "refs").mkdir()
     (root / "refs" / "bad.rttm").write_text("SPEAKER s 1 0.0 half <NA> <NA> a <NA> <NA>\n")
     (root / "empty").mkdir()
@@ -787,6 +826,18 @@ class TestCli:
             (["gss", "--manifest", "manifest.json", "--rttm", "late.rttm",
               "--set", "gss.iterations=1"],
              "late.rttm: session 's': turn a [0.25, 0.75) lies outside the session's 0.5 s"),
+            (["gss", "--manifest", "manifest.json", "--rttm", "slash.rttm"],
+             "slash.rttm: session 's': speaker label '../../x' is not a file name"),
+            (["gss", "--manifest", "manifest.json", "--rttm", "nul.rttm"],
+             "nul.rttm: session 's': speaker label 'a\\x00b' is not a file name"),
+            (["gss", "--manifest", "manifest.json", "--rttm", "ok.rttm", "--activity", "ok.act",
+              "--vad-mask", "unclosed.npy"], "cannot read VAD mask unclosed.npy"),
+            (["gss", "--manifest", "manifest.json", "--rttm", "ok.rttm", "--activity", "ok.act",
+              "--vad-mask", "wide.npy"],
+             "VAD mask wide.npy, activities ok.act: VAD mask shape (1, 60) does not match"),
+            (["gss", "--manifest", "manifest.json", "--rttm", "ok.rttm", "--activity", "ok.act",
+              "--vad-mask", "nan.npy"],
+             "VAD mask nan.npy, activities ok.act: activity probabilities must be finite"),
         ],
         ids=["manifest-sessions", "emb-header", "act-header", "rttm-onset",
              "manifest-sessions-type", "manifest-entry-type", "rttm-negative-duration",
@@ -799,7 +850,9 @@ class TestCli:
              "score-hyp-is-file", "score-hyp-no-rttm", "score-ref-missing",
              "sim-dry-8khz", "sim-dry-stereo", "score-nothing-scored",
              "sim-dry-empty-speech", "sim-dry-empty-noise", "emb-no-entries",
-             "emb-zero-dim", "emb-inf-time", "manifest-stereo-channel", "gss-turn-past-end"],
+             "emb-zero-dim", "emb-inf-time", "manifest-stereo-channel", "gss-turn-past-end",
+             "gss-label-with-slash", "gss-label-with-nul", "gss-vad-mask-unclosed-header",
+             "gss-vad-mask-shape", "gss-vad-mask-nan"],
     )
     def test_malformed_input_exits_3(self, tmp_path, monkeypatch, capsys, argv, named):
         _write_malformed_inputs(tmp_path)

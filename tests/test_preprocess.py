@@ -23,7 +23,8 @@ from farfield.preprocess import (
     wpe_block_frames,
     wpe_dereverberate,
 )
-from farfield.stft import _FRAMES, SpectralTensor, StftParams, frame_count, istft, stft
+from farfield.stft import (_FRAMES, SpectralTensor, StftParams, frame_count, frame_span, istft,
+                           stft)
 
 FS = 16000
 
@@ -170,9 +171,10 @@ class TestWpe:
         x = MultichannelAudio(rng.standard_normal((2, 60 * FS)), FS)
         params = StftParams(256, 128, "hann")
         tensor = stft(x, params)
-        out = wpe_dereverberate(tensor, WpeConfig(taps=2, delay=2, iterations=2))
-        num = np.linalg.norm(out.values - tensor.values, axis=(0, 1))
-        den = np.linalg.norm(tensor.values, axis=(0, 1))
+        before = tensor.values.copy()
+        wpe_dereverberate(tensor, WpeConfig(taps=2, delay=2, iterations=2))
+        num = np.linalg.norm(tensor.values - before, axis=(0, 1))
+        den = np.linalg.norm(before, axis=(0, 1))
         assert np.all(num <= 0.05 * den)
 
     def test_reverberant_tail_energy_reduced(self):
@@ -192,10 +194,8 @@ class TestWpe:
         wet = MultichannelAudio(np.vstack(channels), FS)
         params = StftParams(512, 128, "hann")
         tensor = stft(wet, params)
-        out = wpe_dereverberate(tensor, WpeConfig(taps=10, delay=2, iterations=3))
-        from farfield.stft import istft
-
-        processed = istft(out)
+        wpe_dereverberate(tensor, WpeConfig(taps=10, delay=2, iterations=3))
+        processed = istft(tensor)
         # tail energy via deconvolution against the known dry source
         def tail_energy(sig):
             n = len(dry)
@@ -211,17 +211,28 @@ class TestWpe:
     def test_zero_input_zero_output_and_shape(self):
         x = MultichannelAudio(np.zeros((2, FS)), FS)
         tensor = stft(x)
-        out = wpe_dereverberate(tensor)
-        assert out.values.shape == tensor.values.shape
-        assert np.all(out.values == 0)
+        shape = tensor.values.shape
+        wpe_dereverberate(tensor)
+        assert tensor.values.shape == shape
+        assert np.all(tensor.values == 0)
 
     def test_short_segment_passthrough(self):
         # fewer frames than taps + delay: prediction impossible, identity
         rng = np.random.default_rng(8)
         x = MultichannelAudio(rng.standard_normal((2, 2048)), FS)
         tensor = stft(x, StftParams(1024, 512, "hann"))
-        out = wpe_dereverberate(tensor, WpeConfig(taps=10, delay=2))
-        np.testing.assert_array_equal(out.values, tensor.values)
+        before = tensor.values.copy()
+        wpe_dereverberate(tensor, WpeConfig(taps=10, delay=2))
+        np.testing.assert_array_equal(tensor.values, before)
+
+    def test_in_place_returns_none(self):
+        # like list.sort: a caller that expects a fresh tensor fails at once
+        rng = np.random.default_rng(10)
+        tensor = stft(MultichannelAudio(rng.standard_normal((2, FS)), FS), StftParams(256, 128))
+        buffer, before = tensor.values, tensor.values.copy()
+        assert wpe_dereverberate(tensor, WpeConfig(taps=2, delay=2, iterations=1)) is None
+        assert tensor.values is buffer and np.shares_memory(tensor.values, buffer)
+        assert not np.array_equal(tensor.values, before)
 
 
 def _wpe_all_bins(values, taps, delay, iterations, block_frames):
@@ -267,9 +278,9 @@ class TestWpeByBins:
         block_frames = 40
         cfg = WpeConfig(taps=3, delay=2, iterations=2,
                         block_length=block_frames * tensor.frame_shift / FS)
-        out = wpe_dereverberate(tensor, cfg)
-        ref = _wpe_all_bins(tensor.values.transpose(2, 0, 1), 3, 2, 2, block_frames)
-        assert np.array_equal(out.values, ref.transpose(1, 2, 0))
+        ref = _wpe_all_bins(tensor.values.transpose(2, 0, 1).copy(), 3, 2, 2, block_frames)
+        wpe_dereverberate(tensor, cfg)
+        assert np.array_equal(tensor.values, ref.transpose(1, 2, 0))
 
     def test_peak_memory_bounded_by_bin_slice(self):
         channels, n_frames, n_bins = 4, 625, 513
@@ -277,13 +288,14 @@ class TestWpeByBins:
         cfg = WpeConfig()  # one 120 s block holds all 625 frames
         tracemalloc.start()
         try:
-            out = wpe_dereverberate(tensor, cfg)
+            wpe_dereverberate(tensor, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the output plus four (bins, channels*taps, frames) work arrays of one slice
+        # four (bins, channels*taps, frames) work arrays of one slice; the result
+        # goes back into the input, so no output of the tensor's size is made
         work = 4 * preprocess._BINS * channels * cfg.taps * n_frames * 16
-        assert peak < out.values.nbytes + work
+        assert peak < work < tensor.values.nbytes
 
 
 def _whole_session_files(session, config, out):
@@ -291,8 +303,9 @@ def _whole_session_files(session, config, out):
     cfg = from_json(PipelineConfig, config)
     normalized = clip_normalize(stack_channel_files(session["channels"]),
                                 cfg.preprocess.clip_config)
-    dereverbed = istft(wpe_dereverberate(stft(normalized, cfg.stft),
-                                         cfg.preprocess.wpe_config))
+    spec = stft(normalized, cfg.stft)
+    wpe_dereverberate(spec, cfg.preprocess.wpe_config)
+    dereverbed = istft(spec)
     ranking = _whole_session_rank(dereverbed)
     out.mkdir()
     write_wav(out / "normalized.wav", normalized)
@@ -332,11 +345,12 @@ class TestPreprocessByBlocks:
 
     @pytest.mark.parametrize("seconds", [12, 36])
     def test_peak_memory_bounded_by_blocks(self, tmp_path, seconds):
-        # 4 channels at 8 kHz in 4 s blocks of 125 frames: 3 and 9 blocks. The
-        # session audio is held about three times over at most (reading and
-        # clipping, or the input and output of the block loop), plus the input and
-        # output spectra of one block and one slice of FFT or WPE work; the whole
-        # session's spectra are never held
+        # 4 channels at 8 kHz in 4 s blocks of 125 frames: 3 and 9 blocks, and a
+        # last one of a frame. The block loop holds the normalized audio, the
+        # overlap-add output, one block's spectrum (dereverberated in place) and
+        # one slice of work, one channel's FFT slice or WPE's bin slice; clipping
+        # holds the audio and one channel's temporaries, which is less. Neither a
+        # second block spectrum nor the whole session's is ever held
         rate, channels, n = 8000, 4, seconds * 8000
         rng = np.random.default_rng(seconds)
         paths = []
@@ -347,17 +361,21 @@ class TestPreprocessByBlocks:
         cfg = from_json(PipelineConfig, config)
         params = cfg.stft
         frames = wpe_block_frames(cfg.preprocess.wpe_config, rate, params.frame_shift)
-        spectrum = channels * frames * params.num_bins * 16
-        fft_slice = channels * min(frames, _FRAMES) * (params.frame_length * 8
-                                                       + params.num_bins * 16)
+        audio = channels * n * 8  # the normalized audio, float64
+        output = channels * frame_span(frame_count(n, params), params) * 8  # audio and padding
+        spectrum = channels * frames * params.num_bins * 16  # one block's
+        # one channel's padded run of samples, its windowed frames and their transforms
+        fft_slice = (frame_span(frames, params) * 8
+                     + min(frames, _FRAMES) * (params.frame_length * 8 + params.num_bins * 16))
         wpe_slice = 4 * preprocess._BINS * channels * cfg.preprocess.wpe_taps * frames * 16
+        small = 256 * 1024  # the window, views and Python objects
         tracemalloc.start()
         try:
             run_preprocess({"session_id": "s", "channels": paths}, config, tmp_path / "run")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * channels * n * 8 + 2 * spectrum + max(fft_slice, wpe_slice)
+        assert peak < audio + output + spectrum + max(fft_slice, wpe_slice) + small
 
     def test_one_block_wpe_holds_only_its_spectrum(self, tmp_path, monkeypatch):
         # on the last block the clipped audio is released before WPE runs, and
